@@ -34,7 +34,16 @@ for _mask in range(1 << MAX_THREADS):
         PAIR_INDEX[pair] for pair in combinations(_members, 2)
     )
 
-_POPCOUNT = [bin(m).count("1") for m in range(1 << MAX_THREADS)]
+#: Thread count of every mask.
+POPCOUNT: tuple[int, ...] = tuple(
+    bin(m).count("1") for m in range(1 << MAX_THREADS)
+)
+
+#: Member threads of every mask, ascending.
+THREADS_OF: tuple[tuple[int, ...], ...] = tuple(
+    tuple(t for t in range(MAX_THREADS) if m >> t & 1)
+    for m in range(1 << MAX_THREADS)
+)
 
 #: Subsets of each mask with at least two members, largest first.  These are
 #: the candidate EIDs the splitter's filter/chooser considers.
@@ -43,21 +52,21 @@ for _mask in range(1 << MAX_THREADS):
     subsets = []
     sub = _mask
     while sub:
-        if _POPCOUNT[sub] >= 2:
+        if POPCOUNT[sub] >= 2:
             subsets.append(sub)
         sub = (sub - 1) & _mask
-    subsets.sort(key=lambda s: (-_POPCOUNT[s], s))
+    subsets.sort(key=lambda s: (-POPCOUNT[s], s))
     CANDIDATE_EIDS[_mask] = tuple(subsets)
 
 
 def popcount(mask: int) -> int:
     """Number of threads in *mask*."""
-    return _POPCOUNT[mask]
+    return POPCOUNT[mask]
 
 
-def threads_of(mask: int) -> list[int]:
-    """Thread ids present in *mask*, ascending."""
-    return [t for t in range(MAX_THREADS) if mask >> t & 1]
+def threads_of(mask: int) -> tuple[int, ...]:
+    """Thread ids present in *mask*, ascending (a precomputed tuple)."""
+    return THREADS_OF[mask]
 
 
 def single(tid: int) -> int:

@@ -1,12 +1,13 @@
-"""Pre-decoded functional execution: the fast engine's instruction interpreter.
+"""Pre-decoded functional execution: the pipelines' instruction interpreter.
 
 The reference :class:`~repro.func.executor.FunctionalExecutor` re-dispatches
-every dynamic instruction through a ~50-way ``if op is ...`` chain.  The fast
-engine instead *decodes once*: :func:`decode_program` walks the static
-program and builds one specialized closure per PC with every decode-time
-decision (opcode dispatch, source-register list, destination presence,
-immediate normalization, fall-through PC) already taken.  Stepping is then
-one list index plus one call.
+every dynamic instruction through a ~50-way ``if op is ...`` chain.  Both
+simulation engines' oracles instead *decode once*: ``SMTCore`` runs
+:func:`decode_program` over each distinct program once per core, building
+one specialized closure per PC with every decode-time decision (opcode
+dispatch, source-register list, destination presence, immediate
+normalization, fall-through PC) already taken.  Stepping is then one list
+index plus one call.
 
 :class:`FastExecutor` is a drop-in subclass of the reference executor and is
 bit-identical to it by construction:
@@ -18,11 +19,14 @@ bit-identical to it by construction:
 * any other invalid operation is wrapped in the same uniform
   ``invalid {OP} at pc {pc}`` message;
 * a PC whose instruction cannot be specialized (e.g. a control instruction
-  with no resolved target) simply keeps a ``None`` slot, and the step falls
-  back to the reference interpreter for that instruction.
+  with no resolved target, or a register operand its op does not use)
+  simply keeps a ``None`` slot, and the step falls back to the reference
+  interpreter for that instruction.
 
-The differential fuzz suite (``tests/test_fastpath_differential.py``) pins
-this equivalence on hundreds of generated programs.
+``tests/test_fastexec_equivalence.py`` pins this equivalence step by step
+against the reference interpreter: every built-in and registry workload,
+the seeded fuzz programs (hundreds in the nightly run), every opcode, and
+each trap.
 """
 
 from __future__ import annotations
@@ -96,6 +100,18 @@ _BRANCH_COND = {
     Opcode.BGE: lambda a, b: a >= b,
 }
 
+#: Ops whose step closures write no destination register.
+_NO_RESULT = frozenset(_BRANCH_COND) | {
+    Opcode.SW, Opcode.FSW, Opcode.JR, Opcode.SEND, Opcode.NOP, Opcode.HINT,
+    Opcode.HALT,
+}
+
+#: Ops whose step closures record no source values.
+_NO_SOURCES = frozenset({
+    Opcode.LI, Opcode.FLI, Opcode.J, Opcode.JAL, Opcode.TID, Opcode.NCTX,
+    Opcode.NOP, Opcode.HINT, Opcode.HALT,
+})
+
 
 def _src_reader(srcs):
     """Closure building ``tuple(regs[r] for r in srcs)`` for 0/1/2 sources."""
@@ -124,6 +140,13 @@ def _compile(pc, inst):
     target = inst.target
     read = _src_reader(inst.srcs)
     opname = op.name
+    if (dst is not None and op in _NO_RESULT) or (
+        inst.srcs and op in _NO_SOURCES
+    ):
+        # Malformed operands (a destination on an op without a result,
+        # sources on an op that reads none): the reference interpreter
+        # still writes the None result and records the source values.
+        return None
 
     fn2 = _INT2.get(op)
     if fn2 is not None:

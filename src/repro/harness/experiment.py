@@ -24,6 +24,7 @@ from repro.core.config import MMTConfig
 from repro.harness.campaign import (
     DEFAULT_CACHE_DIR,
     CampaignResult,
+    ResultCache,
     run_campaign,
 )
 from repro.obs import (
@@ -785,7 +786,11 @@ def run_points(
         for point in points
     ]
     if lint:
-        cache_root = getattr(cache, "root", None) if cache is not None else None
+        # Resolve *cache* exactly as run_campaign does, so the lint
+        # markers land beside the results whatever form *cache* takes.
+        cache_root = (
+            cache if isinstance(cache, ResultCache) else ResultCache(cache)
+        ).root
         lint_campaign_jobs(jobs, cache_dir=cache_root, progress=progress)
     result = run_campaign(
         jobs,

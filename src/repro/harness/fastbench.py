@@ -40,10 +40,11 @@ FIG5A_CONFIGS = (
 SMOKE_APPS = ("ammp", "mcf", "lu", "fft")
 
 #: Minimum fast/reference aggregate speedup the CI gate enforces.  Pinned
-#: well below the recorded trajectory (~2.9x on an otherwise-idle
-#: machine) so shared-runner noise cannot flake the gate, while still
-#: catching any change that de-optimises the fast loop outright.
-PINNED_MIN_SPEEDUP = 1.8
+#: at about 0.6 of the recorded trajectory (~2.0x on an otherwise-idle
+#: machine since the reference core's own hot spots were removed) so
+#: shared-runner noise cannot flake the gate, while still catching any
+#: change that de-optimises the fast loop outright.
+PINNED_MIN_SPEEDUP = 1.2
 
 DEFAULT_TRAJECTORY = Path(__file__).resolve().parents[3] / "BENCH_fastpath.json"
 

@@ -22,9 +22,10 @@ functions *are* the originals — just slower by the timer overhead.
 Attach **before** :meth:`~repro.pipeline.fast.FastSMTCore.run`: the fast
 loop hoists ``self._refill`` once at loop entry.
 
-This module lives in ``repro.obs`` deliberately: ``tools/simlint.py``
-bans wall-clock calls inside the simulator packages, and host-side
-profiling is exactly the measurement layer that ban protects.
+This module lives in ``repro.obs`` deliberately: the determinism lint of
+``repro selfcheck`` (rule SIM001) bans wall-clock calls inside the
+simulator packages, and host-side profiling is exactly the measurement
+layer that ban protects.
 """
 
 from __future__ import annotations

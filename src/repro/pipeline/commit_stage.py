@@ -45,9 +45,12 @@ class CommitStageMixin:
                 di = queue[0]
                 if di.state is not InstState.DONE:
                     continue
-                if any(
-                    self.thread_queues[u][0] is not di for u in threads_of(di.itid)
-                ):
+                at_every_head = True
+                for u in threads_of(di.itid):
+                    if self.thread_queues[u][0] is not di:
+                        at_every_head = False
+                        break
+                if not at_every_head:
                     continue  # not yet at the head of every owner's order
                 if di.inst.is_store and not self.lsq.try_commit_store(di, self):
                     continue
@@ -103,7 +106,7 @@ class CommitStageMixin:
                     self.finished[tid] = True
                     stats.halted_threads += 1
 
-    def _retire_destination(self, di: DynInst, owners: list[int]) -> None:
+    def _retire_destination(self, di: DynInst, owners: tuple[int, ...]) -> None:
         dst = di.inst.dst
         valid_mask = 0
         for tid in owners:

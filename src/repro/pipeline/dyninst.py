@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import enum
 
-from repro.core.itid import popcount, threads_of
+from repro.core.itid import POPCOUNT, THREADS_OF
 from repro.core.sync import FetchMode
 from repro.func.executor import Executed
 from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
 
 
 class InstState(enum.Enum):
@@ -30,10 +31,38 @@ class DynInst:
     oracle record, carrying the true operand values, result, memory address,
     and next PC for that thread.
 
-    Deliberately *not* ``__slots__``: the fast engine initialises entries by
-    installing a prototype ``__dict__`` copy, which needs a plain instance
-    dict.
+    Fields that every entry starts with the same immutable value are class
+    attributes, so construction stores only the per-instruction fields (plus
+    the mutable ``psrcs`` and ``prev_map``); the first write to any other
+    field shadows its class default on the instance.  Deliberately *not*
+    ``__slots__``: the fast engine initialises entries by installing a
+    prototype ``__dict__`` copy, which needs a plain instance dict.
     """
+
+    state = InstState.DECODED
+    #: Physical destination (merged case) or None.
+    pdst: int | None = None
+    #: Per-thread destinations after an LVIP-triggered split, else None.
+    pdst_by_tid: dict[int, int] | None = None
+    #: True when the splitter kept this merged only thanks to RST bits
+    #: that were set by commit-time register merging (Figure 5(b)).
+    merged_via_regmerge = False
+    #: True when the instruction executes once for >=2 threads.
+    is_exec_merged = False
+    complete_cycle: int | None = None
+    pred_taken: bool | None = None
+    pred_target: int | None = None
+    mispredicted = False
+    lvip_predicted_identical: bool | None = None
+    #: Per-thread outstanding memory accesses (ME loads/stores split).
+    mem_pending: dict[int, int] | None = None
+    mem_done_count = 0
+    store_committed_count = 0
+    lsq_index: int | None = None
+    #: Set when every owning thread has been squashed away.
+    dead = False
+    #: Set when this merged ME load's LVIP verification failed.
+    lvip_mispredicted = False
 
     def __init__(
         self,
@@ -51,44 +80,20 @@ class DynInst:
         self.execs = execs
         self.fetch_mode = fetch_mode
         #: Number of threads the instruction was fetched for (before splits).
-        self.fetch_merged_width = popcount(itid)
-        self.state = InstState.DECODED
+        self.fetch_merged_width = POPCOUNT[itid]
         #: Physical source registers, aligned with ``inst.srcs``.
         self.psrcs: list[int] = []
-        #: Physical destination (merged case) or None.
-        self.pdst: int | None = None
-        #: Per-thread destinations after an LVIP-triggered split, else None.
-        self.pdst_by_tid: dict[int, int] | None = None
         #: Rename undo log: tid -> previous physical mapping of inst.dst.
         self.prev_map: dict[int, int] = {}
-        #: True when the splitter kept this merged only thanks to RST bits
-        #: that were set by commit-time register merging (Figure 5(b)).
-        self.merged_via_regmerge = False
-        #: True when the instruction executes once for >=2 threads.
-        self.is_exec_merged = False
-        self.complete_cycle: int | None = None
-        self.pred_taken: bool | None = None
-        self.pred_target: int | None = None
-        self.mispredicted = False
-        self.lvip_predicted_identical: bool | None = None
-        #: Per-thread outstanding memory accesses (ME loads/stores split).
-        self.mem_pending: dict[int, int] | None = None
-        self.mem_done_count = 0
-        self.store_committed_count = 0
-        self.lsq_index: int | None = None
-        self.halt = inst.op.value == "halt"
-        #: Set when every owning thread has been squashed away.
-        self.dead = False
-        #: Set when this merged ME load's LVIP verification failed.
-        self.lvip_mispredicted = False
+        self.halt = inst.op is Opcode.HALT
 
     # --------------------------------------------------------------- helpers
     @property
     def num_threads(self) -> int:
-        return popcount(self.itid)
+        return POPCOUNT[self.itid]
 
-    def threads(self) -> list[int]:
-        return threads_of(self.itid)
+    def threads(self) -> tuple[int, ...]:
+        return THREADS_OF[self.itid]
 
     def leader(self) -> int:
         return min(self.execs)
@@ -114,7 +119,7 @@ class DynInst:
         The clone keeps the fetch sequence number and mode; per-thread
         uniqueness is preserved because split pieces partition the ITID.
         """
-        execs = {t: self.execs[t] for t in threads_of(eid)}
+        execs = {t: self.execs[t] for t in THREADS_OF[eid]}
         piece = DynInst(self.seq, self.pc, self.inst, eid, execs, self.fetch_mode)
         piece.fetch_merged_width = self.fetch_merged_width
         piece.pred_taken = self.pred_taken

@@ -5,11 +5,12 @@ and per-cycle fetch/commit traces to the reference :class:`SMTCore` while
 running several times faster.  Nothing about the *model* changes — only how
 the same transitions are computed:
 
-* **functional-first execution** — each context's oracle is replaced by a
-  :class:`~repro.func.fastexec.FastExecutor` (per-PC pre-compiled dispatch)
-  and, for independent contexts, stepped *ahead* in batches of
-  ``_BATCH`` records that the timing loop then replays (struct-of-arrays:
-  a flat record list plus a cursor, instead of deque churn);
+* **functional-first execution** — each context's oracle (the
+  :class:`~repro.func.fastexec.FastExecutor` that ``SMTCore`` builds, with
+  per-PC pre-compiled dispatch) is, for independent contexts, stepped
+  *ahead* in batches of ``_BATCH`` records that the timing loop then
+  replays (struct-of-arrays: a flat record list plus a cursor, instead of
+  deque churn);
 * **a monolithic cycle loop** — the five pipeline stages are inlined into
   one function with every configuration flag, statistic counter, and
   mutable structure hoisted into locals, eliminating the per-cycle
@@ -29,9 +30,9 @@ and sync events still reach an attached flight recorder, and the
 no-progress watchdog fires at boundary granularity.  Any *other* active
 observer (full event sinks need per-stage emission sites) drops
 :meth:`run` back to the reference ``SMTCore.run`` loop entirely — event
-order and watchdog semantics preserved exactly, still accelerated by the
-fast functional oracles.  The reference core remains untouched as the
-differential oracle.
+order and watchdog semantics preserved exactly.  The reference core's
+staged loop remains the differential oracle; both engines step the same
+pre-decoded functional oracles.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from repro.core.config import WorkloadType
 from repro.core.itid import PAIRS, PAIRS_IN_MASK
 from repro.core.sync import FetchMode
 from repro.func.executor import ExecutionError
-from repro.func.fastexec import FastExecutor, decode_program
 from repro.isa.opcodes import DEFAULT_LATENCY, OpClass, Opcode
 from repro.obs.observer import Observer
 from repro.pipeline.config import MachineConfig
@@ -154,20 +154,6 @@ class FastSMTCore(SMTCore):
         #: reference-loop fallback) — the telemetry test suite asserts on
         #: this to prove sampled runs stayed in the fast loop.
         self.ran_fast_loop = False
-        # Swap every oracle for its pre-decoded twin (same ContextState, so
-        # architectural state and the replay/squash machinery are unchanged).
-        # Contexts running the same program share one dispatch table.
-        ops_by_program: dict[int, list] = {}
-        fast = []
-        for oracle in self.oracles:
-            program = oracle.state.program
-            key = id(program.instructions)
-            ops = ops_by_program.get(key)
-            if ops is None:
-                ops = decode_program(program)
-                ops_by_program[key] = ops
-            fast.append(FastExecutor(oracle.state, ops=ops))
-        self.oracles = fast
 
         # Functional-first streaming is only sound when contexts cannot
         # interact mid-run: message-passing channels and shared address

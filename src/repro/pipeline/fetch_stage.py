@@ -182,8 +182,13 @@ class FetchStageMixin:
                     self.stats.icache_stall_cycles += latency
                     break
                 first_access = False
-            records = {tid: self._next_record(tid) for tid in members}
-            if any(rec.pc != pc for rec in records.values()):
+            records = {}
+            lockstep = True
+            for tid in members:
+                rec = records[tid] = self._next_record(tid)
+                if rec.pc != pc:
+                    lockstep = False
+            if not lockstep:
                 raise RuntimeError(f"merged fetch out of lockstep at pc={pc}")
             di = DynInst(
                 self._next_seq(),
@@ -230,7 +235,7 @@ class FetchStageMixin:
                     break
         return count, hold_gids
 
-    def _handle_hint(self, pc: int, members: list[int]) -> None:
+    def _handle_hint(self, pc: int, members: tuple[int, ...]) -> None:
         """Software remerge rendezvous (Thread Fusion style, extension).
 
         The first group reaching the HINT parks (bounded by
@@ -275,7 +280,7 @@ class FetchStageMixin:
         self,
         di: DynInst,
         group: ThreadGroup,
-        members: list[int],
+        members: tuple[int, ...],
         records: dict[int, Executed],
     ) -> str:
         inst = di.inst

@@ -56,7 +56,12 @@ class IssueStageMixin:
             if di.dead:
                 self.iq.remove(di)
                 continue
-            if not all(ready[p] for p in di.psrcs):
+            operands_ready = True
+            for p in di.psrcs:
+                if not ready[p]:
+                    operands_ready = False
+                    break
+            if not operands_ready:
                 continue
             is_fpu = di.inst.klass in _FPU_CLASSES
             if is_fpu:

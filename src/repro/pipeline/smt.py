@@ -30,7 +30,7 @@ from repro.core.lvip import LoadValuesIdenticalPredictor
 from repro.core.regmerge import RegisterMergeUnit
 from repro.core.rst import RegisterSharingTable
 from repro.core.sync import SyncController
-from repro.func.executor import FunctionalExecutor
+from repro.func.fastexec import FastExecutor, decode_program
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.observer import NULL_OBS, Observer
@@ -106,9 +106,17 @@ class SMTCore(
             max_catchup_branches=mmt.max_catchup_branches,
         )
 
-        # Contexts and oracles.
+        # Contexts and oracles: pre-decoded executors, one dispatch table
+        # per distinct program shared by every context that runs it.
         self.states = job.make_states()
-        self.oracles = [FunctionalExecutor(state) for state in self.states]
+        ops_by_program: dict[int, list] = {}
+        self.oracles = []
+        for state in self.states:
+            key = id(state.program.instructions)
+            ops = ops_by_program.get(key)
+            if ops is None:
+                ops = ops_by_program[key] = decode_program(state.program)
+            self.oracles.append(FastExecutor(state, ops=ops))
         self.asids = [space.asid for space in job.address_spaces]
 
         # Rename state.

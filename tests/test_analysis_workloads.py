@@ -8,6 +8,8 @@ the image end, a dead block, an undefined register read — fails here in
 milliseconds instead of corrupting a simulation campaign.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.lint import lint_program
@@ -105,6 +107,30 @@ def test_lint_campaign_jobs_skips_custom_jobs(tmp_path):
     from repro.harness.experiment import lint_campaign_jobs
 
     assert lint_campaign_jobs([object(), "not-a-job"], cache_dir=tmp_path) == 0
+
+
+@pytest.mark.parametrize("as_type", [str, Path])
+def test_run_points_lint_markers_follow_a_path_cache(
+    tmp_path, monkeypatch, as_type
+):
+    """A cache given as a path holds the lint markers too: nothing lands
+    under ``$REPRO_CACHE_DIR`` or the working directory's default."""
+    from repro.core.config import MMTConfig
+    from repro.harness.experiment import CampaignJob, run_points
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
+    chosen = tmp_path / "chosen"
+    result = run_points(
+        [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)],
+        workers=1,
+        cache=as_type(chosen),
+        validate=False,
+    )
+    assert result.completed
+    assert len(list((chosen / "lint").glob("*.ok"))) == 1
+    assert not (tmp_path / "env-cache").exists()
+    assert not (tmp_path / ".repro-cache").exists()
 
 
 def test_run_points_lints_before_dispatch(tmp_path):

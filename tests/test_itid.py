@@ -28,8 +28,8 @@ def test_pair_bit_symmetric():
 
 def test_popcount_and_threads():
     assert popcount(0b1011) == 3
-    assert threads_of(0b1011) == [0, 1, 3]
-    assert threads_of(0) == []
+    assert threads_of(0b1011) == (0, 1, 3)
+    assert threads_of(0) == ()
 
 
 def test_single_and_first():

@@ -54,7 +54,7 @@ def _dyninst(itid=0b11):
 def test_dyninst_basic_properties():
     di = _dyninst(0b0110)
     assert di.num_threads == 2
-    assert di.threads() == [1, 2]
+    assert di.threads() == (1, 2)
     assert di.leader() == 1
     assert di.fetch_merged_width == 2
     assert not di.halt
@@ -63,7 +63,7 @@ def test_dyninst_basic_properties():
 def test_clone_partitions_execs():
     di = _dyninst(0b0111)
     piece = di.clone_for(0b0011)
-    assert piece.threads() == [0, 1]
+    assert piece.threads() == (0, 1)
     assert set(piece.execs) == {0, 1}
     assert piece.seq == di.seq
     assert piece.fetch_merged_width == 3  # remembers the fetched width
