@@ -22,7 +22,8 @@ import pytest
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 _RAW_WORKERS = os.environ.get("REPRO_BENCH_WORKERS", "")
-#: None -> all cores; 0 -> prefetching disabled; N -> N worker processes.
+#: None -> every CPU this process may run on; 0 -> prefetching disabled;
+#: N -> N worker processes.
 WORKERS = None if _RAW_WORKERS == "" else int(_RAW_WORKERS)
 
 

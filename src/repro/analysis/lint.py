@@ -280,13 +280,15 @@ def _check_reaching(cfg: CFG, reachable: set[int], emit) -> None:
     for block in cfg.blocks:
         if block.bid not in reachable:
             continue
+        # One walk per block, carrying what ReachingDefs.defs_of and
+        # MustDefined.at would rebuild per operand: registers with some
+        # reaching definition, and registers defined on every path.
+        may = {reg for _, reg in rd.block_in[block.bid]}
+        must = set(md.block_in[block.bid])
         for pc in block.pcs():
             inst = cfg.instructions[pc]
-            must = None
             for reg in inst.srcs:
-                if rd.defs_of(pc, reg):
-                    if must is None:
-                        must = md.at(pc)
+                if reg in may:
                     if reg not in must:
                         # Defined on some path (rd hit) but not on every
                         # path: conditionally undefined.
@@ -308,3 +310,6 @@ def _check_reaching(cfg: CFG, reachable: set[int], emit) -> None:
                         f"{inst.op.value} reads {reg_name(reg)}, which no "
                         "path defines before this point",
                     )
+            if inst.dst is not None:
+                may.add(inst.dst)
+                must.add(inst.dst)

@@ -364,6 +364,15 @@ class _Running:
         self.dump_path = dump_path
 
 
+def default_workers() -> int:
+    """Worker processes to use when the caller names no count: the CPUs
+    this process may run on (its affinity set, where the platform has
+    one), not every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def _terminate(proc) -> None:
     proc.terminate()
     proc.join(timeout=5)
@@ -392,9 +401,10 @@ def run_campaign(
 
     * ``runner(job, seed) -> payload`` must be a module-level callable and
       the payload picklable.
-    * ``workers`` defaults to the machine's core count (capped by the
-      number of jobs); ``workers=0``/``1`` still uses one worker process,
-      so a hung job can always be killed.
+    * ``workers`` defaults to the number of CPUs this process may run on
+      (:func:`default_workers`, capped by the number of jobs);
+      ``workers=0``/``1`` still uses one worker process, so a hung job
+      can always be killed.
     * ``timeout`` is per attempt, in seconds; a timed-out or crashed
       attempt is retried up to *retries* more times, then reported as a
       failure without aborting the campaign.
@@ -403,6 +413,10 @@ def run_campaign(
       lookup and storage.
     * ``progress`` is an optional ``callable(str)`` receiving one line
       per job completion.
+    * The driver blocks until some attempt sends its result or its
+      process exits, so a finished attempt's slot refills at once;
+      ``poll_interval`` only bounds that wait while a ``timeout`` is
+      armed, and so sets how late a timeout can be noticed.
     * ``failure_dump_dir`` enables flight-recorder failure dumps: each
       worker gets a per-job dump path under the directory, and a failed
       or hung job whose runner left a dump behind has its
@@ -512,8 +526,10 @@ def run_campaign(
 
     # Phase 2: fan the rest out across worker processes.
     if pending:
+        from multiprocessing.connection import wait
+
         if workers is None:
-            workers = os.cpu_count() or 1
+            workers = default_workers()
         workers = max(1, min(workers, len(pending)))
         ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
@@ -549,13 +565,23 @@ def run_campaign(
                         _Running(index, job, key, seed, attempt, proc,
                                  parent_conn, dump_path)
                     )
-                time.sleep(poll_interval)
+                wait(
+                    [entry.conn for entry in running]
+                    + [entry.proc.sentinel for entry in running],
+                    timeout=None if timeout is None else poll_interval,
+                )
                 still: list[_Running] = []
                 for entry in running:
                     status = error = payload = None
                     rss = 0
+                    message = None
                     if entry.conn.poll():
-                        kind, body, _child_wall, rss = entry.conn.recv()
+                        try:
+                            message = entry.conn.recv()
+                        except EOFError:  # exited without sending a word
+                            entry.proc.join()
+                    if message is not None:
+                        kind, body, _child_wall, rss = message
                         entry.proc.join()
                         if kind == _OK:
                             status, payload = _OK, body

@@ -557,10 +557,14 @@ def _campaign(args) -> int:
                                    tag="livelock")
         )
     # Static lint gate: a broken workload fails here in milliseconds
-    # instead of wedging a fleet of worker processes.
+    # instead of wedging a fleet of worker processes.  The same parallel
+    # pass computes the oracle reports the validation below reads.
     try:
-        experiment.lint_campaign_jobs(jobs, cache_dir=args.cache_dir,
-                                      progress=print)
+        experiment.lint_campaign_jobs(
+            jobs, cache_dir=args.cache_dir, progress=print,
+            workers=args.workers, timeout=args.timeout,
+            oracle=not args.no_validate,
+        )
     except experiment.WorkloadLintError as exc:
         print(f"campaign aborted: {exc}")
         return 2
@@ -874,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run simulations as a parallel campaign with this many "
         "worker processes (default for figures: serial; for campaign: "
-        "all cores)",
+        "every CPU this process may run on)",
     )
     parallel.add_argument(
         "--timeout",

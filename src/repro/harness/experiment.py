@@ -399,11 +399,15 @@ def simulate_job(job: CampaignJob, seed: int) -> RunResult:
     machine = _normalize_machine(job.machine, job.threads)
     dump_path = get_failure_dump_path()
     obs = campaign_observer() if dump_path else None
-    return _simulate(
+    run = _simulate(
         job.app, job.config, job.threads, machine, job.scale, job.strict,
         obs=obs, failure_dump=dump_path, engine=job.engine, seed=job.seed,
         specialize=job.specialize,
     )
+    # Memoise the digest here, so it ships with the payload and the
+    # driver's oracle lookup does not re-hash the program.
+    run.build.program.digest()
+    return run
 
 
 def _wedge_fetch(core) -> None:
@@ -426,11 +430,13 @@ def simulate_job_faulty(job: CampaignJob, seed: int) -> RunResult:
         campaign_observer(watchdog_cycles=5_000) if dump_path else None
     )
     prepare = _wedge_fetch if job.tag == "livelock" else None
-    return _simulate(
+    run = _simulate(
         job.app, job.config, job.threads, machine, job.scale, job.strict,
         obs=obs, failure_dump=dump_path, prepare=prepare, engine=job.engine,
         seed=job.seed, specialize=job.specialize,
     )
+    run.build.program.digest()  # shipped with the payload, as above
+    return run
 
 
 def trace_run(
@@ -622,27 +628,28 @@ def oracle_for_run(run: RunResult):
 
     Reports are memoised per (program digest, context count, limit-mode)
     so a campaign over many configurations analyses each distinct
-    workload once.  Limit-study runs (``config.limit_identical``) execute
-    identical clones with soft tid 0 and therefore get the dedicated
-    limit analysis.
+    workload once; a campaign's pre-dispatch pass
+    (:func:`lint_campaign_jobs`) seeds the memo from its workers.
+    Limit-study runs (``config.limit_identical``) execute identical
+    clones with soft tid 0 and therefore get the dedicated limit
+    analysis.
     """
-    from repro.analysis.redundancy import analyze_build, analyze_limit_build
-    from repro.workloads.engine import analyze_engine_build
-
     limit = run.config.limit_identical
     key = (run.build.program.digest(), run.build.nctx, limit)
     report = _ORACLE_MEMO.get(key)
     if report is None:
-        if isinstance(run.build, EngineBuild):
-            report = analyze_engine_build(run.build, limit=limit)
-        else:
-            report = (
-                analyze_limit_build(run.build)
-                if limit
-                else analyze_build(run.build)
-            )
-        _ORACLE_MEMO[key] = report
+        report = _ORACLE_MEMO[key] = _analyze_oracle(run.build, limit)
     return report
+
+
+def _analyze_oracle(build, limit: bool):
+    """The oracle report of *build* (its Limit-study form if *limit*)."""
+    from repro.analysis.redundancy import analyze_build, analyze_limit_build
+    from repro.workloads.engine import analyze_engine_build
+
+    if isinstance(build, EngineBuild):
+        return analyze_engine_build(build, limit=limit)
+    return analyze_limit_build(build) if limit else analyze_build(build)
 
 
 def validate_campaign_result(result, progress=None) -> list[OracleViolation]:
@@ -704,50 +711,173 @@ class WorkloadLintError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def lint_campaign_jobs(jobs, cache_dir=None, progress=None) -> int:
-    """Statically lint every distinct workload a campaign will run.
+@dataclass(frozen=True)
+class WorkloadCheck:
+    """One task of a campaign's pre-dispatch pass: a distinct workload.
 
-    Each distinct ``(app, threads, scale, seed)`` tuple is built once
-    (registry workloads included, via :func:`build_point`) and its
-    program linted; a clean verdict is content-addressed on
-    :meth:`~repro.isa.program.Program.digest` under ``<cache>/lint/`` so
-    repeat campaigns skip the analysis entirely.  Any diagnostic aborts
+    :func:`check_workload` runs it on the worker pool.  *lint_dir* holds
+    the clean-lint markers (``None``: do not lint); *limits* lists the
+    ``limit_identical`` flags whose oracle reports the campaign needs.
+    """
+
+    app: str
+    threads: int
+    scale: float
+    seed: int | None
+    lint_dir: str | None
+    limits: tuple[bool, ...]
+
+    def label(self) -> str:
+        return f"{self.app}/{self.threads}t"
+
+
+@dataclass
+class WorkloadChecked:
+    """What :func:`check_workload` found for one workload."""
+
+    name: str
+    digest: str
+    nctx: int
+    #: Lint findings; ``None`` when not linted (marker found, or lint off).
+    diagnostics: list | None
+    #: limit flag -> oracle report; a flag whose analysis raised is
+    #: absent, so validation re-runs it and reports the failure.
+    reports: dict
+
+
+def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
+    from repro.analysis.lint import lint_program
+
+    build = build_point(task.app, task.threads, scale=task.scale,
+                        seed=task.seed)
+    digest = build.program.digest()
+    diagnostics = None
+    if (task.lint_dir is not None
+            and not (Path(task.lint_dir) / f"{digest}.ok").exists()):
+        diagnostics = lint_program(build.program)
+    reports = {}
+    if not diagnostics:
+        for limit in task.limits:
+            try:
+                reports[limit] = _analyze_oracle(build, limit)
+            except Exception:  # noqa: BLE001 - reported by validation
+                pass
+    return WorkloadChecked(build.program.name, digest, build.nctx,
+                           diagnostics, reports)
+
+
+def check_workload(task: WorkloadCheck, seed: int):
+    """Campaign runner of the pre-dispatch pass (see
+    :func:`lint_campaign_jobs`).
+
+    Returns the :class:`WorkloadChecked` result, or the exception that
+    building or linting raised, for the driver to re-raise with its type
+    intact; ``None`` when that exception would not survive pickling (the
+    driver then repeats the check in-process to raise it).
+    """
+    del seed
+    try:
+        return _check_workload(task)
+    except Exception as exc:  # noqa: BLE001 - re-raised by the driver
+        import pickle
+
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # noqa: BLE001 - constructor takes other args
+            return None
+        return exc
+
+
+def lint_campaign_jobs(
+    jobs,
+    cache_dir=None,
+    progress=None,
+    *,
+    workers: int | None = None,
+    timeout: float | None = None,
+    lint: bool = True,
+    oracle: bool = False,
+) -> int:
+    """The pre-dispatch pass: lint every distinct workload a campaign will
+    run and, with *oracle*, compute its oracle reports.
+
+    Each distinct ``(app, threads, scale, seed)`` tuple becomes one
+    :class:`WorkloadCheck` task on the worker pool (*workers* processes,
+    *timeout* seconds per task, no result cache and no run-log).  A task
+    builds the workload (registry workloads included, via
+    :func:`build_point`), lints its program unless a clean verdict is
+    already recorded under ``<cache>/lint/<digest>.ok``, and computes the
+    oracle report for each ``limit_identical`` flag among that workload's
+    jobs.  The driver then works through the results in job order: it
+    writes the markers, reports ``lint NAME: ok`` / ``cached ok`` through
+    *progress*, and seeds the memo :func:`oracle_for_run` reads, so
+    validation only runs ``validate_against``.  Any diagnostic aborts
     dispatch with :class:`WorkloadLintError` — a workload-generator bug
     should fail in milliseconds here, not wedge a fleet of simulations.
+    An exception from building or linting is re-raised as it was raised;
+    a task whose worker died or timed out raises ``RuntimeError`` naming
+    the workload.
+
+    With ``lint=False`` nothing is linted and nothing is raised: a
+    workload that cannot be built is left to fail its simulation jobs.
+    With neither *lint* nor *oracle* the pass does not run.
 
     Returns the number of programs actually linted (cache misses).
     Non-:class:`CampaignJob` entries (custom test jobs) are skipped.
     """
-    from repro.analysis.lint import lint_program
-
+    if not (lint or oracle):
+        return 0
     root = Path(
         cache_dir
         if cache_dir is not None
         else os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
     ) / "lint"
     emit = progress if callable(progress) else (lambda line: None)
-    seen: set[tuple[str, int, float, int | None]] = set()
-    fresh = 0
+    limits: dict[tuple[str, int, float, int | None], list[bool]] = {}
     for job in jobs:
         if not isinstance(job, CampaignJob):
             continue
-        key = (job.app, job.threads, job.scale, job.seed)
-        if key in seen:
-            continue
-        seen.add(key)
-        build = build_point(job.app, job.threads, scale=job.scale,
-                            seed=job.seed)
-        marker = root / f"{build.program.digest()}.ok"
-        if marker.exists():
-            emit(f"lint {build.program.name}: cached ok")
-            continue
-        diagnostics = lint_program(build.program)
-        if diagnostics:
-            raise WorkloadLintError(build.program.name, diagnostics)
-        fresh += 1
-        marker.parent.mkdir(parents=True, exist_ok=True)
-        marker.write_text("ok\n")
-        emit(f"lint {build.program.name}: ok")
+        flags = limits.setdefault(
+            (job.app, job.threads, job.scale, job.seed), []
+        )
+        if oracle and job.config.limit_identical not in flags:
+            flags.append(job.config.limit_identical)
+    tasks = [
+        WorkloadCheck(*key, str(root) if lint else None, tuple(flags))
+        for key, flags in limits.items()
+    ]
+    result = run_campaign(
+        tasks, check_workload, workers=workers, timeout=timeout,
+        use_cache=False, runlog=False,
+    )
+    fresh = 0
+    for task, outcome in zip(tasks, result.outcomes):
+        checked = outcome.payload
+        if lint:
+            if not outcome.ok:
+                raise RuntimeError(
+                    f"pre-dispatch check of workload {task.label()} "
+                    f"failed: {outcome.error}"
+                )
+            if checked is None:
+                checked = _check_workload(task)
+            if isinstance(checked, BaseException):
+                raise checked
+            if checked.diagnostics:
+                raise WorkloadLintError(checked.name, checked.diagnostics)
+            # Two workloads can share a program: the second finds the
+            # marker the first left a moment ago, as a serial pass would.
+            marker = root / f"{checked.digest}.ok"
+            if checked.diagnostics is None or marker.exists():
+                emit(f"lint {checked.name}: cached ok")
+            else:
+                fresh += 1
+                root.mkdir(parents=True, exist_ok=True)
+                marker.write_text("ok\n")
+                emit(f"lint {checked.name}: ok")
+        if isinstance(checked, WorkloadChecked):
+            for limit, report in checked.reports.items():
+                _ORACLE_MEMO[(checked.digest, checked.nctx, limit)] = report
     return fresh
 
 
@@ -775,23 +905,28 @@ def run_points(
 
     Unless *lint* is disabled, every distinct workload is statically
     linted (content-addressed, so effectively free after the first run)
-    before any job dispatches; see :func:`lint_campaign_jobs`.  Unless
-    *validate* is disabled, every successful result — fresh or served
-    from the on-disk cache — is cross-checked against the static
-    redundancy oracle at aggregation time; disagreements land in
-    ``result.validation_failures`` (see :func:`validate_campaign_result`).
+    before any job dispatches.  Unless *validate* is disabled, every
+    successful result — fresh or served from the on-disk cache — is
+    cross-checked against the static redundancy oracle at aggregation
+    time; disagreements land in ``result.validation_failures`` (see
+    :func:`validate_campaign_result`).  The lint and the oracle reports
+    both come from one pre-dispatch pass on the worker pool (see
+    :func:`lint_campaign_jobs`).
     """
     jobs = [
         point if isinstance(point, CampaignJob) else CampaignJob(*point)
         for point in points
     ]
-    if lint:
+    if lint or validate:
         # Resolve *cache* exactly as run_campaign does, so the lint
         # markers land beside the results whatever form *cache* takes.
         cache_root = (
             cache if isinstance(cache, ResultCache) else ResultCache(cache)
         ).root
-        lint_campaign_jobs(jobs, cache_dir=cache_root, progress=progress)
+        lint_campaign_jobs(
+            jobs, cache_dir=cache_root, progress=progress, workers=workers,
+            timeout=timeout, lint=lint, oracle=validate,
+        )
     result = run_campaign(
         jobs,
         simulate_job,

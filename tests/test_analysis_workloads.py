@@ -103,6 +103,27 @@ def test_lint_campaign_jobs_checks_each_workload_once(tmp_path):
     assert len(list((tmp_path / "lint").glob("*.ok"))) == 2
 
 
+def test_lint_campaign_jobs_counts_a_shared_program_once(tmp_path):
+    """Distinct workloads with one program lint it once: the later one
+    reports the marker the earlier one left, even when both were
+    checked at the same time."""
+    from repro.core.config import MMTConfig
+    from repro.harness.experiment import (
+        CampaignJob,
+        build_point,
+        lint_campaign_jobs,
+    )
+
+    assert (build_point("ammp", 2, scale=0.2).program.digest()
+            == build_point("ammp", 4, scale=0.2).program.digest())
+    jobs = [CampaignJob("ammp", MMTConfig.base(), threads, scale=0.2)
+            for threads in (2, 4)]
+    lines = []
+    assert lint_campaign_jobs(jobs, cache_dir=tmp_path,
+                              progress=lines.append) == 1
+    assert lines == ["lint ammp: ok", "lint ammp: cached ok"]
+
+
 def test_lint_campaign_jobs_skips_custom_jobs(tmp_path):
     from repro.harness.experiment import lint_campaign_jobs
 

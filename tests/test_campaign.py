@@ -1,6 +1,7 @@
 """Campaign runner: caching, retries, per-job seed determinism."""
 
 import dataclasses
+import os
 import time
 
 import pytest
@@ -487,4 +488,190 @@ def test_engines_never_share_cache_entries_or_memo_keys(tmp_path, monkeypatch):
     assert (
         by_engine["fast"].stats.__dict__ == by_engine["reference"].stats.__dict__
     )
+    clear_cache()
+
+
+# ------------------------------------------------------ dispatch and pool
+def interval_runner(job, seed):
+    started = time.time()
+    time.sleep(0.05)
+    return (started, time.time())
+
+
+def exit_runner(job, seed):
+    os._exit(3)
+
+
+def test_finished_attempts_refill_their_slot_at_once():
+    """Dispatch waits on the workers, not a sleep: with no timeout armed
+    the poll interval never delays a result."""
+    started = time.perf_counter()
+    result = run_campaign([AddJob(i, i) for i in range(10)], add_runner,
+                          workers=1, use_cache=False, poll_interval=5)
+    assert time.perf_counter() - started < 2.5
+    assert [o.payload["sum"] for o in result.outcomes] == [
+        2 * i for i in range(10)
+    ]
+
+
+def test_worker_exiting_without_a_result_is_reported():
+    result = run_campaign([AddJob(1, 1)], exit_runner, workers=1,
+                          retries=1, use_cache=False)
+    outcome = result.outcomes[0]
+    assert outcome.status == "failed" and outcome.attempts == 2
+    assert outcome.error == "worker died (exitcode 3)"
+
+
+def test_default_workers_honour_cpu_affinity(monkeypatch):
+    """One allowed CPU means one worker, however many the host has: no
+    two jobs overlap in time."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    result = run_campaign([AddJob(i, 0) for i in range(4)], interval_runner,
+                          use_cache=False)
+    spans = sorted(o.payload for o in result.outcomes)
+    assert len(spans) == 4
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert start >= end
+
+
+def test_default_workers_fall_back_to_cpu_count(monkeypatch):
+    from repro.harness.campaign import default_workers
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert default_workers() == 3
+
+
+# ------------------------------------------------- pre-dispatch pass
+def _lint_failing_build(app, threads, scale=1.0, seed=None):
+    """A build whose program reads two registers nothing defines."""
+    from types import SimpleNamespace
+
+    from repro.isa.assembler import assemble
+    from repro.isa.program import Program
+
+    code = assemble("add r1, r2, r3\nhalt")
+    return SimpleNamespace(
+        program=Program(code.instructions, name=f"broken-{app}"), nctx=threads
+    )
+
+
+def test_lint_failure_stops_the_campaign_before_dispatch(tmp_path,
+                                                         monkeypatch):
+    from repro.analysis.lint import lint_program
+    from repro.harness import experiment
+
+    monkeypatch.setattr(experiment, "build_point", _lint_failing_build)
+    program = _lint_failing_build("ammp", 2).program
+    expected = str(experiment.WorkloadLintError(program.name,
+                                                lint_program(program)))
+    cache_root = tmp_path / "simcache"
+    with pytest.raises(experiment.WorkloadLintError) as info:
+        run_points([CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1),
+                    CampaignJob("lu", MMTConfig.base(), 2, scale=0.1)],
+                   workers=2, cache=cache_root)
+    assert str(info.value) == expected  # the first workload, in job order
+    assert not list(cache_root.rglob("*.pkl"))
+    assert not list(cache_root.rglob("*.jsonl"))
+
+
+def test_cli_campaign_exits_2_on_lint_failure(tmp_path, monkeypatch, capsys):
+    from repro.harness import experiment
+    from repro.harness.cli import main
+
+    monkeypatch.setattr(experiment, "build_point", _lint_failing_build)
+    code = main(["campaign", "--apps", "ammp", "--configs", "Base",
+                 "--threads", "2", "--workers", "1", "--scale", "0.1",
+                 "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert "campaign aborted: workload 'broken-ammp' failed static lint" in (
+        capsys.readouterr().out
+    )
+
+
+def test_unknown_app_raises_as_before(tmp_path):
+    with pytest.raises(KeyError, match="unknown application 'no-such-app'"):
+        run_points([CampaignJob("no-such-app", MMTConfig.base(), 2)],
+                   workers=1, cache=tmp_path)
+
+
+def test_unpicklable_build_error_keeps_its_type(tmp_path, monkeypatch):
+    """An exception whose constructor pickling cannot replay is raised by
+    repeating the check in the driver."""
+    from repro.harness import experiment
+    from repro.isa.assembler import AssemblyError
+
+    def bad_build(app, threads, scale=1.0, seed=None):
+        raise AssemblyError(7, "Lmissing", "undefined label 'Lmissing'")
+
+    monkeypatch.setattr(experiment, "build_point", bad_build)
+    with pytest.raises(AssemblyError) as info:
+        run_points([CampaignJob("ammp", MMTConfig.base(), 2)], workers=1,
+                   cache=tmp_path)
+    assert info.value.symbol == "Lmissing" and info.value.lineno == 7
+
+
+def test_dead_pre_pass_worker_fails_the_gate(tmp_path, monkeypatch):
+    from repro.harness import experiment
+
+    def dying_build(app, threads, scale=1.0, seed=None):
+        os._exit(5)
+
+    monkeypatch.setattr(experiment, "build_point", dying_build)
+    with pytest.raises(RuntimeError, match=r"ammp/2t failed: worker died"):
+        run_points([CampaignJob("ammp", MMTConfig.base(), 2)], workers=1,
+                   cache=tmp_path)
+
+
+def test_pre_pass_seeds_the_oracle_memo(tmp_path, monkeypatch):
+    """One report per distinct (digest, nctx, limit), equal to the serial
+    analysis, and none computed in the driver."""
+    from repro.analysis.redundancy import analyze_build, analyze_limit_build
+    from repro.harness import experiment
+
+    driver_analyses = []  # forked workers append to their own copies
+    analyze = experiment._analyze_oracle
+
+    def counted(build, limit):
+        driver_analyses.append(limit)
+        return analyze(build, limit)
+
+    monkeypatch.setattr(experiment, "_analyze_oracle", counted)
+    experiment.clear_oracle_memo()
+    clear_cache()
+    jobs = [CampaignJob(app, config, 2, scale=0.1)
+            for app in ("ammp", "lu")
+            for config in (MMTConfig.base(), MMTConfig.mmt_fxr(),
+                           MMTConfig.limit())]
+    result = run_points(jobs, workers=2, cache=tmp_path)
+    assert all(o.ok for o in result.outcomes)
+    assert result.validation_failures == []
+    assert driver_analyses == []
+    expected = {}
+    for app in ("ammp", "lu"):
+        build = experiment.build_point(app, 2, scale=0.1)
+        key = (build.program.digest(), build.nctx)
+        expected[(*key, False)] = analyze_build(build)
+        expected[(*key, True)] = analyze_limit_build(build)
+    assert experiment._ORACLE_MEMO == expected
+    experiment.clear_oracle_memo()
+    clear_cache()
+
+
+def test_pre_pass_honours_lint_and_validate_flags(tmp_path):
+    from repro.harness import experiment
+
+    experiment.clear_oracle_memo()
+    jobs = [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)]
+    run_points(jobs, workers=1, cache=tmp_path / "a", validate=False)
+    assert experiment._ORACLE_MEMO == {}
+    assert len(list((tmp_path / "a" / "lint").glob("*.ok"))) == 1
+
+    result = run_points(jobs, workers=1, cache=tmp_path / "b", lint=False)
+    assert result.validation_failures == []
+    assert len(experiment._ORACLE_MEMO) == 1
+    assert not (tmp_path / "b" / "lint").exists()
+    experiment.clear_oracle_memo()
     clear_cache()

@@ -185,7 +185,8 @@ def test_campaign_metrics_from_result(cache):
 
 def test_runlog_is_valid_jsonl_line_by_line(cache):
     result = run_campaign([AddJob(3, 3)], add_runner, workers=1, cache=cache)
-    for line in open(result.runlog_path, encoding="utf-8"):
-        record = json.loads(line)
-        assert isinstance(record["ts"], float)
-        assert isinstance(record["event"], str)
+    with open(result.runlog_path, encoding="utf-8") as handle:
+        for line in handle:
+            record = json.loads(line)
+            assert isinstance(record["ts"], float)
+            assert isinstance(record["event"], str)
