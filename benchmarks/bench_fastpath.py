@@ -18,11 +18,9 @@ from conftest import emit
 
 from repro.harness.fastbench import (
     DEFAULT_TRAJECTORY,
-    MIN_SPECIALIZE_RATIO,
     PINNED_MIN_SPEEDUP,
     append_trajectory,
     run_fastpath_bench,
-    run_specialize_bench,
 )
 
 RECORD = os.environ.get("REPRO_BENCH_RECORD", "") == "1"
@@ -71,45 +69,3 @@ def test_fastpath_engine_speedup(benchmark, scale):
         f"{PINNED_MIN_SPEEDUP}x floor"
     )
 
-
-def _format_spec_rows(points) -> str:
-    header = (
-        f"{'app':<14}{'config':<10}{'insts':>9}{'off s':>9}{'on s':>9}"
-        f"{'ratio':>8}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in points:
-        lines.append(
-            f"{row['app']:<14}{row['config']:<10}{row['committed_insts']:>9}"
-            f"{row['off_wall_s']:>9.4f}{row['on_wall_s']:>9.4f}"
-            f"{row['ratio']:>7.2f}x"
-        )
-    return "\n".join(lines)
-
-
-def test_fastpath_specialization(benchmark, scale):
-    record = benchmark.pedantic(
-        lambda: run_specialize_bench(apps=None, scale=scale),
-        rounds=1,
-        iterations=1,
-    )
-    summary = (
-        f"aggregate off/on ratio {record['aggregate_ratio']}x "
-        f"(per-point {record['min_ratio']}x–{record['max_ratio']}x, "
-        f"off {record['total_off_wall_s']}s vs "
-        f"on {record['total_on_wall_s']}s)"
-    )
-    emit(
-        "Fast-path specialization — fig5a sweep, manifests off vs on",
-        _format_spec_rows(record["points"]) + "\n\n" + summary,
-    )
-    if RECORD:
-        path = append_trajectory(record)
-        print(f"recorded trajectory point -> {path}")
-    else:
-        print(f"not recorded (set REPRO_BENCH_RECORD=1); {DEFAULT_TRAJECTORY}")
-    assert record["aggregate_ratio"] >= MIN_SPECIALIZE_RATIO, (
-        f"specialization slowed the fast loop: off/on ratio "
-        f"{record['aggregate_ratio']}x fell below the "
-        f"{MIN_SPECIALIZE_RATIO}x floor"
-    )

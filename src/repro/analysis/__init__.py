@@ -18,11 +18,6 @@ Public surface:
   fixpoint (intervals, value numbers, loop-uniformity widening) the
   oracle is built on, with its :class:`~repro.analysis.values.MemoryModel`
   and :class:`~repro.analysis.values.ValueAnalysis` results
-* :func:`~repro.analysis.specialize.analyze_specialization` and the
-  content-addressed
-  :class:`~repro.analysis.specialize.SpecializationManifest` the fast
-  engine consumes (per-PC rare-path verdicts, superblocks, paranoid-mode
-  :class:`~repro.analysis.specialize.SpecializationViolation`)
 """
 
 from repro.analysis.cfg import CFG, BasicBlock
@@ -59,15 +54,6 @@ from repro.analysis.redundancy import (
     analyze_limit_build,
     analyze_mp_build,
     analyze_program,
-)
-from repro.analysis.specialize import (
-    PATH_BITS,
-    RARE_PATHS,
-    PCVerdict,
-    SpecializationManifest,
-    SpecializationViolation,
-    Superblock,
-    analyze_specialization,
 )
 from repro.analysis.values import (
     LoadClass,
@@ -108,13 +94,6 @@ __all__ = [
     "analyze_limit_build",
     "analyze_mp_build",
     "analyze_program",
-    "PATH_BITS",
-    "RARE_PATHS",
-    "PCVerdict",
-    "SpecializationManifest",
-    "SpecializationViolation",
-    "Superblock",
-    "analyze_specialization",
     "LoadClass",
     "MemoryModel",
     "Region",

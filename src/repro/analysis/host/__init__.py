@@ -7,11 +7,10 @@ packages into a normalized effect IR (:mod:`repro.analysis.host.ir`),
 computes interprocedural per-stage effect summaries
 (:mod:`repro.analysis.host.effects`), and checks the fast engine's inlined
 loop against the reference stages under the declared delegation boundary
-(:mod:`repro.analysis.host.driftcheck`).  The AST determinism rules that
-used to live only in ``tools/simlint.py`` are part of the same framework
-(:mod:`repro.analysis.host.rules`); everything is orchestrated by
-:mod:`repro.analysis.host.selfcheck` behind the ``repro selfcheck`` CLI
-target.
+(:mod:`repro.analysis.host.driftcheck`).  The AST determinism rules are
+part of the same framework (:mod:`repro.analysis.host.rules`); everything
+is orchestrated by :mod:`repro.analysis.host.selfcheck` behind the
+``repro selfcheck`` CLI target.
 """
 
 from repro.analysis.host.diagnostics import HostDiagnostic

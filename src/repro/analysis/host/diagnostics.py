@@ -16,7 +16,7 @@ from typing import Any
 
 #: Rule catalogue: id -> (severity, short description).  DRIFT rules come
 #: from the clone-consistency checker; SIM rules are the simulator
-#: determinism lint (historically ``tools/simlint.py``).
+#: determinism lint (:mod:`repro.analysis.host.rules`).
 HOST_RULES: dict[str, tuple[str, str]] = {
     "DRIFT001": (
         "error",

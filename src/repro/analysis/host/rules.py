@@ -1,9 +1,8 @@
 """The simulator determinism lint (SIM00x), as host-analysis rules.
 
-Historically this lived in ``tools/simlint.py``; the standalone tool is
-now a thin shim over this module so the same rules run under ``repro
-selfcheck``, share the :class:`HostDiagnostic` shape (and therefore the
-baseline/JSON machinery), and are covered by the strict type gate.
+The rules run under ``repro selfcheck``, share the
+:class:`HostDiagnostic` shape (and therefore the baseline/JSON
+machinery), and are covered by the strict type gate.
 
 The cycle-level model must be bit-reproducible across runs and Python
 versions.  That contract is easy to break silently, so the rules flag:

@@ -114,19 +114,14 @@ def _canonical(value):
 def job_key(job, runner=None) -> str:
     """Stable content hash identifying one (job, runner) pair.
 
-    Jobs may expose ``key_data()`` returning the specification to hash;
-    dataclass jobs hash their canonicalised fields, anything else its
+    Dataclass jobs hash their canonicalised fields, anything else its
     ``repr``.  The runner's qualified name is mixed in so two runners
     interpreting the same job type never collide in the cache.
     """
-    if hasattr(job, "key_data"):
-        data = job.key_data()
-    else:
-        data = _canonical(job)
     runner_id = "" if runner is None else (
         f"{getattr(runner, '__module__', '')}.{getattr(runner, '__qualname__', repr(runner))}"
     )
-    blob = json.dumps({"job": _canonical(data), "runner": runner_id},
+    blob = json.dumps({"job": _canonical(job), "runner": runner_id},
                       sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()
 

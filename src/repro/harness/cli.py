@@ -185,7 +185,7 @@ def _trace(args) -> int:
     config = CONFIG_FACTORIES[args.config]()
     run, obs = experiment.trace_run(
         app, config, threads, scale=args.scale, interval=args.interval,
-        engine=args.engine, specialize=args.specialize,
+        engine=args.engine,
     )
     stats = run.stats
     rows = [
@@ -259,7 +259,7 @@ def _analyze(args) -> int:
     )
     suppress = tuple(args.suppress or ())
     thread_counts = args.threads
-    targets = []  # (label, threads, build, oracle_fn)
+    targets = []  # (label, build, oracle_fn)
     for app in apps:
         if is_engine_workload(app):
             workload = get_workload(app)
@@ -267,7 +267,7 @@ def _analyze(args) -> int:
                 if not workload.valid_nctx(threads):
                     continue
                 targets.append(
-                    (f"{app}/{threads}t", threads,
+                    (f"{app}/{threads}t",
                      build_engine_workload(app, threads, scale=args.scale),
                      analyze_engine_build)
                 )
@@ -279,7 +279,7 @@ def _analyze(args) -> int:
             return 2
         for threads in thread_counts:
             targets.append(
-                (f"{app}/{threads}t", threads,
+                (f"{app}/{threads}t",
                  build_workload(profile, threads, scale=args.scale),
                  analyze_build)
             )
@@ -289,7 +289,7 @@ def _analyze(args) -> int:
                 if threads < 2:
                     continue
                 targets.append(
-                    (f"mp-{pattern}/{threads}t", threads,
+                    (f"mp-{pattern}/{threads}t",
                      build_mp_workload(threads, pattern=pattern),
                      analyze_mp_build)
                 )
@@ -307,13 +307,12 @@ def _analyze(args) -> int:
                     print(f"error: {exc}")
                     return 2
                 targets.append(
-                    (f"{name}/{threads}t", threads, build,
-                     analyze_engine_build)
+                    (f"{name}/{threads}t", build, analyze_engine_build)
                 )
 
     rows = []
     all_diags = []
-    for label, _threads, build, oracle_fn in targets:
+    for label, build, oracle_fn in targets:
         try:
             diags = lint_program(build.program, suppress=suppress)
         except ValueError as exc:  # unknown suppression rule
@@ -339,39 +338,6 @@ def _analyze(args) -> int:
         rows.append(row)
         all_diags.extend((label, d) for d in diags)
 
-    # Specialization section (--specialize): the per-PC rare-path
-    # verdicts and superblock manifests the fast engine consumes, via
-    # the same memoised entry point (repro.pipeline.fast.manifest_for),
-    # so what is reported here is byte-for-byte what a run would use.
-    spec_on = bool(
-        getattr(args, "specialize_explicit", False) and args.specialize
-    )
-    spec_rows: list[dict] = []
-    spec_docs: list[dict] = []
-    spec_manifests = []
-    if spec_on:
-        from repro.analysis.specialize import RARE_PATHS
-        from repro.pipeline.fast import manifest_for
-
-        for label, threads, build, _oracle_fn in targets:
-            manifest = manifest_for(build.program, threads)
-            summary = manifest.summary()
-            counts = summary["impossible_counts"]
-            spec_rows.append({
-                "workload": label,
-                "pcs": summary["num_pcs"],
-                "reach": summary["reachable_pcs"],
-                "plain": summary["plain_pcs"],
-                "sblocks": summary["num_superblocks"],
-                "max_run": summary["longest_guard_free_run"],
-                **{path: counts[path] for path in RARE_PATHS},
-                "digest": manifest.digest()[:12],
-            })
-            spec_docs.append(
-                {"workload": label, "manifest": manifest.to_document()}
-            )
-            spec_manifests.append((label, manifest))
-
     # With the JSON document going to stdout, suppress the human-readable
     # report so consumers can parse the output directly.
     human_output = args.json != "-"
@@ -389,37 +355,6 @@ def _analyze(args) -> int:
         ))
         for label, diag in all_diags:
             print(f"{label}: {diag}")
-    if spec_on and human_output:
-        from repro.analysis.specialize import RARE_PATHS
-
-        print()
-        print(report.format_table(
-            spec_rows,
-            columns=["workload", "pcs", "reach", "plain", "sblocks",
-                     "max_run", *RARE_PATHS, "digest"],
-            title=(f"Specialization — statically-impossible rare paths "
-                   f"(counts over reachable PCs), "
-                   f"{len(spec_rows)} manifest(s)"),
-        ))
-        # With a single workload the full per-PC verdict table fits.
-        if len(spec_manifests) == 1:
-            label, manifest = spec_manifests[0]
-            verdict_rows = [
-                {
-                    "pc": v.pc,
-                    "op": v.op,
-                    "reach": "y" if v.reachable else "-",
-                    "plain_run": v.plain_run,
-                    "impossible": ",".join(sorted(v.impossible)) or "-",
-                }
-                for v in manifest.verdicts
-            ]
-            print()
-            print(report.format_table(
-                verdict_rows,
-                columns=["pc", "op", "reach", "plain_run", "impossible"],
-                title=f"Per-PC verdicts — {label}",
-            ))
     if args.json:
         document = {
             "tool": "repro-analyze",
@@ -443,8 +378,6 @@ def _analyze(args) -> int:
             },
             "workloads": rows,
         }
-        if spec_on:
-            document["specialization"] = spec_docs
         _write_json_document(document, args.json)
     if all_diags:
         if human_output:
@@ -521,8 +454,7 @@ def _campaign(args) -> int:
         )
         try:
             suite = load_suite(args.suite)
-            jobs = expand_suite_jobs(suite, default_engine=default_engine,
-                                     default_specialize=args.specialize)
+            jobs = expand_suite_jobs(suite, default_engine=default_engine)
         except SuiteError as exc:
             print(f"suite error: {exc}")
             return 2
@@ -538,8 +470,7 @@ def _campaign(args) -> int:
             return 2
         jobs = [
             experiment.CampaignJob(app, CONFIG_FACTORIES[name](), threads,
-                                   scale=args.scale, engine=args.engine,
-                                   specialize=args.specialize)
+                                   scale=args.scale, engine=args.engine)
             for app in apps
             for name in args.configs
             for threads in args.threads
@@ -636,13 +567,6 @@ def _campaign(args) -> int:
     if args.json:
         results.dump_campaign(result, args.json)
         print(f"\n[campaign record written to {args.json}]")
-    if args.metrics:
-        from pathlib import Path
-
-        path = Path(args.metrics)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(results.campaign_metrics(result).render())
-        print(f"\n[Prometheus metrics written to {args.metrics}]")
     if violations:
         return 1
     # Partial failure is reported, not fatal; a sweep where *nothing*
@@ -663,7 +587,7 @@ def _profile(args) -> int:
     config = CONFIG_FACTORIES[args.config]()
     stats, prof = experiment.profile_run(
         app, config, threads, scale=args.scale, engine=args.engine,
-        specialize=args.specialize, record_slices=bool(args.chrome),
+        record_slices=bool(args.chrome),
     )
     rows = [
         {
@@ -862,15 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to figures, campaign jobs, traced and profiled runs (default: "
         "reference, except 'profile' which defaults to fast)",
     )
-    parser.add_argument(
-        "--specialize",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="let the fast engine consume static specialization manifests "
-        "(per-PC rare-path verdicts, see docs/specialization.md); "
-        "--no-specialize runs it guard-by-guard.  Also selects the "
-        "specialization section of 'analyze' (default: on)",
-    )
     parallel = parser.add_argument_group("parallel execution")
     parallel.add_argument(
         "--workers",
@@ -945,13 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="directory for flight-recorder dumps of failed/hung jobs "
         "(default .repro-flight; pass '' to disable)",
-    )
-    campaign.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="write campaign metrics in Prometheus text exposition "
-        "format to PATH",
     )
     campaign.add_argument(
         "--suite",
@@ -1059,13 +967,6 @@ def main(argv=None) -> int:
         # resolve_engine's message already lists the registry keys.
         print(f"error: {exc}")
         return 2
-    # Specialization defaults on (it is part of the fast engine's
-    # contract, not an experiment knob); 'analyze' only prints its
-    # specialization section when --specialize was asked for explicitly.
-    args.specialize_explicit = args.specialize is not None
-    if args.specialize is None:
-        args.specialize = True
-    experiment.set_default_specialize(args.specialize)
     if args.target == "list":
         width = max(len(name) for name in TARGETS)
         for name in sorted(TARGETS):

@@ -14,7 +14,6 @@ free.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from repro.obs import (
     write_dump,
 )
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.fast import FastSMTCore, resolve_engine
+from repro.pipeline.fast import resolve_engine
 from repro.pipeline.stats import SimStats
 from repro.power.model import energy_of_run
 from repro.power.params import EnergyBreakdown, EnergyParams
@@ -94,13 +93,6 @@ class CampaignJob:
     is part of the cache key even though both engines are cycle-exact,
     so a fast-engine bug can never poison reference results (and the
     oracle gate cross-checks both populations independently).
-
-    ``specialize`` toggles the fast engine's static specialization
-    manifests (:mod:`repro.analysis.specialize`); the reference engine
-    ignores it.  For specialized fast-engine jobs the manifest digests
-    join the on-disk cache key (see :meth:`key_data`), so results
-    simulated under one version of the specialization analysis can never
-    be served to a run expecting another.
     """
 
     app: str
@@ -116,9 +108,6 @@ class CampaignJob:
     #: into their phase schedules and request streams, so it is part of
     #: both the memo key and the on-disk cache key.
     seed: int | None = None
-    #: Fast-engine static specialization toggle (manifest-driven
-    #: guard-free batching, see ``docs/specialization.md``).
-    specialize: bool = True
 
     def label(self) -> str:
         return f"{self.app}/{self.config.name}/{self.threads}t" + (
@@ -129,30 +118,7 @@ class CampaignJob:
         """The in-memory memo key :func:`run_app` would use."""
         machine = _normalize_machine(self.machine, self.threads)
         return (self.app, self.config, self.threads, machine, self.scale,
-                self.strict, self.engine, self.seed, self.specialize)
-
-    def key_data(self) -> dict:
-        """Specification hashed into the on-disk campaign cache key.
-
-        Plain field canonicalisation, plus — for fast-engine jobs with
-        specialization on — the content digests of the specialization
-        manifests the engine will consume.  Joining the manifest digests
-        means any change to the specialization analysis (schema bump,
-        verdict change, superblock reshaping) transparently invalidates
-        every cached result it could have influenced, while reference
-        jobs keep analysis-independent keys.
-        """
-        data = dataclasses.asdict(self)
-        if self.specialize and self.engine == "fast":
-            data["specialization_manifests"] = specialization_digests(
-                self.app,
-                self.config,
-                self.threads,
-                machine=self.machine,
-                scale=self.scale,
-                seed=self.seed,
-            )
-        return data
+                self.strict, self.engine, self.seed)
 
 
 _CACHE: dict[tuple, RunResult] = {}
@@ -185,70 +151,6 @@ def set_default_engine(name: str) -> str:
 def default_engine() -> str:
     """The engine used when a caller doesn't pass one explicitly."""
     return _DEFAULT_ENGINE
-
-
-_DEFAULT_SPECIALIZE = True
-
-
-def set_default_specialize(on: bool) -> bool:
-    """Select the fast engine's specialization default for serial runs.
-
-    Mirrors :func:`set_default_engine`: the CLI's ``--no-specialize``
-    routes through here, campaign jobs carry the flag explicitly.
-    Returns the previous default so callers can restore it.
-    """
-    global _DEFAULT_SPECIALIZE
-    previous = _DEFAULT_SPECIALIZE
-    _DEFAULT_SPECIALIZE = bool(on)
-    return previous
-
-
-def default_specialize() -> bool:
-    """Whether fast-engine runs specialize when not told explicitly."""
-    return _DEFAULT_SPECIALIZE
-
-
-_SPECIALIZATION_KEY_MEMO: dict[tuple, list[str]] = {}
-
-
-def specialization_digests(
-    app: str,
-    config: MMTConfig,
-    threads: int,
-    machine: MachineConfig | None = None,
-    scale: float = 1.0,
-    seed: int | None = None,
-) -> list[str]:
-    """Manifest digests a specialized fast-engine run of this point uses.
-
-    One sorted, de-duplicated digest per distinct per-context program —
-    exactly the manifests :class:`~repro.pipeline.fast.FastSMTCore`
-    computes at construction.  Memoised per point (the workload build
-    dominates the cost; the analysis itself is memoised again inside the
-    engine layer), because :meth:`CampaignJob.key_data` calls this for
-    every specialized fast job a campaign dispatches.
-    """
-    from repro.pipeline.fast import manifest_for
-
-    nctx = _normalize_machine(machine, threads).num_threads
-    limit = config.limit_identical
-    memo = (app, threads, scale, seed, nctx, limit)
-    cached = _SPECIALIZATION_KEY_MEMO.get(memo)
-    if cached is not None:
-        return list(cached)
-    build = build_point(app, threads, scale=scale, seed=seed)
-    job = build.limit_job() if limit else build.job()
-    digests: set[str] = set()
-    seen: set[str] = set()
-    for program in job.programs:
-        key = program.digest()
-        if key in seen:
-            continue
-        seen.add(key)
-        digests.add(manifest_for(program, nctx).digest())
-    result = sorted(digests)
-    _SPECIALIZATION_KEY_MEMO[memo] = result
-    return list(result)
 
 
 def _normalize_machine(
@@ -291,7 +193,6 @@ def _simulate(
     prepare=None,
     engine: str | None = None,
     seed: int | None = None,
-    specialize: bool | None = None,
 ) -> RunResult:
     """Run one simulation point (no caching at this level).
 
@@ -305,15 +206,7 @@ def _simulate(
     build = build_point(app, threads, scale=scale, seed=seed)
     job = build.limit_job() if config.limit_identical else build.job()
     core_cls = resolve_engine(engine or _DEFAULT_ENGINE)
-    if specialize is None:
-        specialize = _DEFAULT_SPECIALIZE
-    if issubclass(core_cls, FastSMTCore):
-        core = core_cls(
-            machine, config, job, strict=strict, obs=obs,
-            specialize=specialize,
-        )
-    else:
-        core = core_cls(machine, config, job, strict=strict, obs=obs)
+    core = core_cls(machine, config, job, strict=strict, obs=obs)
     if prepare is not None:
         prepare(core)
     try:
@@ -339,7 +232,6 @@ def _simulate(
                 "strict": strict,
                 "engine": engine or _DEFAULT_ENGINE,
                 "seed": seed,
-                "specialize": specialize,
             }
             try:
                 write_dump(document, failure_dump)
@@ -368,19 +260,15 @@ def run_app(
     use_cache: bool = True,
     engine: str | None = None,
     seed: int | None = None,
-    specialize: bool | None = None,
 ) -> RunResult:
     """Simulate *app* under *config* with *threads* hardware contexts."""
     machine = _normalize_machine(machine, threads)
     engine = engine or _DEFAULT_ENGINE
-    if specialize is None:
-        specialize = _DEFAULT_SPECIALIZE
-    key = (app, config, threads, machine, scale, strict, engine, seed,
-           specialize)
+    key = (app, config, threads, machine, scale, strict, engine, seed)
     if use_cache and key in _CACHE:
         return _CACHE[key]
     result = _simulate(app, config, threads, machine, scale, strict,
-                       engine=engine, seed=seed, specialize=specialize)
+                       engine=engine, seed=seed)
     if use_cache:
         _CACHE[key] = result
     return result
@@ -402,7 +290,6 @@ def simulate_job(job: CampaignJob, seed: int) -> RunResult:
     run = _simulate(
         job.app, job.config, job.threads, machine, job.scale, job.strict,
         obs=obs, failure_dump=dump_path, engine=job.engine, seed=job.seed,
-        specialize=job.specialize,
     )
     # Memoise the digest here, so it ships with the payload and the
     # driver's oracle lookup does not re-hash the program.
@@ -433,7 +320,7 @@ def simulate_job_faulty(job: CampaignJob, seed: int) -> RunResult:
     run = _simulate(
         job.app, job.config, job.threads, machine, job.scale, job.strict,
         obs=obs, failure_dump=dump_path, prepare=prepare, engine=job.engine,
-        seed=job.seed, specialize=job.specialize,
+        seed=job.seed,
     )
     run.build.program.digest()  # shipped with the payload, as above
     return run
@@ -450,7 +337,6 @@ def trace_run(
     strict: bool = True,
     engine: str | None = None,
     seed: int | None = None,
-    specialize: bool | None = None,
 ) -> tuple[RunResult, Observer]:
     """Run one point with full observability attached (``repro trace``).
 
@@ -466,7 +352,7 @@ def trace_run(
         watchdog_cycles=DEFAULT_WATCHDOG_CYCLES,
     )
     result = _simulate(app, config, threads, machine, scale, strict, obs=obs,
-                       engine=engine, seed=seed, specialize=specialize)
+                       engine=engine, seed=seed)
     return result, obs
 
 
@@ -480,7 +366,6 @@ def profile_run(
     engine: str | None = None,
     record_slices: bool = False,
     seed: int | None = None,
-    specialize: bool | None = None,
 ):
     """Run one point under the host self-profiler (``repro profile``).
 
@@ -494,14 +379,9 @@ def profile_run(
     machine = _normalize_machine(machine, threads)
     build = build_point(app, threads, scale=scale, seed=seed)
     job = build.limit_job() if config.limit_identical else build.job()
-    core_cls = resolve_engine(engine or _DEFAULT_ENGINE)
-    if specialize is None:
-        specialize = _DEFAULT_SPECIALIZE
-    if issubclass(core_cls, FastSMTCore):
-        core = core_cls(machine, config, job, strict=strict,
-                        specialize=specialize)
-    else:
-        core = core_cls(machine, config, job, strict=strict)
+    core = resolve_engine(engine or _DEFAULT_ENGINE)(
+        machine, config, job, strict=strict
+    )
     prof = HostProfiler(record_slices=record_slices)
     stats = prof.run(core)
     return stats, prof
@@ -561,7 +441,6 @@ def replay_dump(
             f"flight dump {path} names unknown config {spec.get('config')!r}"
         )
     seed = spec.get("seed")
-    specialize = spec.get("specialize")
     run, obs = trace_run(
         spec["app"],
         factory(),
@@ -571,7 +450,6 @@ def replay_dump(
         engine=spec.get("engine"),
         interval=interval,
         seed=None if seed is None else int(seed),
-        specialize=None if specialize is None else bool(specialize),
     )
     problems: list[str] = []
     if validate:

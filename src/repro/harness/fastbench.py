@@ -49,25 +49,14 @@ PINNED_MIN_SPEEDUP = 1.2
 DEFAULT_TRAJECTORY = Path(__file__).resolve().parents[3] / "BENCH_fastpath.json"
 
 
-def _measure_point(app: str, config: MMTConfig, threads: int, scale: float,
-                   specialize: bool = True):
-    """One (app, config) point on both engines; returns the row dict.
-
-    *specialize* selects whether the fast core consumes the static
-    specialization manifests (the production default); the reference
-    engine has no such knob.
-    """
+def _measure_point(app: str, config: MMTConfig, threads: int, scale: float):
+    """One (app, config) point on both engines; returns the row dict."""
     build = build_workload(get_profile(app), threads, scale=scale)
     machine = MachineConfig(num_threads=threads)
     results = {}
     for engine in ("reference", "fast"):
         job = build.limit_job() if config.limit_identical else build.job()
-        core_cls = resolve_engine(engine)
-        if engine == "fast":
-            core = core_cls(machine, config, job, strict=True,
-                            specialize=specialize)
-        else:
-            core = core_cls(machine, config, job, strict=True)
+        core = resolve_engine(engine)(machine, config, job, strict=True)
         start = time.perf_counter()
         stats = core.run()
         wall = time.perf_counter() - start
@@ -96,7 +85,7 @@ def _measure_point(app: str, config: MMTConfig, threads: int, scale: float,
 
 def run_fastpath_bench(
     apps=None, scale: float = 1.0, threads: int = FIG5A_THREADS,
-    specialize: bool = True, progress=None,
+    progress=None,
 ) -> dict:
     """Measure the fig5a sweep on both engines; returns the record.
 
@@ -109,8 +98,7 @@ def run_fastpath_bench(
     rows = []
     for app in apps:
         for factory in FIG5A_CONFIGS:
-            row = _measure_point(app, factory(), threads, scale,
-                                 specialize=specialize)
+            row = _measure_point(app, factory(), threads, scale)
             rows.append(row)
             emit(
                 f"{row['app']}/{row['config']}: "
@@ -125,7 +113,6 @@ def run_fastpath_bench(
         "threads": threads,
         "scale": scale,
         "apps": apps,
-        "specialize": specialize,
         "python": platform.python_version(),
         "aggregate_speedup": (
             round(total_ref / total_fast, 3) if total_fast > 0 else None
@@ -134,92 +121,6 @@ def run_fastpath_bench(
         "max_speedup": max(speedups) if speedups else None,
         "total_reference_wall_s": round(total_ref, 3),
         "total_fast_wall_s": round(total_fast, 3),
-        "points": rows,
-    }
-
-
-#: Floor for the specialization on/off wall-clock ratio (off/on): the
-#: manifests must never make the interpreted fast loop meaningfully
-#: slower.  In pure Python the skipped guards are cheap compares, so the
-#: measured ratio sits near 1.0 (the manifests' headline value is as the
-#: front end for a compiled backend — see docs/specialization.md); the
-#: floor catches a pathological regression, not a missed win.
-MIN_SPECIALIZE_RATIO = 0.85
-
-
-def run_specialize_bench(
-    apps=None, scale: float = 1.0, threads: int = FIG5A_THREADS,
-    repeats: int = 3, progress=None,
-) -> dict:
-    """Fast engine with vs without specialization on the fig5a sweep.
-
-    Each point runs *repeats* on/off pairs on fresh cores from the same
-    build, alternating which variant goes first so neither side always
-    enjoys warm caches, and asserts bit-identical final statistics every
-    pair (a specialization that changes the answer is a soundness bug,
-    not a slow path).  Walls are best-of-*repeats*; ``ratio`` is
-    off-best over on-best, so >1 means specialization pays.
-    """
-    emit = progress if callable(progress) else (lambda line: None)
-    apps = list(apps) if apps is not None else list(SMOKE_APPS)
-    machine = MachineConfig(num_threads=threads)
-    fast_cls = resolve_engine("fast")
-    rows = []
-    for app in apps:
-        build = build_workload(get_profile(app), threads, scale=scale)
-        for factory in FIG5A_CONFIGS:
-            config = factory()
-            walls = {True: [], False: []}
-            stats_by = {}
-            for rep in range(repeats):
-                order = (True, False) if rep % 2 == 0 else (False, True)
-                for specialize in order:
-                    job = (build.limit_job() if config.limit_identical
-                           else build.job())
-                    core = fast_cls(machine, config, job, strict=True,
-                                    specialize=specialize)
-                    start = time.perf_counter()
-                    stats = core.run()
-                    walls[specialize].append(time.perf_counter() - start)
-                    stats_by[specialize] = stats
-                if (stats_by[True].__dict__ != stats_by[False].__dict__):
-                    raise AssertionError(
-                        f"{app}/{config.name}: specialization changed the "
-                        f"simulation — benchmark aborted"
-                    )
-            on_best = min(walls[True])
-            off_best = min(walls[False])
-            row = {
-                "app": app,
-                "config": config.name,
-                "threads": threads,
-                "committed_insts": stats_by[True].committed_thread_insts,
-                "off_wall_s": round(off_best, 4),
-                "on_wall_s": round(on_best, 4),
-                "ratio": round(off_best / on_best, 3) if on_best > 0 else None,
-            }
-            rows.append(row)
-            emit(
-                f"{app}/{config.name}: off {row['off_wall_s']}s, "
-                f"on {row['on_wall_s']}s ({row['ratio']}x)"
-            )
-    total_off = sum(row["off_wall_s"] for row in rows)
-    total_on = sum(row["on_wall_s"] for row in rows)
-    ratios = [row["ratio"] for row in rows if row["ratio"]]
-    return {
-        "bench": "fig5a-fastpath-specialize",
-        "threads": threads,
-        "scale": scale,
-        "apps": apps,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "aggregate_ratio": (
-            round(total_off / total_on, 3) if total_on > 0 else None
-        ),
-        "min_ratio": min(ratios) if ratios else None,
-        "max_ratio": max(ratios) if ratios else None,
-        "total_off_wall_s": round(total_off, 3),
-        "total_on_wall_s": round(total_on, 3),
         "points": rows,
     }
 

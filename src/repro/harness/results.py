@@ -163,57 +163,6 @@ def dump_campaign(result, path: str | Path, extra: dict | None = None) -> Path:
     return path
 
 
-def campaign_metrics(result, registry=None):
-    """Populate a :class:`~repro.obs.registry.MetricsRegistry` from one
-    campaign — the Prometheus-text summary the future campaign daemon will
-    serve (computed post-hoc here; a live daemon updates the same metrics
-    incrementally).
-
-    Passing an existing *registry* accumulates across campaigns.
-    """
-    from repro.obs.registry import MetricsRegistry
-
-    if registry is None:
-        registry = MetricsRegistry()
-    jobs = registry.counter(
-        "repro_campaign_jobs_total",
-        "Campaign jobs by status, engine, and source",
-        ("status", "engine", "source"),
-    )
-    retries = registry.counter(
-        "repro_campaign_retries_total", "Attempts beyond each job's first"
-    )
-    walls = registry.histogram(
-        "repro_campaign_job_wall_seconds",
-        "Per-job wall-clock (executed jobs only)",
-        ("engine",),
-    )
-    rss = registry.gauge(
-        "repro_campaign_job_rss_bytes",
-        "Peak worker RSS over the campaign, bytes",
-    )
-    campaign_wall = registry.gauge(
-        "repro_campaign_wall_seconds", "Whole-campaign wall-clock"
-    )
-    violations = registry.gauge(
-        "repro_campaign_oracle_violations",
-        "Runs contradicting a static oracle bound",
-    )
-    peak = 0
-    for outcome in result.outcomes:
-        engine = str(getattr(outcome.job, "engine", "") or "unknown")
-        source = "cache" if outcome.from_cache else "run"
-        jobs.inc(status=outcome.status, engine=engine, source=source)
-        if not outcome.from_cache:
-            walls.observe(outcome.wall_time, engine=engine)
-        peak = max(peak, outcome.max_rss_bytes)
-    retries.inc(result.retries)
-    rss.set(peak)
-    campaign_wall.set(result.wall_time)
-    violations.set(len(getattr(result, "validation_failures", ()) or ()))
-    return registry
-
-
 # ----------------------------------------------------------------- traces
 def dump_trace(
     run,

@@ -79,10 +79,9 @@ class Program:
         content-addressed on it, independent of the program *name*.
 
         The hash is computed once and cached: every consumer that keys on
-        it (lint gate, oracle memo, specialization manifests, campaign
-        cache) treats the image as immutable once built, so mutating a
-        program after its first ``digest()`` call is already a
-        content-addressing violation.
+        it (lint gate, oracle memo, trace recordings) treats the image as
+        immutable once built, so mutating a program after its first
+        ``digest()`` call is already a content-addressing violation.
         """
         if self._digest is not None:
             return self._digest

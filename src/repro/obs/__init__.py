@@ -21,9 +21,7 @@ only bans it inside the simulator packages):
 * **Host self-profiler** — :class:`HostProfiler`, exclusive wall-clock
   attribution across the fast engine's reference-delegated rare paths;
 * **Campaign run-log** — :class:`RunLog`, a flushed JSONL lifecycle log
-  per campaign;
-* **Metrics registry** — :class:`MetricsRegistry`, labelled
-  counters/gauges/histograms with Prometheus text exposition.
+  per campaign.
 
 Attach an :class:`Observer` (or :class:`SampledObserver`) to a core via
 its ``obs`` argument; export collected events with
@@ -47,7 +45,6 @@ from repro.obs.export import (
 from repro.obs.interval import IntervalMetrics, IntervalSample
 from repro.obs.observer import NULL_OBS, Observer, campaign_observer
 from repro.obs.prof import HostProfiler
-from repro.obs.registry import MetricsRegistry
 from repro.obs.runlog import RunLog
 from repro.obs.sampling import SampledObserver
 from repro.obs.recorder import (
@@ -68,7 +65,6 @@ __all__ = [
     "IntervalMetrics",
     "IntervalSample",
     "MemorySink",
-    "MetricsRegistry",
     "NULL_OBS",
     "Observer",
     "RunLog",

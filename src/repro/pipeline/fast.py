@@ -38,14 +38,7 @@ pre-decoded functional oracles.
 from __future__ import annotations
 
 import gc
-import os
 
-from repro.analysis.specialize import (
-    PATH_BITS,
-    SpecializationManifest,
-    SpecializationViolation,
-    analyze_specialization,
-)
 from repro.core.config import WorkloadType
 from repro.core.itid import PAIRS, PAIRS_IN_MASK
 from repro.core.sync import FetchMode
@@ -88,37 +81,11 @@ _PT = tuple(
     for m in range(16)
 )
 
-#: Rare-path bits of the specialization masks, as plain ints.
-_B_CONTROL = PATH_BITS["control"]
-_B_HINT = PATH_BITS["hint"]
-_B_SYNC = PATH_BITS["sync"]
-_B_LVIP = PATH_BITS["lvip_verify"]
-_B_STORE = PATH_BITS["store_commit"]
-_B_TRAP = PATH_BITS["trap"]
-
-#: Specialization manifests are pure functions of (program content,
-#: context count), so one copy serves every core a worker process builds.
-_MANIFEST_MEMO: dict[tuple[str, int], SpecializationManifest] = {}
-
-
-def manifest_for(program, nctx: int) -> SpecializationManifest:
-    """Memoised :func:`~repro.analysis.specialize.analyze_specialization`.
-
-    Shared by core construction and the campaign cache-key layer
-    (:meth:`~repro.harness.experiment.CampaignJob.key_data`), so a worker
-    process analyses each distinct program once however many cores and
-    job keys need the manifest.
-    """
-    key = (program.digest(), nctx)
-    manifest = _MANIFEST_MEMO.get(key)
-    if manifest is None:
-        manifest = analyze_specialization(program, nctx)
-        _MANIFEST_MEMO[key] = manifest
-    return manifest
-
-
-def _paranoid_env() -> bool:
-    return os.environ.get("REPRO_SPECIALIZE_PARANOID", "") not in ("", "0")
+def analyze_specialization(program, nctx: int):
+    """Never called; the name exists only because the campaign benchmark's
+    tracer (``campaignbench/layers.py``) wraps it.  Delete it together with
+    that hook."""
+    raise NotImplementedError("the fast engine has no specialization layer")
 
 
 class FastSMTCore(SMTCore):
@@ -134,7 +101,6 @@ class FastSMTCore(SMTCore):
         start_delays: list[int] | None = None,
         obs: Observer | None = None,
         trace: list | None = None,
-        specialize: bool = True,
     ) -> None:
         super().__init__(
             machine,
@@ -166,42 +132,6 @@ class FastSMTCore(SMTCore):
         self._stream = [eligible] * self.num_threads
         self._recs: list[list] = [[] for _ in range(self.num_threads)]
         self._pos = [0] * self.num_threads
-
-        # Static specialization: per-PC guard-free run lengths (consumed
-        # by the fetch loop's batch path) and rare-path impossibility
-        # masks (consumed by the paranoid runtime checks).  One manifest
-        # per distinct program; the reference-delegation boundary is
-        # untouched, so a wrong manifest can only batch records the
-        # guards would have accepted anyway — paranoid mode turns any
-        # contradiction into a hard SpecializationViolation.
-        self.specialize = specialize
-        self.paranoid_checks = 0
-        self._paranoid = specialize and _paranoid_env()
-        self._spec_run: list[list[int] | None] = [None] * self.num_threads
-        self._spec_mask: list[list[int] | None] = [None] * self.num_threads
-        self.spec_manifests: list[SpecializationManifest | None] = [
-            None
-        ] * self.num_threads
-        if specialize:
-            # Keyed by content digest, not instruction identity: contexts
-            # sharing program text but carrying per-instance data images
-            # get their own manifests, because the trap refinement reads
-            # initial memory through the value lattice.
-            nctx = self.num_threads
-            runs_by_key: dict[str, list[int]] = {}
-            masks_by_key: dict[str, list[int]] = {}
-            man_by_key: dict[str, SpecializationManifest] = {}
-            for tid, oracle in enumerate(self.oracles):
-                program = oracle.state.program
-                key = program.digest()
-                if key not in man_by_key:
-                    manifest = manifest_for(program, nctx)
-                    man_by_key[key] = manifest
-                    runs_by_key[key] = manifest.plain_runs()
-                    masks_by_key[key] = manifest.impossible_masks()
-                self.spec_manifests[tid] = man_by_key[key]
-                self._spec_run[tid] = runs_by_key[key]
-                self._spec_mask[tid] = masks_by_key[key]
 
     # ----------------------------------------------------- record streaming
     def _refill(self, tid: int) -> None:
@@ -240,21 +170,6 @@ class FastSMTCore(SMTCore):
                     append(fn(state))
                     instret += 1
         except ExecutionError:
-            # The failing step mutated nothing, so ``state.pc`` is the
-            # trapping PC: in paranoid mode, assert the manifest never
-            # ruled a trap out here (this dynamically validates the
-            # value-lattice DIV/REM refinement).
-            if self._paranoid:
-                masks = self._spec_mask[tid]
-                pc = state.pc
-                if masks is not None and 0 <= pc < len(masks):
-                    if masks[pc] & _B_TRAP:
-                        raise SpecializationViolation(
-                            f"trap fired at pc {pc} (context {tid}) where "
-                            f"the specialization manifest proved traps "
-                            f"impossible"
-                        ) from None
-                    self.paranoid_checks += 1
             self._stream[tid] = False
         finally:
             oracle.instret = instret
@@ -410,9 +325,6 @@ class FastSMTCore(SMTCore):
         asids = self.asids
         trace = self.trace
         fbm = stats.fetched_by_mode
-        spec_run_by_tid = self._spec_run
-        spec_mask_by_tid = self._spec_mask
-        paranoid = self._paranoid
 
         # Sampled observability.  ``run`` has already diverted any
         # non-fast-capable observer to the reference loop, so here the
@@ -463,9 +375,10 @@ class FastSMTCore(SMTCore):
         num_regs_total = regfile.num_regs
 
         # Prototype instance dict for DynInst: entries are born by copying
-        # this and overwriting the per-instruction fields, replacing the 26
-        # interpreted attribute stores of ``DynInst.__init__`` with one
-        # C-level dict copy (the class intentionally has no ``__slots__``).
+        # this (the class-level defaults, as instance entries) and storing
+        # the 10 per-instruction fields ``DynInst.__init__`` sets as plain
+        # dict stores instead of interpreted attribute stores (the class
+        # intentionally has no ``__slots__``).
         di_defaults = {
             "state": DECODED,
             "pdst": None,
@@ -498,7 +411,6 @@ class FastSMTCore(SMTCore):
         stall_rob = stall_iq = stall_lsq = stall_regs = 0
         lvip_checks_local = lvip_pred_local = rst_updates_local = 0
         f_thread = f_entries = f_sessions = icache_stall = 0
-        paranoid_local = 0
         # Register allocation bookkeeping (flushed like the statistics;
         # delegated paths call regfile.alloc directly and keep their own).
         alloc_count = 0
@@ -635,14 +547,6 @@ class FastSMTCore(SMTCore):
                                 continue
                         inst = di.inst
                         if inst.is_store:
-                            if paranoid:
-                                m = spec_mask_by_tid[owners[0]]
-                                if m is not None and m[di.pc] & _B_STORE:
-                                    raise SpecializationViolation(
-                                        f"store commit fired at pc {di.pc} "
-                                        f"marked store-commit-impossible"
-                                    )
-                                paranoid_local += 1
                             if not lsq.try_commit_store(di, self):
                                 continue
                         # _commit(di), inlined.
@@ -743,14 +647,6 @@ class FastSMTCore(SMTCore):
                             and popc[di.itid] >= 2
                             and di.pdst_by_tid is None
                         ):
-                            if paranoid:
-                                m = spec_mask_by_tid[ft[di.itid]]
-                                if m is not None and m[di.pc] & _B_LVIP:
-                                    raise SpecializationViolation(
-                                        f"LVIP verify fired at pc {di.pc} "
-                                        f"marked lvip-verify-impossible"
-                                    )
-                                paranoid_local += 1
                             self._verify_lvip(di)
                             if di.lvip_mispredicted:
                                 # The squash may have killed counted loads
@@ -1033,21 +929,6 @@ class FastSMTCore(SMTCore):
                             or op is TRECV_OP
                             or op is TID_OP
                         ):
-                            if paranoid and (
-                                op is SEND_OP
-                                or op is TRECV_OP
-                                or op is TID_OP
-                            ):
-                                # Only the opcode-triggered splits carry a
-                                # manifest claim; mask-shape splits are
-                                # dynamic.
-                                m = spec_mask_by_tid[ft[head_itid]]
-                                if m is not None and m[head.pc] & _B_SYNC:
-                                    raise SpecializationViolation(
-                                        f"sync split fired at pc {head.pc} "
-                                        f"marked sync-impossible"
-                                    )
-                                paranoid_local += 1
                             pieces, taint_mask = self._split(head)
                             npieces = len(pieces)
                         else:
@@ -1304,7 +1185,6 @@ class FastSMTCore(SMTCore):
                                         other_pcs[opc] = other.gid
                     r_lead = replay[lead]
                     rl_lead = recs_by_tid[lead]
-                    spec_run_lead = spec_run_by_tid[lead]
                     db_room = decode_buffer_size - len(decode_buffer)
                     p_lead = 0
                     rec = None
@@ -1349,71 +1229,10 @@ class FastSMTCore(SMTCore):
                                 if avail < run:
                                     run = avail
                                 gmask = group.mask
-                                if spec_run_lead is not None:
-                                    # Specialized batch prototype: the
-                                    # per-session constants are stamped
-                                    # once, so each batched entry is one
-                                    # dict copy + six stores.
-                                    proto = di_new()
-                                    proto["itid"] = gmask
-                                    proto["fetch_mode"] = mode
-                                    proto["fetch_merged_width"] = 1
-                                    proto["halt"] = False
-                                    proto_copy = proto.copy
                                 i = 0
                                 stop = False
                                 while i < run:
                                     rec = rl_lead[p_lead + i]
-                                    if spec_run_lead is not None:
-                                        n = spec_run_lead[rec.pc]
-                                        if n > 1:
-                                            # Guard-free run: every PC in
-                                            # it is statically neither a
-                                            # control transfer nor a HINT
-                                            # nor a HALT, so the buffered
-                                            # records are consecutive and
-                                            # none of the per-record
-                                            # checks below can fire.
-                                            left = run - i
-                                            if n > left:
-                                                n = left
-                                            batch = rl_lead[
-                                                p_lead + i : p_lead + i + n
-                                            ]
-                                            if paranoid:
-                                                for brec in batch:
-                                                    binst = brec.inst
-                                                    bop = binst.op
-                                                    if (
-                                                        binst.is_control
-                                                        or bop is HINT_OP
-                                                        or bop is HALT_OPC
-                                                    ):
-                                                        raise SpecializationViolation(
-                                                            f"pc {brec.pc} "
-                                                            f"({bop.name}) "
-                                                            f"inside a run "
-                                                            f"marked "
-                                                            f"guard-free"
-                                                        )
-                                                paranoid_local += n
-                                            s = seqno
-                                            for rec in batch:
-                                                s += 1
-                                                di = new_di(DynInst)
-                                                d = proto_copy()
-                                                d["seq"] = s
-                                                d["pc"] = rec.pc
-                                                d["inst"] = rec.inst
-                                                d["execs"] = {lead: rec}
-                                                d["psrcs"] = []
-                                                d["prev_map"] = {}
-                                                di.__dict__ = d
-                                                decode_buffer.append(di)
-                                            seqno = s
-                                            icount[lead] += n
-                                            i += n
-                                            continue
                                     i += 1
                                     inst = rec.inst
                                     op = inst.op
@@ -1444,35 +1263,11 @@ class FastSMTCore(SMTCore):
                                         and op is HINT_OP
                                         and len(groups) > 1
                                     ):
-                                        if paranoid:
-                                            m = spec_mask_by_tid[lead]
-                                            if (
-                                                m is not None
-                                                and m[rec.pc] & _B_HINT
-                                            ):
-                                                raise SpecializationViolation(
-                                                    f"hint fired at pc "
-                                                    f"{rec.pc} marked "
-                                                    f"hint-impossible"
-                                                )
-                                            paranoid_local += 1
                                         self._seq = seqno
                                         self._handle_hint(rec.pc, [lead])
                                         stop = True
                                         break
                                     if inst.is_control:
-                                        if paranoid:
-                                            m = spec_mask_by_tid[lead]
-                                            if (
-                                                m is not None
-                                                and m[rec.pc] & _B_CONTROL
-                                            ):
-                                                raise SpecializationViolation(
-                                                    f"control fired at pc "
-                                                    f"{rec.pc} marked "
-                                                    f"control-impossible"
-                                                )
-                                            paranoid_local += 1
                                         self._seq = seqno
                                         outcome = self._handle_control(
                                             di, group, [lead], {lead: rec}
@@ -1504,100 +1299,6 @@ class FastSMTCore(SMTCore):
                             records = {lead: rec}
                             inst = rec.inst
                         else:
-                            # Specialized merged batch: a guard-free run in
-                            # every member's own program keeps the group in
-                            # lockstep by construction (each member's next
-                            # pc is pc+1), so the per-record lockstep,
-                            # halt/hint/control and catch-up-peek checks
-                            # below cannot fire for any record in the run.
-                            if (
-                                spec_run_lead is not None
-                                and src == 1
-                                and other_pcs is None
-                            ):
-                                n = spec_run_lead[fpc]
-                                if n > 1:
-                                    left = budget - count
-                                    if n > left:
-                                        n = left
-                                    if n > db_room:
-                                        n = db_room
-                                    for t in members:
-                                        if replay[t]:
-                                            n = 0
-                                            break
-                                        rl_t = recs_by_tid[t]
-                                        p_t = pos[t]
-                                        avail = len(rl_t) - p_t
-                                        if avail <= 0:
-                                            n = 0
-                                            break
-                                        if rl_t[p_t].pc != fpc:
-                                            n = 0
-                                            break
-                                        m_run = spec_run_by_tid[t]
-                                        if m_run is None:
-                                            n = 0
-                                            break
-                                        r = m_run[fpc]
-                                        if r < n:
-                                            n = r
-                                        if avail < n:
-                                            n = avail
-                                    if n > 1:
-                                        slabs = []
-                                        for t in members:
-                                            p_t = pos[t]
-                                            slabs.append(
-                                                recs_by_tid[t][p_t : p_t + n]
-                                            )
-                                            pos[t] = p_t + n
-                                            icount[t] += n
-                                        if paranoid:
-                                            for slab in slabs:
-                                                for brec in slab:
-                                                    binst = brec.inst
-                                                    bop = binst.op
-                                                    if (
-                                                        binst.is_control
-                                                        or bop is HINT_OP
-                                                        or bop is HALT_OPC
-                                                    ):
-                                                        raise SpecializationViolation(
-                                                            f"pc {brec.pc} "
-                                                            f"({bop.name}) "
-                                                            f"inside a "
-                                                            f"merged run "
-                                                            f"marked "
-                                                            f"guard-free"
-                                                        )
-                                            paranoid_local += n * nmem
-                                        proto = di_new()
-                                        proto["itid"] = group.mask
-                                        proto["fetch_mode"] = mode
-                                        proto["fetch_merged_width"] = nmem
-                                        proto["halt"] = False
-                                        proto_mcopy = proto.copy
-                                        s = seqno
-                                        for recs_k in zip(*slabs):
-                                            s += 1
-                                            rec0 = recs_k[0]
-                                            di = new_di(DynInst)
-                                            d = proto_mcopy()
-                                            d["seq"] = s
-                                            d["pc"] = rec0.pc
-                                            d["inst"] = rec0.inst
-                                            d["execs"] = dict(
-                                                zip(members, recs_k)
-                                            )
-                                            d["psrcs"] = []
-                                            d["prev_map"] = {}
-                                            di.__dict__ = d
-                                            decode_buffer.append(di)
-                                        seqno = s
-                                        count += n
-                                        db_room -= n
-                                        continue
                             # {t: next_record(t)}, inlined per member.
                             records = {}
                             lockstep = True
@@ -1656,26 +1357,10 @@ class FastSMTCore(SMTCore):
                             and inst.op is HINT_OP
                             and len(sync.groups) > 1
                         ):
-                            if paranoid:
-                                m = spec_mask_by_tid[lead]
-                                if m is not None and m[fpc] & _B_HINT:
-                                    raise SpecializationViolation(
-                                        f"hint fired at pc {fpc} marked "
-                                        f"hint-impossible"
-                                    )
-                                paranoid_local += 1
                             self._seq = seqno
                             self._handle_hint(fpc, list(members))
                             break
                         if inst.is_control:
-                            if paranoid:
-                                m = spec_mask_by_tid[lead]
-                                if m is not None and m[fpc] & _B_CONTROL:
-                                    raise SpecializationViolation(
-                                        f"control fired at pc {fpc} marked "
-                                        f"control-impossible"
-                                    )
-                                paranoid_local += 1
                             self._seq = seqno
                             outcome = self._handle_control(
                                 di, group, list(members), records
@@ -1776,7 +1461,6 @@ class FastSMTCore(SMTCore):
             stats.fetched_entries += f_entries
             stats.fetch_sessions += f_sessions
             stats.icache_stall_cycles += icache_stall
-            self.paranoid_checks += paranoid_local
             if alloc_count:
                 regfile.allocations += alloc_count
                 in_use = num_regs_total - min_free

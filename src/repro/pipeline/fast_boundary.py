@@ -95,9 +95,6 @@ FAST_ONLY_PATHS: dict[str, str] = {
     "ran_fast_loop": "telemetry flag proving the fast loop was used",
     "trace": "optional per-cycle fetch/commit trace sink",
     "obs.now": "keeps flight-recorder timestamps current in-loop",
-    "paranoid_checks": (
-        "count of passed REPRO_SPECIALIZE_PARANOID rare-path assertions"
-    ),
 }
 
 #: Opaque-component calls the fast loop makes through a different entry

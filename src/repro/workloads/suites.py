@@ -261,15 +261,11 @@ def load_suite(path: str | Path) -> Suite:
     return Suite(name=name, path=str(path), scenarios=tuple(scenarios))
 
 
-def expand_suite_jobs(suite: Suite, default_engine: str = "reference",
-                      default_specialize: bool = True):
+def expand_suite_jobs(suite: Suite, default_engine: str = "reference"):
     """Expand *suite* to the flat :class:`CampaignJob` list it declares.
 
     Scenario ``engine`` keys win over *default_engine* (the CLI's
-    ``--engine`` flag); *default_specialize* (the CLI's
-    ``--no-specialize``) applies to every job, since specialization is a
-    host-side execution strategy, not part of the scenario's meaning.
-    Registry workloads contribute their
+    ``--engine`` flag).  Registry workloads contribute their
     :meth:`~repro.workloads.engine.Workload.cache_token` — the trace
     digest for replays — to each job's ``tag``, making suite results
     content-addressed in the campaign cache.
@@ -293,6 +289,5 @@ def expand_suite_jobs(suite: Suite, default_engine: str = "reference",
                     seed=scenario.seed,
                     tag=tag,
                     engine=scenario.engine or default_engine,
-                    specialize=default_specialize,
                 ))
     return jobs

@@ -70,6 +70,34 @@ def test_job_key_is_stable_and_config_sensitive():
     assert job_key(a) != job_key(a, add_runner)  # runner identity mixed in
 
 
+def test_fast_job_keys_need_no_workload_build():
+    """Fast-engine jobs key on their fields alone, like reference jobs:
+    keying the 64 Fig 6 points in a fresh process builds no workload."""
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    script = textwrap.dedent("""
+        from dataclasses import replace
+
+        from repro.harness import campaign, experiment, figure_points
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("job keying built a workload")
+
+        experiment.build_point = no_build
+        jobs = [replace(job, engine="fast") for job in figure_points("fig6")]
+        keys = {campaign.job_key(job, experiment.simulate_job) for job in jobs}
+        assert len(jobs) == len(keys) == 64, (len(jobs), len(keys))
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_derive_seed_pure_function():
     key = job_key(AddJob(1, 2))
     assert derive_seed(0, key) == derive_seed(0, key)
@@ -337,6 +365,24 @@ def test_replay_rejects_spec_less_dump(tmp_path):
     path.write_text(json.dumps({"events": [], "error": "boom"}))
     with pytest.raises(ValueError, match="no job spec"):
         replay_dump(path)
+
+
+def test_replay_accepts_dump_with_legacy_specialize_key(tmp_path):
+    """Dumps written while jobs carried a ``specialize`` flag still
+    replay: the spec key is ignored."""
+    import json
+
+    from repro.harness.experiment import replay_dump
+
+    path = tmp_path / "legacy.flight.json"
+    spec = {"app": "ammp", "config": "Base", "threads": 2, "scale": 0.1,
+            "strict": True, "engine": "fast", "seed": None,
+            "specialize": True}
+    path.write_text(json.dumps({"events": [], "error": "boom", "job": spec}))
+    replay = replay_dump(path)
+    assert replay.ok, replay.problems
+    assert replay.spec["specialize"] is True
+    assert replay.run.stats.committed_thread_insts > 0
 
 
 def test_successful_job_has_no_dump(cache, tmp_path):

@@ -152,23 +152,6 @@ def test_replay_rejects_spec_less_dump(capsys, tmp_path):
     assert "no job spec" in capsys.readouterr().out
 
 
-def test_campaign_metrics_flag(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "clitest2")
-    import repro.harness.campaign as campaign_mod
-
-    monkeypatch.setattr(campaign_mod, "_FINGERPRINT", None)
-    metrics = tmp_path / "metrics.prom"
-    assert main(["campaign", "--apps", "ammp", "--configs", "Base",
-                 "--scale", "0.1", "--workers", "1",
-                 "--cache-dir", str(tmp_path / "cache"),
-                 "--metrics", str(metrics)]) == 0
-    text = metrics.read_text()
-    assert "# TYPE repro_campaign_jobs_total counter" in text
-    assert 'status="ok"' in text
-    out = capsys.readouterr().out
-    assert "Prometheus metrics written" in out
-
-
 # ------------------------------------------------------- record + suites
 def test_record_target_roundtrip(capsys, tmp_path):
     """repro record writes a trace that resolves as a trace: workload."""
@@ -293,7 +276,7 @@ def test_analyze_all_workloads_includes_registry(capsys):
     assert "mp-ring/2t" in out  # the pre-existing patterns survive
 
 
-# ----------------------------------------------- engine + specialization
+# ---------------------------------------------------------------- engine
 def test_unknown_engine_is_exit_2_with_registry_listing(capsys):
     """--engine routes through resolve_engine; its error must surface the
     known engine names instead of an argparse usage dump."""
@@ -301,88 +284,3 @@ def test_unknown_engine_is_exit_2_with_registry_listing(capsys):
     out = capsys.readouterr().out
     assert "unknown engine 'warp9'" in out
     assert "'fast'" in out and "'reference'" in out
-
-
-def test_analyze_specialize_single_workload_per_pc_table(capsys):
-    assert main(["analyze", "--specialize", "--apps", "ammp",
-                 "--threads", "2", "--scale", "0.1"]) == 0
-    out = capsys.readouterr().out
-    assert "Specialization" in out
-    assert "Per-PC verdicts — ammp/2t" in out
-    assert "store_commit" in out
-    assert "plain_run" in out
-
-
-def test_analyze_specialize_json_reports_per_pc_verdicts(capsys):
-    import json
-
-    assert main(["analyze", "--specialize", "--apps", "ammp", "mcf",
-                 "--threads", "2", "--scale", "0.1", "--json", "-"]) == 0
-    out = capsys.readouterr().out
-    document = json.loads(out)
-    spec = document["specialization"]
-    assert [e["workload"] for e in spec] == ["ammp/2t", "mcf/2t"]
-    for entry in spec:
-        manifest = entry["manifest"]
-        assert manifest["kind"] == "specialization-manifest"
-        assert len(manifest["verdicts"]) == manifest["num_pcs"] > 0
-        assert manifest["rare_paths"] == [
-            "control", "hint", "sync", "lvip_verify", "store_commit",
-            "trap",
-        ]
-
-
-def test_analyze_without_specialize_flag_has_no_section(capsys):
-    assert main(["analyze", "--apps", "ammp", "--threads", "2",
-                 "--scale", "0.1"]) == 0
-    out = capsys.readouterr().out
-    assert "Per-PC verdicts" not in out
-    assert "Specialization —" not in out
-
-
-def test_specialize_flag_sets_experiment_default():
-    from repro.harness import experiment
-
-    try:
-        assert main(["analyze", "--apps", "ammp", "--threads", "2",
-                     "--scale", "0.1", "--no-specialize"]) == 0
-        assert experiment.default_specialize() is False
-        assert main(["analyze", "--apps", "ammp", "--threads", "2",
-                     "--scale", "0.1"]) == 0
-        assert experiment.default_specialize() is True
-    finally:
-        experiment.set_default_specialize(True)
-
-
-def test_campaign_jobs_carry_specialize_flag(tmp_path, monkeypatch):
-    import repro.harness.cli as cli_mod
-
-    captured = {}
-
-    def fake_run_campaign(jobs, runner, **kwargs):
-        captured["jobs"] = list(jobs)
-        raise SystemExit(0)
-
-    monkeypatch.setattr(
-        "repro.harness.campaign.run_campaign", fake_run_campaign
-    )
-    monkeypatch.setattr(
-        cli_mod.experiment, "lint_campaign_jobs", lambda jobs, **kwargs: 0
-    )
-
-    with pytest.raises(SystemExit):
-        main(["campaign", "--apps", "ammp", "--configs", "Base",
-              "--no-specialize"])
-    assert [job.specialize for job in captured["jobs"]] == [False]
-
-    with pytest.raises(SystemExit):
-        main(["campaign", "--apps", "ammp", "--configs", "Base"])
-    assert [job.specialize for job in captured["jobs"]] == [True]
-
-    suite = tmp_path / "mini.toml"
-    suite.write_text(
-        "[[scenario]]\nworkload = 'dyn-bursty'\n"
-    )
-    with pytest.raises(SystemExit):
-        main(["campaign", "--suite", str(suite), "--no-specialize"])
-    assert [job.specialize for job in captured["jobs"]] == [False]

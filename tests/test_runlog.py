@@ -1,14 +1,12 @@
-"""Campaign run-log (JSONL lifecycle) and the metrics registry."""
+"""Campaign run-log (JSONL lifecycle)."""
 
 import dataclasses
 import json
-import time
 
 import pytest
 
 from repro.harness.campaign import ResultCache, run_campaign
-from repro.harness.results import campaign_metrics, summarize_campaign
-from repro.obs.registry import MetricsRegistry
+from repro.harness.results import summarize_campaign
 from repro.obs.runlog import RunLog, read_runlog
 
 
@@ -27,12 +25,6 @@ def add_runner(job, seed):
 
 def crash_runner(job, seed):
     raise RuntimeError(f"boom on {job.a}")
-
-
-def flaky_or_slow_runner(job, seed):
-    if getattr(job, "a", 0) < 0:
-        time.sleep(60.0)
-    return {"sum": job.a + job.b, "seed": seed}
 
 
 @pytest.fixture
@@ -121,66 +113,6 @@ def test_runlog_default_lands_next_to_cache(cache):
     result = run_campaign([AddJob(5, 6)], add_runner, workers=1, cache=cache)
     assert result.runlog_path
     assert str(cache.root / "runlog") in result.runlog_path
-
-
-# --------------------------------------------------------------- registry
-def test_counter_gauge_histogram_render():
-    registry = MetricsRegistry()
-    jobs = registry.counter("repro_jobs_total", "Jobs", ("status",))
-    jobs.inc(status="ok")
-    jobs.inc(2, status="failed")
-    wall = registry.gauge("repro_wall_seconds", "Wall")
-    wall.set(1.5)
-    hist = registry.histogram("repro_job_seconds", "Job wall",
-                              buckets=(0.1, 1.0))
-    hist.observe(0.05)
-    hist.observe(0.5)
-    hist.observe(5.0)
-    text = registry.render()
-    assert '# TYPE repro_jobs_total counter' in text
-    assert 'repro_jobs_total{status="ok"} 1' in text
-    assert 'repro_jobs_total{status="failed"} 2' in text
-    assert "repro_wall_seconds 1.5" in text
-    # Cumulative buckets: 0.1 holds 1, 1.0 holds 2, +Inf holds all 3.
-    assert 'repro_job_seconds_bucket{le="0.1"} 1' in text
-    assert 'repro_job_seconds_bucket{le="1.0"} 2' in text
-    assert 'repro_job_seconds_bucket{le="+Inf"} 3' in text
-    assert "repro_job_seconds_count 3" in text
-    assert text.endswith("\n")
-
-
-def test_registry_get_or_create_is_idempotent_and_typed():
-    registry = MetricsRegistry()
-    a = registry.counter("repro_x_total", "X")
-    assert registry.counter("repro_x_total", "X") is a
-    with pytest.raises(ValueError):
-        registry.gauge("repro_x_total", "X")  # type mismatch
-    with pytest.raises(ValueError):
-        registry.counter("repro_x_total", "X", ("engine",))  # label mismatch
-
-
-def test_counter_rejects_negative_and_unknown_labels():
-    registry = MetricsRegistry()
-    jobs = registry.counter("repro_jobs_total", "Jobs", ("status",))
-    with pytest.raises(ValueError):
-        jobs.inc(-1, status="ok")
-    with pytest.raises(ValueError):
-        jobs.inc(engine="fast")  # not a declared label
-
-
-def test_campaign_metrics_from_result(cache):
-    jobs = [AddJob(1, 1), AddJob(-1, 0)]
-    result = run_campaign(jobs, flaky_or_slow_runner, workers=2,
-                          timeout=0.4, retries=0, cache=cache)
-    registry = campaign_metrics(result)
-    text = registry.render()
-    assert 'status="ok"' in text and 'status="timeout"' in text
-    assert "repro_campaign_wall_seconds" in text
-    assert "repro_campaign_job_wall_seconds_count" in text
-    assert "repro_campaign_oracle_violations 0" in text
-    # Accumulation across campaigns reuses the same registry.
-    again = campaign_metrics(result, registry=registry)
-    assert again is registry
 
 
 def test_runlog_is_valid_jsonl_line_by_line(cache):

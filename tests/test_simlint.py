@@ -1,26 +1,21 @@
-"""Determinism lint for the simulator source (tools/simlint.py).
+"""Simulator determinism lint (:mod:`repro.analysis.host.rules`).
 
 Two halves: the real simulator core must lint clean, and each rule must
-demonstrably fire on a seeded violation (ISSUE acceptance criterion).
+demonstrably fire on a seeded violation.  ``repro selfcheck`` runs the
+same :func:`lint_paths` over ``src/repro``.
 """
 
-import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-SIMLINT = REPO / "tools" / "simlint.py"
+from repro.analysis.host.rules import lint_paths
 
-_spec = importlib.util.spec_from_file_location("simlint", SIMLINT)
-simlint = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(simlint)
+REPO = Path(__file__).resolve().parent.parent
 
 
 def findings_for(tmp_path, source, all_rules=True):
     file = tmp_path / "snippet.py"
     file.write_text(source)
-    return simlint.lint_paths([file], all_rules=all_rules)
+    return lint_paths([file], all_rules=all_rules)
 
 
 def rules_of(findings):
@@ -29,19 +24,8 @@ def rules_of(findings):
 
 # ------------------------------------------------------------- clean source
 def test_simulator_core_is_clean():
-    findings = simlint.lint_paths([REPO / "src" / "repro"])
+    findings = lint_paths([REPO / "src" / "repro"])
     assert findings == [], "\n".join(str(f) for f in findings)
-
-
-def test_cli_reports_clean_and_exits_zero():
-    proc = subprocess.run(
-        [sys.executable, str(SIMLINT), "src/repro"],
-        cwd=REPO,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "clean" in proc.stdout
 
 
 # -------------------------------------------------------- seeded violations
@@ -162,8 +146,8 @@ def test_ignore_marker_suppresses(tmp_path):
 def test_out_of_scope_files_skipped_without_all_rules(tmp_path):
     file = tmp_path / "helper.py"
     file.write_text("import time\nt = time.time()\n")
-    assert simlint.lint_paths([file]) == []
-    assert simlint.lint_paths([file], all_rules=True) != []
+    assert lint_paths([file]) == []
+    assert lint_paths([file], all_rules=True) != []
 
 
 def test_scoped_path_fragments_are_checked(tmp_path):
@@ -171,57 +155,5 @@ def test_scoped_path_fragments_are_checked(tmp_path):
     scoped.mkdir(parents=True)
     file = scoped / "stage.py"
     file.write_text("import time\nt = time.time()\n")
-    findings = simlint.lint_paths([tmp_path])
+    findings = lint_paths([tmp_path])
     assert rules_of(findings) == {"SIM001"}
-
-
-def test_cli_exits_nonzero_on_findings(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nt = time.time()\n")
-    proc = subprocess.run(
-        [sys.executable, str(SIMLINT), "--all-rules", str(bad)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert "SIM001" in proc.stdout
-
-
-# ------------------------------------------------------- deprecation shim
-def test_main_warns_deprecation_pointing_at_selfcheck(tmp_path):
-    """The shim's main() is deprecated in favour of `repro selfcheck`;
-    importing the module (for its re-exports) must stay silent, and the
-    warning must not change any exit code."""
-    import warnings
-
-    clean = tmp_path / "ok.py"
-    clean.write_text("x = 1\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = simlint.main(["--all-rules", str(clean)])
-    assert code == 0
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert "repro selfcheck" in str(deprecations[0].message)
-
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nt = time.time()\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        assert simlint.main(["--all-rules", str(bad)]) == 1
-
-
-def test_import_does_not_warn():
-    import importlib.util
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        spec = importlib.util.spec_from_file_location("simlint_w", SIMLINT)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    assert not any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
