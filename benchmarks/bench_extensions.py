@@ -12,12 +12,10 @@
    Fusion itself targeted energy (ISLPED).
 """
 
-import dataclasses
-
 from conftest import emit
 
 from repro.core.config import MMTConfig
-from repro.harness import format_table, geomean
+from repro.harness import format_table
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.smt import SMTCore
 from repro.power.model import energy_of_run

@@ -45,6 +45,12 @@ THREADS_OF: tuple[tuple[int, ...], ...] = tuple(
     for m in range(1 << MAX_THREADS)
 )
 
+#: Lowest member thread of every non-empty mask.  Mask 0 has no entry, so
+#: looking it up raises ``KeyError`` instead of yielding a usable index.
+FIRST_THREAD: dict[int, int] = {
+    m: (m & -m).bit_length() - 1 for m in range(1, 1 << MAX_THREADS)
+}
+
 #: Subsets of each mask with at least two members, largest first.  These are
 #: the candidate EIDs the splitter's filter/chooser considers.
 CANDIDATE_EIDS: dict[int, tuple[int, ...]] = {}

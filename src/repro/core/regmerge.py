@@ -14,7 +14,7 @@ that cycle.  Matches set the corresponding RST pair bits back to 1.
 
 from __future__ import annotations
 
-from repro.core.itid import MAX_THREADS, threads_of
+from repro.core.itid import MAX_THREADS, THREADS_OF
 from repro.core.rst import RegisterSharingTable
 from repro.isa.registers import NUM_ARCH_REGS
 
@@ -42,7 +42,7 @@ class RegisterMergeUnit:
     # ------------------------------------------------------- writer tracking
     def on_writer_allocated(self, itid: int, arch_reg: int) -> None:
         """An instruction with *itid* was renamed with destination *arch_reg*."""
-        for t in threads_of(itid):
+        for t in THREADS_OF[itid]:
             self.no_active_writer[t][arch_reg] = False
 
     def on_writer_retired(
@@ -69,7 +69,7 @@ class RegisterMergeUnit:
         register file).  Returns the number of pair bits newly set.
         """
         merged = 0
-        own_threads = threads_of(itid)
+        own_threads = THREADS_OF[itid]
         for u in range(MAX_THREADS):
             if itid >> u & 1 or not active_mask >> u & 1:
                 continue

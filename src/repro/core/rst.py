@@ -20,6 +20,24 @@ from repro.isa.registers import NUM_ARCH_REGS, SP
 
 _ALL_PAIRS_MASK = (1 << len(PAIRS)) - 1
 
+#: Pair-bitmask of the pairs fully inside each thread mask: the pairs a
+#: merged instruction with that ITID (or EID) shares.
+PAIRS_WITHIN: tuple[int, ...] = tuple(
+    sum(1 << bit for bit in PAIRS_IN_MASK[mask])
+    for mask in range(1 << MAX_THREADS)
+)
+
+#: Pair-bitmask of the pairs with at least one thread in each mask: the
+#: entries an instruction with that ITID rewrites.
+PAIRS_TOUCHING: tuple[int, ...] = tuple(
+    sum(
+        1 << index
+        for index, (t, u) in enumerate(PAIRS)
+        if mask >> t & 1 or mask >> u & 1
+    )
+    for mask in range(1 << MAX_THREADS)
+)
+
 
 class RegisterSharingTable:
     """Pairwise value-identity tracking for architected registers."""
@@ -72,12 +90,11 @@ class RegisterSharingTable:
         bits are read and ANDed for every pair combination in the candidate
         EID.
         """
-        pair_bits = PAIRS_IN_MASK[eid_mask]
+        need = PAIRS_WITHIN[eid_mask]
+        table = self._bits
         for reg in srcs:
-            bits = self._bits[reg]
-            for bit in pair_bits:
-                if not bits >> bit & 1:
-                    return False
+            if table[reg] & need != need:
+                return False
         return True
 
     # --------------------------------------------------------------- updates
@@ -119,8 +136,8 @@ class RegisterSharingTable:
         """
         shared_mask = 0
         for res in result_itids:
-            shared_mask |= self._pairs_mask_within(res)
-        touched = self._pairs_mask_touching(itid)
+            shared_mask |= PAIRS_WITHIN[res]
+        touched = PAIRS_TOUCHING[itid]
         self._bits[reg] = (self._bits[reg] & ~touched) | (shared_mask & touched)
         self._taint[reg] = (self._taint[reg] & ~touched) | (
             shared_mask & touched & src_taint_mask
@@ -136,25 +153,7 @@ class RegisterSharingTable:
 
     def eid_uses_merge(self, eid_mask: int, srcs: tuple[int, ...]) -> bool:
         """Does keeping *eid_mask* merged rely on any regmerge-tainted pair?"""
-        taint = self.taint_mask(srcs)
-        if not taint:
-            return False
-        return any(taint >> bit & 1 for bit in PAIRS_IN_MASK[eid_mask])
-
-    @staticmethod
-    def _pairs_mask_within(mask: int) -> int:
-        bits = 0
-        for bit in PAIRS_IN_MASK[mask]:
-            bits |= 1 << bit
-        return bits
-
-    @staticmethod
-    def _pairs_mask_touching(itid: int) -> int:
-        bits = 0
-        for index, (t, u) in enumerate(PAIRS):
-            if itid >> t & 1 or itid >> u & 1:
-                bits |= 1 << index
-        return bits
+        return bool(self.taint_mask(srcs) & PAIRS_WITHIN[eid_mask])
 
     def sharing_fraction(self, num_threads: int) -> float:
         """Fraction of pair bits set among the first *num_threads* threads,

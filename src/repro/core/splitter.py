@@ -21,7 +21,7 @@ instruction set.
 
 from __future__ import annotations
 
-from repro.core.itid import CANDIDATE_EIDS, popcount, threads_of
+from repro.core.itid import CANDIDATE_EIDS, POPCOUNT, THREADS_OF
 from repro.core.rst import RegisterSharingTable
 
 
@@ -49,29 +49,31 @@ def split_itid(
     are always split into one instruction per thread at this stage (shared
     fetch only, no shared execution).
     """
-    if popcount(itid) <= 1:
+    if POPCOUNT[itid] <= 1:
         return SplitDecision([itid])
     if not allow_merge:
-        return SplitDecision([1 << t for t in threads_of(itid)])
+        return SplitDecision([1 << t for t in THREADS_OF[itid]])
 
     remaining = itid
     result: list[int] = []
     # At most 3 iterations pick a multi-thread EID (4 threads -> <=2 groups
     # of >=2, or one group plus singletons); the loop structure mirrors the
     # up-to-three split stages of the hardware.
-    while popcount(remaining) >= 2:
+    eid_shared = rst.eid_shared
+    while POPCOUNT[remaining] >= 2:
         chosen = 0
         for eid in CANDIDATE_EIDS[remaining]:
             # The filter admits only subsets of the remaining ITID (the
             # iteration order already has the largest candidates first).
-            if rst.eid_shared(eid, srcs):
+            if eid_shared(eid, srcs):
                 chosen = eid
                 break
         if not chosen:
             break
         result.append(chosen)
         remaining &= ~chosen
-    for t in threads_of(remaining):
+    for t in THREADS_OF[remaining]:
         result.append(1 << t)
-    result.sort(key=lambda m: (-popcount(m), m))
+    if len(result) > 1:
+        result.sort(key=lambda m: (-POPCOUNT[m], m))
     return SplitDecision(result)

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.core.fhb import FetchHistoryBuffer
-from repro.core.itid import first_thread, popcount, threads_of
+from repro.core.itid import FIRST_THREAD, POPCOUNT, THREADS_OF
 from repro.obs.events import EventKind
 from repro.obs.observer import NULL_OBS
 
@@ -61,11 +61,11 @@ class ThreadGroup:
     @property
     def leader(self) -> int:
         """Lowest member thread id; owns the group's FHB."""
-        return first_thread(self.mask)
+        return FIRST_THREAD[self.mask]
 
     @property
     def size(self) -> int:
-        return popcount(self.mask)
+        return POPCOUNT[self.mask]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Group {self.gid} mask={self.mask:04b}>"
@@ -127,7 +127,7 @@ class SyncController:
         group = ThreadGroup(self._next_gid, mask, cycle)
         self._next_gid += 1
         self.groups.append(group)
-        for t in threads_of(mask):
+        for t in THREADS_OF[mask]:
             self._group_of[t] = group
         return group
 
@@ -157,9 +157,9 @@ class SyncController:
     # ----------------------------------------------------------------- modes
     def mode_of(self, group: ThreadGroup) -> FetchMode:
         """Fetch mode of *group* for statistics and FHB gating."""
-        if group.size >= 2 and len(self.groups) == 1:
-            return FetchMode.MERGE
-        if group.size >= 2:
+        if POPCOUNT[group.mask] >= 2:
+            if len(self.groups) == 1:
+                return FetchMode.MERGE
             # Partially merged machine: the group fetches merged for its
             # members but still participates in detection w.r.t. others.
             if group.gid in self._catchup_target:
@@ -202,7 +202,7 @@ class SyncController:
         # A fresh episode begins: stale history from before the divergence
         # would otherwise trigger catchup pairings against the *shared*
         # pre-divergence path (wrong phase, wrong direction).
-        for tid in threads_of(group.mask):
+        for tid in THREADS_OF[group.mask]:
             self.fhbs[tid].clear()
         subgroups = [self._add_group(mask, cycle) for mask in masks_by_pc]
         if self.obs.tracing:
@@ -347,7 +347,7 @@ class SyncController:
             )
         # The joint path starts fresh: stale targets in any member's FHB
         # would otherwise trigger spurious catchups after the next split.
-        for tid in threads_of(survivor.mask):
+        for tid in THREADS_OF[survivor.mask]:
             self.fhbs[tid].clear()
         return survivor
 

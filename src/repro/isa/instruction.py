@@ -12,6 +12,7 @@ the assembler resolves labels into the ``target`` field.
 from __future__ import annotations
 
 from repro.isa.opcodes import (
+    DEFAULT_LATENCY,
     OpClass,
     Opcode,
     is_branch,
@@ -44,6 +45,7 @@ class Instruction:
         "imm",
         "target",
         "klass",
+        "latency",
         "srcs",
         "dst",
         "is_branch",
@@ -70,6 +72,9 @@ class Instruction:
         self.imm = imm
         self.target = target
         self.klass: OpClass = op_class(op)
+        #: Functional-unit latency of the class, precomputed so the issue
+        #: stage never hashes the enum per instruction.
+        self.latency: int = DEFAULT_LATENCY[self.klass]
         self.is_branch = is_branch(op)
         self.is_jump = is_jump(op)
         self.is_control = is_control(op)

@@ -19,8 +19,7 @@ in the loop's own bytecode vs. each delegated path*.  The
 Wrapping is per-instance monkey-patching (plus one module global for
 ``squash_thread``), so a profiled core runs bit-identically — the wrapped
 functions *are* the originals — just slower by the timer overhead.
-Attach **before** :meth:`~repro.pipeline.fast.FastSMTCore.run`: the fast
-loop hoists ``self._refill`` once at loop entry.
+Attach before ``run()`` to profile the whole run.
 
 This module lives in ``repro.obs`` deliberately: the determinism lint of
 ``repro selfcheck`` (rule SIM001) bans wall-clock calls inside the
@@ -113,12 +112,7 @@ class HostProfiler:
             raise RuntimeError("HostProfiler is already attached")
         self._core = core
         for region, attr in PROFILE_REGIONS:
-            fn = getattr(core, attr, None)
-            if fn is None:
-                # Engine-specific region (the oracle refill exists only
-                # on the fast core); reference cores simply lack it.
-                continue
-            setattr(core, attr, self._wrap(region, fn))
+            setattr(core, attr, self._wrap(region, getattr(core, attr)))
         core.lsq.try_commit_store = self._wrap(
             "store_commit", core.lsq.try_commit_store
         )

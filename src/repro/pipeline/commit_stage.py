@@ -11,12 +11,14 @@ is still valid.
 
 from __future__ import annotations
 
-from repro.core.itid import threads_of
+from repro.core.itid import THREADS_OF
 from repro.core.sync import FetchMode
 from repro.obs.events import EventKind
 from repro.pipeline.dyninst import DynInst, InstState
 
 _MERGEABLE_MODES = (FetchMode.DETECT, FetchMode.CATCHUP)
+_DONE = InstState.DONE
+_COMMITTED = InstState.COMMITTED
 
 
 class CommitStageMixin:
@@ -32,22 +34,24 @@ class CommitStageMixin:
         """
         cfg = self.config
         budget = cfg.commit_width
+        nthreads = self.num_threads
+        thread_queues = self.thread_queues
         progress = True
         while budget > 0 and progress:
             progress = False
-            for offset in range(self.num_threads):
+            for offset in range(nthreads):
                 if budget <= 0:
                     break
-                tid = (self._commit_rr + offset) % self.num_threads
-                queue = self.thread_queues[tid]
+                tid = (self._commit_rr + offset) % nthreads
+                queue = thread_queues[tid]
                 if not queue:
                     continue
                 di = queue[0]
-                if di.state is not InstState.DONE:
+                if di.state is not _DONE:
                     continue
                 at_every_head = True
-                for u in threads_of(di.itid):
-                    if self.thread_queues[u][0] is not di:
+                for u in THREADS_OF[di.itid]:
+                    if thread_queues[u][0] is not di:
                         at_every_head = False
                         break
                 if not at_every_head:
@@ -57,19 +61,19 @@ class CommitStageMixin:
                 self._commit(di)
                 budget -= 1
                 progress = True
-        self._commit_rr = (self._commit_rr + 1) % self.num_threads
+        self._commit_rr = (self._commit_rr + 1) % nthreads
 
     def _commit(self, di: DynInst) -> None:
+        """Retire *di* for every owning thread at once."""
         inst = di.inst
-        owners = threads_of(di.itid)
+        owners = THREADS_OF[di.itid]
         k = len(owners)
         stats = self.stats
         stats.committed_thread_insts += k
         stats.committed_entries += 1
+        per_thread = stats.committed_per_thread
         for tid in owners:
-            stats.committed_per_thread[tid] = (
-                stats.committed_per_thread.get(tid, 0) + 1
-            )
+            per_thread[tid] = per_thread.get(tid, 0) + 1
         if k >= 2:
             stats.committed_exec_identical += k
             if di.merged_via_regmerge:
@@ -77,18 +81,57 @@ class CommitStageMixin:
         elif di.fetch_merged_width >= 2:
             stats.committed_fetch_identical += 1
 
+        thread_queues = self.thread_queues
+        icount = self.icount
         for tid in owners:
-            self.thread_queues[tid].popleft()
-            self.icount[tid] -= 1
+            thread_queues[tid].popleft()
+            icount[tid] -= 1
 
-        if inst.dst is not None:
-            self._retire_destination(di, owners)
+        regfile = self.regfile
+        map_refs = regfile._map_refs
+        src_refs = regfile._src_refs
+        free = regfile._free
+        dst = inst.dst
+        if dst is not None:
+            # Retire the destination for every owner: drop the previous
+            # mapping's claim, and restore the owner's no-active-writer bit
+            # when the committed mapping is still the current one.
+            rat_map = self.rat._map
+            no_active_writer = self.regmerge.no_active_writer
+            prev_map = di.prev_map
+            pdst = di.pdst
+            pdst_by_tid = di.pdst_by_tid
+            valid_mask = 0
+            for tid in owners:
+                prev = prev_map[tid]
+                map_refs[prev] = refs = map_refs[prev] - 1
+                if refs < 0:
+                    raise RuntimeError(f"negative map refcount on p{prev}")
+                if refs == 0 and src_refs[prev] == 0:
+                    free.append(prev)
+                current = (
+                    pdst if pdst_by_tid is None else pdst_by_tid.get(tid, pdst)
+                )
+                if rat_map[tid][dst] == current:
+                    no_active_writer[tid][dst] = True
+                    valid_mask |= 1 << tid
+            if (
+                self.mmt.register_merging
+                and valid_mask
+                and di.fetch_mode in _MERGEABLE_MODES
+                and pdst_by_tid is None
+            ):
+                self._commit_regmerge(di, owners, valid_mask, dst)
         for preg in di.psrcs:
-            self.regfile.drop_src_claim(preg)
+            src_refs[preg] = refs = src_refs[preg] - 1
+            if refs < 0:
+                raise RuntimeError(f"negative source refcount on p{preg}")
+            if refs == 0 and map_refs[preg] == 0:
+                free.append(preg)
         if inst.is_mem:
-            self.lsq.remove(di)
+            self.lsq.entries.remove(di)
         self.rob.remove(di)
-        di.state = InstState.COMMITTED
+        di.state = _COMMITTED
         if self.obs.tracing:
             self.obs.emit(
                 EventKind.COMMIT,
@@ -106,39 +149,30 @@ class CommitStageMixin:
                     self.finished[tid] = True
                     stats.halted_threads += 1
 
-    def _retire_destination(self, di: DynInst, owners: tuple[int, ...]) -> None:
-        dst = di.inst.dst
-        valid_mask = 0
-        for tid in owners:
-            prev = di.prev_map[tid]
-            self.regfile.drop_map_claim(prev)
-            valid = self.rat.mapping_valid(tid, dst, di.dest_phys_for(tid))
-            self.regmerge.on_writer_retired(tid, dst, valid)
-            if valid:
-                valid_mask |= 1 << tid
+    def _commit_regmerge(
+        self, di: DynInst, owners: tuple[int, ...], valid_mask: int, dst: int
+    ) -> None:
+        """Commit-time register merging (§4.2.7) for a DETECT/CATCHUP
+        instruction whose destination mapping is valid for *valid_mask*."""
+        active_mask = 0
+        for tid in range(self.num_threads):
+            if not self.finished[tid]:
+                active_mask |= 1 << tid
+        value = di.execs[owners[0]].result
+        regfile = self.regfile
+        rat = self.rat
+        stats = self.stats
 
-        if (
-            self.mmt.register_merging
-            and valid_mask
-            and di.fetch_mode in _MERGEABLE_MODES
-            and di.pdst_by_tid is None
-        ):
-            active_mask = 0
-            for tid in range(self.num_threads):
-                if not self.finished[tid]:
-                    active_mask |= 1 << tid
-            value = di.execs[owners[0]].result
+        def read_other(u: int):
+            preg = rat.get(u, dst)
+            if not regfile.ready[preg]:
+                return None
+            stats.regfile_reads += 1
+            return regfile.value[preg]
 
-            def read_other(u: int):
-                preg = self.rat.get(u, dst)
-                if not self.regfile.ready[preg]:
-                    return None
-                self.stats.regfile_reads += 1
-                return self.regfile.value[preg]
-
-            before = self.regmerge.attempts
-            merged = self.regmerge.try_merge(
-                valid_mask, dst, value, self.rst, read_other, active_mask
-            )
-            self.stats.register_merge_attempts += self.regmerge.attempts - before
-            self.stats.register_merge_successes += merged
+        before = self.regmerge.attempts
+        merged = self.regmerge.try_merge(
+            valid_mask, dst, value, self.rst, read_other, active_mask
+        )
+        stats.register_merge_attempts += self.regmerge.attempts - before
+        stats.register_merge_successes += merged

@@ -36,7 +36,9 @@ class DynInst:
     the mutable ``psrcs`` and ``prev_map``); the first write to any other
     field shadows its class default on the instance.  Deliberately *not*
     ``__slots__``: the fast engine initialises entries by installing a
-    prototype ``__dict__`` copy, which needs a plain instance dict.
+    prototype ``__dict__`` copy, which needs a plain instance dict.  The
+    reference fetch stage also builds entries inline (``DynInst.__new__``
+    plus the stores ``__init__`` makes), so keep the two in step.
     """
 
     state = InstState.DECODED

@@ -5,12 +5,6 @@ and per-cycle fetch/commit traces to the reference :class:`SMTCore` while
 running several times faster.  Nothing about the *model* changes — only how
 the same transitions are computed:
 
-* **functional-first execution** — each context's oracle (the
-  :class:`~repro.func.fastexec.FastExecutor` that ``SMTCore`` builds, with
-  per-PC pre-compiled dispatch) is, for independent contexts, stepped
-  *ahead* in batches of ``_BATCH`` records that the timing loop then
-  replays (struct-of-arrays: a flat record list plus a cursor, instead of
-  deque churn);
 * **a monolithic cycle loop** — the five pipeline stages are inlined into
   one function with every configuration flag, statistic counter, and
   mutable structure hoisted into locals, eliminating the per-cycle
@@ -31,54 +25,32 @@ no-progress watchdog fires at boundary granularity.  Any *other* active
 observer (full event sinks need per-stage emission sites) drops
 :meth:`run` back to the reference ``SMTCore.run`` loop entirely — event
 order and watchdog semantics preserved exactly.  The reference core's
-staged loop remains the differential oracle; both engines step the same
-pre-decoded functional oracles.
+staged loop remains the differential oracle.  Both engines share
+everything else: the pre-decoded functional oracles, their
+functional-first record streams (``SMTCore._refill``), the lookup
+tables, and the collector pause (:func:`~repro.pipeline.smt.gc_paused`).
 """
 
 from __future__ import annotations
 
-import gc
-
-from repro.core.config import WorkloadType
-from repro.core.itid import PAIRS, PAIRS_IN_MASK
+from repro.core.config import MMTConfig, WorkloadType
+from repro.core.itid import FIRST_THREAD, PAIRS_IN_MASK, POPCOUNT, THREADS_OF
+from repro.core.rst import PAIRS_TOUCHING, PAIRS_WITHIN
 from repro.core.sync import FetchMode
-from repro.func.executor import ExecutionError
-from repro.isa.opcodes import DEFAULT_LATENCY, OpClass, Opcode
+from repro.isa.opcodes import OpClass, Opcode
 from repro.obs.observer import Observer
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.dyninst import DynInst, InstState
 from repro.pipeline.issue_stage import SimulationInvariantError
 from repro.pipeline.job import Job
-from repro.pipeline.smt import SMTCore
+from repro.pipeline.smt import SMTCore, gc_paused
 from repro.pipeline.stats import SimStats
-
-from repro.core.config import MMTConfig
 
 __all__ = ["FastSMTCore", "ENGINES", "resolve_engine"]
 
-#: Functional records produced per stream refill.  Large enough to amortize
-#: the batching overhead, small enough to bound memory (~a few MB of
-#: records per context).
-_BATCH = 8192
-
-#: Mask-indexed lookup tables for ITIDs (MAX_THREADS == 4 -> 16 masks).
-_TOF = tuple(tuple(t for t in range(4) if m >> t & 1) for m in range(16))
-_POPC = tuple(bin(m).count("1") for m in range(16))
-_FT = tuple((m & -m).bit_length() - 1 if m else -1 for m in range(16))
 #: For two-thread masks, the RST pair-bit index of that thread pair.
 _PB = tuple(
-    PAIRS_IN_MASK[m][0] if _POPC[m] == 2 else -1 for m in range(16)
-)
-#: RST pair-bitmask of the pairs fully inside each mask
-#: (``RegisterSharingTable._pairs_mask_within`` as a table).
-_PW = tuple(
-    sum(1 << b for b in PAIRS_IN_MASK[m]) for m in range(16)
-)
-#: RST pair-bitmask of the pairs touching any thread of each mask
-#: (``RegisterSharingTable._pairs_mask_touching`` as a table).
-_PT = tuple(
-    sum(1 << i for i, (t, u) in enumerate(PAIRS) if m >> t & 1 or m >> u & 1)
-    for m in range(16)
+    PAIRS_IN_MASK[m][0] if POPCOUNT[m] == 2 else -1 for m in range(16)
 )
 
 def analyze_specialization(program, nctx: int):
@@ -121,87 +93,6 @@ class FastSMTCore(SMTCore):
         #: this to prove sampled runs stayed in the fast loop.
         self.ran_fast_loop = False
 
-        # Functional-first streaming is only sound when contexts cannot
-        # interact mid-run: message-passing channels and shared address
-        # spaces (multi-threaded workloads) require fetch-order stepping.
-        spaces = job.address_spaces
-        eligible = job.channels is None and (
-            self.num_threads == 1
-            or len({id(s) for s in spaces}) == len(spaces)
-        )
-        self._stream = [eligible] * self.num_threads
-        self._recs: list[list] = [[] for _ in range(self.num_threads)]
-        self._pos = [0] * self.num_threads
-
-    # ----------------------------------------------------- record streaming
-    def _refill(self, tid: int) -> None:
-        """Run the functional oracle ahead by up to ``_BATCH`` records.
-
-        A trap (``ExecutionError``) or HALT ends streaming for the thread:
-        the failing step mutates nothing, so the trap re-raises inline at
-        the architecturally correct fetch once the buffered records drain.
-        The oracle's dispatch table is driven directly, skipping
-        ``FastExecutor.step``'s per-call re-validation (its halted and PC
-        bound checks are replicated here; un-compiled PCs take the
-        reference ``step``).
-        """
-        recs = self._recs[tid]
-        recs.clear()
-        self._pos[tid] = 0
-        oracle = self.oracles[tid]
-        state = oracle.state
-        ops = oracle._ops
-        nops = len(ops)
-        slow_step = oracle.step
-        append = recs.append
-        instret = oracle.instret
-        try:
-            for _ in range(_BATCH):
-                if state.halted:
-                    self._stream[tid] = False
-                    break
-                pc = state.pc
-                fn = ops[pc] if 0 <= pc < nops else None
-                if fn is None:
-                    oracle.instret = instret
-                    append(slow_step())
-                    instret = oracle.instret
-                else:
-                    append(fn(state))
-                    instret += 1
-        except ExecutionError:
-            self._stream[tid] = False
-        finally:
-            oracle.instret = instret
-
-    def _peek_pc(self, tid: int) -> int | None:
-        replay = self.replay[tid]
-        if replay:
-            return replay[0].pc
-        if self.fetch_done[tid]:
-            return None
-        pos = self._pos[tid]
-        recs = self._recs[tid]
-        if pos < len(recs):
-            return recs[pos].pc
-        return self.oracles[tid].state.pc
-
-    def _next_record(self, tid: int):
-        replay = self.replay[tid]
-        if replay:
-            return replay.popleft()
-        pos = self._pos[tid]
-        recs = self._recs[tid]
-        if pos < len(recs):
-            self._pos[tid] = pos + 1
-            return recs[pos]
-        if self._stream[tid]:
-            self._refill(tid)
-            if recs:
-                self._pos[tid] = 1
-                return recs[0]
-        return self.oracles[tid].step()
-
     # ------------------------------------------------------------------ run
     def run(self) -> SimStats:
         """Run to completion, cycle-exact with the reference core.
@@ -221,33 +112,8 @@ class FastSMTCore(SMTCore):
                     "trace capture requires the fast loop; detach the observer"
                 )
             return SMTCore.run(self)
-        return self._run_fast()
-
-    # --------------------------------------------------------- rare helpers
-    def _commit_regmerge(self, di, owners, valid_mask: int, dst: int) -> None:
-        """Commit-time register merging, exactly as the reference commit."""
-        active_mask = 0
-        for tid in range(self.num_threads):
-            if not self.finished[tid]:
-                active_mask |= 1 << tid
-        value = di.execs[owners[0]].result
-        regfile = self.regfile
-        rat = self.rat
-        stats = self.stats
-
-        def read_other(u: int):
-            preg = rat.get(u, dst)
-            if not regfile.ready[preg]:
-                return None
-            stats.regfile_reads += 1
-            return regfile.value[preg]
-
-        before = self.regmerge.attempts
-        merged = self.regmerge.try_merge(
-            valid_mask, dst, value, self.rst, read_other, active_mask
-        )
-        stats.register_merge_attempts += self.regmerge.attempts - before
-        stats.register_merge_successes += merged
+        with gc_paused():
+            return self._run_fast()
 
     # -------------------------------------------------------- the fast loop
     def _run_fast(self) -> SimStats:
@@ -345,21 +211,18 @@ class FastSMTCore(SMTCore):
             next_obs = limit + 1
             obs_tick = None
 
-        tof = _TOF
-        popc = _POPC
-        ft = _FT
+        tof = THREADS_OF
+        popc = POPCOUNT
+        ft = FIRST_THREAD
         pb = _PB
-        pw = _PW
-        pt = _PT
+        pw = PAIRS_WITHIN
+        pt = PAIRS_TOUCHING
         DECODED = InstState.DECODED
         WAITING = InstState.WAITING
         ISSUED = InstState.ISSUED
         WAITING_MEM = InstState.WAITING_MEM
         DONE = InstState.DONE
         COMMITTED = InstState.COMMITTED
-        # id()-keyed so the hot lookup hashes a plain int instead of going
-        # through the (Python-level) enum __hash__.
-        lat_by_id = {id(k): v for k, v in DEFAULT_LATENCY.items()}
         FADD = OpClass.FADD
         FMUL = OpClass.FMUL
         FDIV = OpClass.FDIV
@@ -440,24 +303,6 @@ class FastSMTCore(SMTCore):
             rl = recs_by_tid[tid]
             return rl[p].pc if p < len(rl) else states[tid].pc
 
-        refill = self._refill
-
-        def next_record(tid: int):
-            r = replay[tid]
-            if r:
-                return r.popleft()
-            p = pos[tid]
-            rl = recs_by_tid[tid]
-            if p < len(rl):
-                pos[tid] = p + 1
-                return rl[p]
-            if stream[tid]:
-                refill(tid)
-                if rl:  # refill reuses the same list object
-                    pos[tid] = 1
-                    return rl[0]
-            return oracles[tid].step()
-
         def group_pc(group):
             gpc = None
             for t in tof[group.mask]:
@@ -497,12 +342,6 @@ class FastSMTCore(SMTCore):
         #: only path that can kill a counted load).
         pending_loads = 0
         groups = sync.groups  # one list object for the whole run
-        # The timing loop allocates heavily (entries, records, event lists)
-        # but creates no cycles the collector could ever reclaim mid-run, so
-        # generation-0 scans are pure overhead.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
             while not all(finished):
                 if cycle >= limit:
@@ -887,7 +726,7 @@ class FastSMTCore(SMTCore):
                         di.state = ISSUED
                         # All latencies are >= 1, so the reference's
                         # next-cycle clamp is a no-op here.
-                        when = cycle + lat_by_id[id(klass)]
+                        when = cycle + d_inst.latency
                         events = (
                             agen_events if d_inst.is_load else complete_events
                         )
@@ -1295,7 +1134,7 @@ class FastSMTCore(SMTCore):
                             elif src == 0:
                                 rec = r_lead.popleft()
                             else:
-                                rec = next_record(lead)
+                                rec = self._next_record(lead)
                             records = {lead: rec}
                             inst = rec.inst
                         else:
@@ -1313,7 +1152,7 @@ class FastSMTCore(SMTCore):
                                         pos[t] = p_t + 1
                                         rec = rl_t[p_t]
                                     elif stream[t]:
-                                        rec = next_record(t)
+                                        rec = self._next_record(t)
                                     else:
                                         rec = oracles[t].step()
                                 if rec.pc != fpc:
@@ -1421,8 +1260,6 @@ class FastSMTCore(SMTCore):
             # Normal completion: the reference run() tail, verbatim.
             stats.cycles = cycle
         finally:
-            if gc_was_enabled:
-                gc.enable()
             self._seq = seqno
             self._commit_rr = commit_rr
             stats.cycles = self.cycle

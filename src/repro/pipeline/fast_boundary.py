@@ -57,6 +57,16 @@ DELEGATIONS: tuple[DelegationPoint, ...] = (
         "software hint park/release of fetch groups",
     ),
     DelegationPoint(
+        "self._next_record",
+        "record fetch once a thread's buffered stream is drained: the "
+        "shared functional-first refill, or a step of the live oracle",
+    ),
+    DelegationPoint(
+        "self._commit_regmerge",
+        "commit-time register merging for DETECT/CATCHUP instructions "
+        "whose destination mapping is still valid",
+    ),
+    DelegationPoint(
         "self._verify_lvip",
         "LVIP verification: mispredict squash, per-class register "
         "splitting, RST pair clearing",
@@ -91,7 +101,6 @@ REPLICATED_PATHS: dict[str, str] = {
 #: Anything else the fast loop writes must also be written by a
 #: reference stage.
 FAST_ONLY_PATHS: dict[str, str] = {
-    "_pos": "cursor into the pre-decoded functional record stream",
     "ran_fast_loop": "telemetry flag proving the fast loop was used",
     "trace": "optional per-cycle fetch/commit trace sink",
     "obs.now": "keeps flight-recorder timestamps current in-loop",

@@ -19,18 +19,69 @@ bubble plus a redirect penalty, without simulating wrong-path instructions.
 
 from __future__ import annotations
 
-from repro.core.itid import threads_of
+from repro.core.itid import POPCOUNT, THREADS_OF
 from repro.core.sync import ThreadGroup
-from repro.func.executor import Executed
+from repro.func.executor import Executed, ExecutionError
 from repro.isa.opcodes import Opcode
 from repro.obs.events import EventKind
 from repro.pipeline.dyninst import DynInst
+
+#: Functional records produced per stream refill.  Large enough to amortize
+#: the batching overhead, small enough to bound memory (~a few MB of
+#: records per context).
+_BATCH = 8192
+
+_HALT = Opcode.HALT
+_HINT = Opcode.HINT
+_new_dyninst = DynInst.__new__
 
 
 class FetchStageMixin:
     """Fetch logic for :class:`~repro.pipeline.smt.SMTCore`."""
 
-    # ------------------------------------------------------------- plumbing
+    # ----------------------------------------------------- record streaming
+    def _refill(self, tid: int) -> None:
+        """Run thread *tid*'s functional oracle ahead by up to ``_BATCH``
+        records (functional-first streaming; see ``SMTCore.__init__`` for
+        which contexts stream).
+
+        A trap (``ExecutionError``) or HALT ends streaming for the thread:
+        the failing step mutates nothing, so the trap re-raises inline at
+        the architecturally correct fetch once the buffered records drain.
+        The oracle's dispatch table is driven directly, skipping
+        ``FastExecutor.step``'s per-call re-validation (its halted and PC
+        bound checks are replicated here; un-compiled PCs take the
+        reference ``step``).
+        """
+        recs = self._recs[tid]
+        recs.clear()
+        self._pos[tid] = 0
+        oracle = self.oracles[tid]
+        state = oracle.state
+        ops = oracle._ops
+        nops = len(ops)
+        slow_step = oracle.step
+        append = recs.append
+        instret = oracle.instret
+        try:
+            for _ in range(_BATCH):
+                if state.halted:
+                    self._stream[tid] = False
+                    break
+                pc = state.pc
+                fn = ops[pc] if 0 <= pc < nops else None
+                if fn is None:
+                    oracle.instret = instret
+                    append(slow_step())
+                    instret = oracle.instret
+                else:
+                    append(fn(state))
+                    instret += 1
+        except ExecutionError:
+            self._stream[tid] = False
+        finally:
+            oracle.instret = instret
+
     def _peek_pc(self, tid: int) -> int | None:
         """Next PC thread *tid* will fetch, or None when it has finished."""
         replay = self.replay[tid]
@@ -38,18 +89,35 @@ class FetchStageMixin:
             return replay[0].pc
         if self.fetch_done[tid]:
             return None
+        pos = self._pos[tid]
+        recs = self._recs[tid]
+        if pos < len(recs):
+            return recs[pos].pc
         return self.oracles[tid].state.pc
 
     def _next_record(self, tid: int) -> Executed:
+        """Thread *tid*'s next record: replay queue, then the buffered
+        stream (refilled while the thread streams), then the live oracle."""
         replay = self.replay[tid]
         if replay:
             return replay.popleft()
+        pos = self._pos[tid]
+        recs = self._recs[tid]
+        if pos < len(recs):
+            self._pos[tid] = pos + 1
+            return recs[pos]
+        if self._stream[tid]:
+            self._refill(tid)
+            if recs:
+                self._pos[tid] = 1
+                return recs[0]
         return self.oracles[tid].step()
 
+    # ------------------------------------------------------------- plumbing
     def _group_pc(self, group: ThreadGroup) -> int | None:
         """The group's common next fetch PC (None if any member finished)."""
         pc = None
-        for tid in threads_of(group.mask):
+        for tid in THREADS_OF[group.mask]:
             tid_pc = self._peek_pc(tid)
             if tid_pc is None:
                 return None
@@ -62,6 +130,7 @@ class FetchStageMixin:
         return pc
 
     def _group_stalled(self, group: ThreadGroup) -> bool:
+        members = THREADS_OF[group.mask]
         if group.drain_pending:
             # Post-remerge drain (only worthwhile when register merging can
             # exploit it): hold fetch briefly while the members' in-flight
@@ -69,14 +138,17 @@ class FetchStageMixin:
             if (
                 self.mmt.register_merging
                 and self.cycle - group.created_cycle < self.mmt.remerge_drain
-                and any(self.icount[tid] > 0 for tid in threads_of(group.mask))
+                and any(self.icount[tid] > 0 for tid in members)
             ):
                 return True
             group.drain_pending = False
-        for tid in threads_of(group.mask):
-            if self.fetch_stall_until[tid] > self.cycle:
+        fetch_stall_until = self.fetch_stall_until
+        stalled_on_branch = self.stalled_on_branch
+        cycle = self.cycle
+        for tid in members:
+            if fetch_stall_until[tid] > cycle:
                 return True
-            if self.stalled_on_branch[tid] is not None:
+            if stalled_on_branch[tid] is not None:
                 return True
         return False
 
@@ -86,26 +158,31 @@ class FetchStageMixin:
         driving prediction, hint parking, and the sync FSM.
 
         Effects:
-            writes: _hint_parked, _seq, bpred, btb, decode_buffer,
-                fetch_done, fetch_stall_until, icount, ras,
+            writes: _hint_parked, _pos, _seq, _stream, bpred, btb,
+                decode_buffer, fetch_done, fetch_stall_until, icount, ras,
                 stalled_on_branch, stats, sync
         """
         cfg = self.config
+        sync = self.sync
         if self.mmt.shared_fetch:
             self._try_remerge()
         budget = cfg.fetch_width
-        icounts = {
-            g.gid: sum(self.icount[t] for t in threads_of(g.mask)) / g.size
-            for g in self.sync.active_groups()
-        }
+        groups_per_cycle = cfg.fetch_groups_per_cycle
+        icount = self.icount
+        icounts = {}
+        for g in sync.groups:
+            total = 0
+            for tid in THREADS_OF[g.mask]:
+                total += icount[tid]
+            icounts[g.gid] = total / POPCOUNT[g.mask]
         sessions = 0
         # When a group's session ends exactly at another group's PC (an
         # imminent remerge), that other group is held for the rest of this
         # cycle so the PCs are still equal when the merge check runs.
         held: set[int] = set()
         fetched_gids: set[int] = set()
-        for group in self.sync.fetch_order(icounts):
-            if budget <= 0 or sessions >= cfg.fetch_groups_per_cycle:
+        for group in sync.fetch_order(icounts):
+            if budget <= 0 or sessions >= groups_per_cycle:
                 break
             if group.gid in held:
                 continue
@@ -113,7 +190,7 @@ class FetchStageMixin:
             # progress this cycle: feeding it leftover bandwidth would let
             # it lap the (cyclic) PC space and remerge a whole iteration
             # out of alignment.
-            behinds = self.sync.behinds_of(group.gid)
+            behinds = sync.behinds_of(group.gid)
             if behinds and any(gid in fetched_gids for gid in behinds):
                 continue
             if self._group_stalled(group):
@@ -135,7 +212,7 @@ class FetchStageMixin:
                         pc=pc,
                         gid=group.gid,
                         mask=group.mask,
-                        mode=self.sync.mode_of(group).value,
+                        mode=sync.mode_of(group).value,
                         count=fetched,
                     )
         self.stats.fetch_sessions += sessions
@@ -151,9 +228,15 @@ class FetchStageMixin:
         self.sync.check_merges(pcs, self.cycle)
 
     def _fetch_group(self, group: ThreadGroup, budget: int) -> tuple[int, set[int]]:
+        """One fetch session: up to *budget* entries for *group*; returns
+        (entries fetched, gids to hold for the rest of the cycle)."""
         cfg = self.config
-        members = threads_of(group.mask)
-        mode = self.sync.mode_of(group)
+        sync = self.sync
+        mask = group.mask
+        members = THREADS_OF[mask]
+        nmem = len(members)
+        lead = members[0]
+        mode = sync.mode_of(group)
         blocks = self.trace_model.blocks_per_fetch()
         count = 0
         first_access = True
@@ -161,78 +244,120 @@ class FetchStageMixin:
         # PCs of the other groups: reaching one of them is a remerge point,
         # so the session stops there and the merge completes next cycle.
         other_pcs: dict[int, int] = {}
-        if self.mmt.shared_fetch and len(self.sync.groups) > 1:
-            for other in self.sync.groups:
+        if self.mmt.shared_fetch and len(sync.groups) > 1:
+            for other in sync.groups:
                 if other is not group:
                     pc = self._group_pc(other)
                     if pc is not None:
                         other_pcs[pc] = other.gid
-        while budget - count > 0:
-            if len(self.decode_buffer) >= cfg.decode_buffer_size:
-                break
-            pc = self._peek_pc(members[0])
-            if pc is None:
-                break
-            if first_access:
-                latency = self.hierarchy.fetch_latency(pc)
-                if latency > cfg.memory.l1_latency:
-                    stall = self.cycle + latency
-                    for tid in members:
-                        self.fetch_stall_until[tid] = stall
-                    self.stats.icache_stall_cycles += latency
+        decode_buffer = self.decode_buffer
+        decode_buffer_size = cfg.decode_buffer_size
+        replay = self.replay
+        recs_by_tid = self._recs
+        pos = self._pos
+        stream = self._stream
+        states = self.states
+        oracles = self.oracles
+        fetch_done = self.fetch_done
+        icount = self.icount
+        use_hints = self.mmt.use_hints
+        seq = self._seq
+        try:
+            while budget - count > 0:
+                if len(decode_buffer) >= decode_buffer_size:
                     break
-                first_access = False
-            records = {}
-            lockstep = True
-            for tid in members:
-                rec = records[tid] = self._next_record(tid)
-                if rec.pc != pc:
-                    lockstep = False
-            if not lockstep:
-                raise RuntimeError(f"merged fetch out of lockstep at pc={pc}")
-            di = DynInst(
-                self._next_seq(),
-                pc,
-                records[members[0]].inst,
-                group.mask,
-                records,
-                mode,
-            )
-            self.decode_buffer.append(di)
-            count += 1
-            for tid in members:
-                self.icount[tid] += 1
-            self.stats.fetched_thread_insts += len(members)
-            self.stats.fetched_entries += 1
-            self.stats.fetched_by_mode[mode] += len(members)
-
-            if di.halt:
-                for tid in members:
-                    self.fetch_done[tid] = True
-                    self.sync.on_halt(tid)
-                break
-            if (
-                self.mmt.use_hints
-                and di.inst.op is Opcode.HINT
-                and not self.sync.is_fully_merged()
-            ):
-                self._handle_hint(pc, members)
-                break
-            if di.inst.is_control:
-                outcome = self._handle_control(di, group, members, records)
-                if outcome in ("divergence", "mispredict"):
+                # _peek_pc(lead), inlined.
+                lead_replay = replay[lead]
+                if lead_replay:
+                    pc = lead_replay[0].pc
+                elif fetch_done[lead]:
                     break
-                if outcome == "taken":
-                    blocks -= 1
-                    if blocks <= 0:
+                else:
+                    p = pos[lead]
+                    recs = recs_by_tid[lead]
+                    pc = recs[p].pc if p < len(recs) else states[lead].pc
+                if first_access:
+                    latency = self.hierarchy.fetch_latency(pc)
+                    if latency > cfg.memory.l1_latency:
+                        stall = self.cycle + latency
+                        for tid in members:
+                            self.fetch_stall_until[tid] = stall
+                        self.stats.icache_stall_cycles += latency
                         break
-            if other_pcs:
-                next_pc = self._peek_pc(members[0])
-                if next_pc in other_pcs:
-                    # Reached another group's PC: hold that group so the
-                    # merge completes at the next cycle's equality check.
-                    hold_gids.add(other_pcs[next_pc])
+                    first_access = False
+                # _next_record(tid) for every member, inlined; the method
+                # only runs to refill a drained stream.
+                records = {}
+                lockstep = True
+                for tid in members:
+                    tid_replay = replay[tid]
+                    if tid_replay:
+                        rec = tid_replay.popleft()
+                    else:
+                        p = pos[tid]
+                        recs = recs_by_tid[tid]
+                        if p < len(recs):
+                            pos[tid] = p + 1
+                            rec = recs[p]
+                        elif stream[tid]:
+                            rec = self._next_record(tid)
+                        else:
+                            rec = oracles[tid].step()
+                    records[tid] = rec
+                    if rec.pc != pc:
+                        lockstep = False
+                if not lockstep:
+                    raise RuntimeError(f"merged fetch out of lockstep at pc={pc}")
+                # DynInst(...), inlined: the per-instruction fields in
+                # constructor order; the rest are class defaults.
+                inst = records[lead].inst
+                seq += 1
+                di = _new_dyninst(DynInst)
+                di.seq = seq
+                di.pc = pc
+                di.inst = inst
+                di.itid = mask
+                di.execs = records
+                di.fetch_mode = mode
+                di.fetch_merged_width = nmem
+                di.psrcs = []
+                di.prev_map = {}
+                di.halt = halt = inst.op is _HALT
+                decode_buffer.append(di)
+                count += 1
+                for tid in members:
+                    icount[tid] += 1
+
+                if halt:
+                    for tid in members:
+                        fetch_done[tid] = True
+                        sync.on_halt(tid)
                     break
+                if use_hints and inst.op is _HINT and not sync.is_fully_merged():
+                    self._handle_hint(pc, members)
+                    break
+                if inst.is_control:
+                    outcome = self._handle_control(di, group, members, records)
+                    if outcome in ("divergence", "mispredict"):
+                        break
+                    if outcome == "taken":
+                        blocks -= 1
+                        if blocks <= 0:
+                            break
+                if other_pcs:
+                    next_pc = self._peek_pc(lead)
+                    if next_pc in other_pcs:
+                        # Reached another group's PC: hold that group so the
+                        # merge completes at the next cycle's equality check.
+                        hold_gids.add(other_pcs[next_pc])
+                        break
+        finally:
+            if count:
+                self._seq = seq
+                stats = self.stats
+                stats.fetched_thread_insts += count * nmem
+                stats.fetched_entries += count
+                stats.fetched_by_mode[mode] += count * nmem
         return count, hold_gids
 
     def _handle_hint(self, pc: int, members: tuple[int, ...]) -> None:
@@ -283,7 +408,6 @@ class FetchStageMixin:
         members: tuple[int, ...],
         records: dict[int, Executed],
     ) -> str:
-        inst = di.inst
         pc = di.pc
         leader = members[0]
         leader_rec = records[leader]
@@ -372,7 +496,7 @@ class FetchStageMixin:
             if sub_next != di.pc + 1:
                 self.sync.on_taken_branch(subgroup, sub_next)
             if sub_next != pred_next:
-                for tid in threads_of(subgroup.mask):
+                for tid in THREADS_OF[subgroup.mask]:
                     self.stalled_on_branch[tid] = di
                 any_stalled = True
         if any_stalled:

@@ -19,14 +19,18 @@ split into per-value-class physical registers.
 
 from __future__ import annotations
 
-from repro.core.itid import first_thread, threads_of
+from repro.core.config import WorkloadType
+from repro.core.itid import FIRST_THREAD, POPCOUNT, THREADS_OF
 from repro.core.regmerge import values_equal
-from repro.isa.opcodes import DEFAULT_LATENCY, OpClass
+from repro.isa.opcodes import OpClass
 from repro.obs.events import EventKind
 from repro.pipeline.dyninst import DynInst, InstState
 from repro.pipeline.squash import squash_thread
 
 _FPU_CLASSES = (OpClass.FADD, OpClass.FMUL, OpClass.FDIV)
+_ISSUED = InstState.ISSUED
+_WAITING_MEM = InstState.WAITING_MEM
+_DONE = InstState.DONE
 
 
 class SimulationInvariantError(RuntimeError):
@@ -44,81 +48,102 @@ class IssueStageMixin:
         Effects:
             writes: _agen_events, _complete_events, iq, stats
         """
+        iq = self.iq
+        if not iq:
+            return
         cfg = self.config
+        issue_width = cfg.issue_width
         alu_slots = cfg.num_alu
         fpu_slots = cfg.num_fpu
-        issued = 0
         ready = self.regfile.ready
+        value = self.regfile.value
+        strict = self.strict
+        now = self.cycle
+        agen_events = self._agen_events
+        complete_events = self._complete_events
         tracing = self.obs.tracing
-        for di in list(self.iq):
-            if issued >= cfg.issue_width:
-                break
-            if di.dead:
-                self.iq.remove(di)
-                continue
-            operands_ready = True
-            for p in di.psrcs:
-                if not ready[p]:
-                    operands_ready = False
+        issued = issued_fpu = stalls = reads = 0
+        try:
+            for di in list(iq):
+                if issued >= issue_width:
                     break
-            if not operands_ready:
-                continue
-            is_fpu = di.inst.klass in _FPU_CLASSES
-            if is_fpu:
-                if fpu_slots <= 0:
-                    self.stats.fu_contention_stalls += 1
+                if di.dead:
+                    iq.remove(di)
                     continue
-                fpu_slots -= 1
-            else:
-                if alu_slots <= 0:
-                    self.stats.fu_contention_stalls += 1
+                psrcs = di.psrcs
+                operands_ready = True
+                for p in psrcs:
+                    if not ready[p]:
+                        operands_ready = False
+                        break
+                if not operands_ready:
                     continue
-                alu_slots -= 1
-            self.iq.remove(di)
-            if self.strict:
-                self._verify_sources(di)
-            self.stats.regfile_reads += len(di.psrcs)
-            latency = DEFAULT_LATENCY[di.inst.klass]
-            di.state = InstState.ISSUED
-            if di.inst.is_load:
-                self._schedule_agen(di, self.cycle + latency)
-            else:
-                self.schedule_completion(di, self.cycle + latency)
-            issued += 1
-            self.stats.issued_entries += 1
-            if is_fpu:
-                self.stats.issued_fpu_entries += 1
-            if tracing:
-                self.obs.emit(
-                    EventKind.ISSUE,
-                    self.cycle,
-                    tid=first_thread(di.itid),
-                    pc=di.pc,
-                    seq=di.seq,
-                    itid=di.itid,
-                    op=di.inst.op.value,
-                )
-
-    def _verify_sources(self, di: DynInst) -> None:
-        """Check operand values against every owning thread's oracle record."""
-        values = [self.regfile.value[p] for p in di.psrcs]
-        for tid in threads_of(di.itid):
-            expected = di.execs[tid].src_vals
-            for got, want in zip(values, expected):
-                if not values_equal(got, want):
-                    raise SimulationInvariantError(
-                        f"t{tid} {di!r}: operand {got!r} != oracle {want!r}"
+                inst = di.inst
+                is_fpu = inst.klass in _FPU_CLASSES
+                if is_fpu:
+                    if fpu_slots <= 0:
+                        stalls += 1
+                        continue
+                    fpu_slots -= 1
+                else:
+                    if alu_slots <= 0:
+                        stalls += 1
+                        continue
+                    alu_slots -= 1
+                iq.remove(di)
+                if strict and psrcs:
+                    # Operand verification: every owning thread's oracle
+                    # operands.  Values flow as the same objects from the
+                    # oracle records into the register file, so the
+                    # identity test almost always settles it (NaN falls
+                    # through to the full comparison).
+                    values = [value[p] for p in psrcs]
+                    execs = di.execs
+                    for tid in THREADS_OF[di.itid]:
+                        for got, want in zip(values, execs[tid].src_vals):
+                            if got is want and got == want:
+                                continue
+                            if not values_equal(got, want):
+                                raise SimulationInvariantError(
+                                    f"t{tid} {di!r}: operand {got!r} "
+                                    f"!= oracle {want!r}"
+                                )
+                reads += len(psrcs)
+                di.state = _ISSUED
+                # Completion (loads: address generation) after the class
+                # latency, never earlier than the next cycle.
+                when = now + inst.latency
+                if when <= now:
+                    when = now + 1
+                if inst.is_load:
+                    agen_events.setdefault(when, []).append(di)
+                else:
+                    complete_events.setdefault(when, []).append(di)
+                issued += 1
+                if is_fpu:
+                    issued_fpu += 1
+                if tracing:
+                    self.obs.emit(
+                        EventKind.ISSUE,
+                        now,
+                        tid=FIRST_THREAD[di.itid],
+                        pc=di.pc,
+                        seq=di.seq,
+                        itid=di.itid,
+                        op=inst.op.value,
                     )
+        finally:
+            stats = self.stats
+            stats.fu_contention_stalls += stalls
+            stats.regfile_reads += reads
+            stats.issued_entries += issued
+            stats.issued_fpu_entries += issued_fpu
 
     # ------------------------------------------------------------ scheduling
     def schedule_completion(self, di: DynInst, cycle: int) -> None:
         """Queue *di*'s writeback for *cycle* (at least next cycle)."""
         cycle = max(cycle, self.cycle + 1)
         self._complete_events.setdefault(cycle, []).append(di)
-
-    def _schedule_agen(self, di: DynInst, cycle: int) -> None:
-        cycle = max(cycle, self.cycle + 1)
-        self._agen_events.setdefault(cycle, []).append(di)
 
     # ------------------------------------------------------------- writeback
     def writeback_stage(self) -> None:
@@ -132,52 +157,78 @@ class IssueStageMixin:
                 thread_queues
         """
         now = self.cycle
-        for di in self._agen_events.pop(now, ()):  # loads: address generated
-            if di.dead:
-                continue
-            di.state = InstState.WAITING_MEM
-            self.lsq.init_load_units(di, self.job.wtype)
-        for di in self._complete_events.pop(now, ()):
-            if di.dead:
-                continue
-            self._complete(di)
-
-    def _complete(self, di: DynInst) -> None:
-        inst = di.inst
-        if (
-            inst.is_load
-            and di.lvip_predicted_identical
-            and di.num_threads >= 2
-            and di.pdst_by_tid is None
-        ):
-            self._verify_lvip(di)
-        if inst.dst is not None:
-            self._write_results(di)
-        di.state = InstState.DONE
-        di.complete_cycle = self.cycle
-        self.stats.executed_entries += 1
-        if di.mispredicted:
-            self._resolve_branch(di)
-
-    def _write_results(self, di: DynInst) -> None:
-        if di.pdst_by_tid is not None:
-            written = set()
-            for tid, preg in di.pdst_by_tid.items():
-                if preg not in written:
-                    self.regfile.write(preg, di.execs[tid].result)
-                    self.stats.regfile_writes += 1
-                    written.add(preg)
+        loads = self._agen_events.pop(now, None)
+        if loads is not None:
+            # Address generated: create the pending-access map.  Shared
+            # memory makes one access whatever the ITID; separate address
+            # spaces make one per owning thread.
+            shared_memory = self.job.wtype is WorkloadType.MULTI_THREADED
+            for di in loads:
+                if di.dead:
+                    continue
+                di.state = _WAITING_MEM
+                if shared_memory:
+                    di.mem_pending = {FIRST_THREAD[di.itid]: None}
+                else:
+                    di.mem_pending = {tid: None for tid in THREADS_OF[di.itid]}
+        done = self._complete_events.pop(now, None)
+        if done is None:
             return
-        results = [di.execs[tid].result for tid in threads_of(di.itid)]
-        if self.strict and di.num_threads >= 2:
-            head = results[0]
-            for value in results[1:]:
-                if not values_equal(head, value):
-                    raise SimulationInvariantError(
-                        f"merged {di!r} produced differing results {results!r}"
-                    )
-        self.regfile.write(di.pdst, results[0])
-        self.stats.regfile_writes += 1
+        value = self.regfile.value
+        ready = self.regfile.ready
+        strict = self.strict
+        executed = writes = 0
+        try:
+            for di in done:
+                if di.dead:
+                    continue
+                inst = di.inst
+                if (
+                    inst.is_load
+                    and di.lvip_predicted_identical
+                    and POPCOUNT[di.itid] >= 2
+                    and di.pdst_by_tid is None
+                ):
+                    self._verify_lvip(di)
+                if inst.dst is not None:
+                    # Write the result; re-read the destination after the
+                    # LVIP check, which may split it per value class.
+                    execs = di.execs
+                    pdst_by_tid = di.pdst_by_tid
+                    if pdst_by_tid is not None:
+                        written = set()
+                        for tid, preg in pdst_by_tid.items():
+                            if preg not in written:
+                                value[preg] = execs[tid].result
+                                ready[preg] = True
+                                writes += 1
+                                written.add(preg)
+                    else:
+                        owners = THREADS_OF[di.itid]
+                        result = execs[owners[0]].result
+                        if strict and len(owners) >= 2:
+                            for tid in owners[1:]:
+                                other = execs[tid].result
+                                if other is result and other == result:
+                                    continue
+                                if not values_equal(result, other):
+                                    results = [execs[t].result for t in owners]
+                                    raise SimulationInvariantError(
+                                        f"merged {di!r} produced differing "
+                                        f"results {results!r}"
+                                    )
+                        pdst = di.pdst
+                        value[pdst] = result
+                        ready[pdst] = True
+                        writes += 1
+                di.state = _DONE
+                di.complete_cycle = now
+                executed += 1
+                if di.mispredicted:
+                    self._resolve_branch(di)
+        finally:
+            self.stats.executed_entries += executed
+            self.stats.regfile_writes += writes
 
     def _resolve_branch(self, di: DynInst) -> None:
         """A mispredicted control instruction resolved: release its waiters."""
@@ -194,7 +245,7 @@ class IssueStageMixin:
     def _verify_lvip(self, di: DynInst) -> None:
         """Compare the per-thread values of a merged ME load (paper §4.2.5)."""
         classes: list[list[int]] = []
-        for tid in threads_of(di.itid):
+        for tid in THREADS_OF[di.itid]:
             value = di.execs[tid].result
             for group in classes:
                 if values_equal(di.execs[group[0]].result, value):
@@ -213,7 +264,7 @@ class IssueStageMixin:
         self.stats.lvip_mispredicts += 1
         di.lvip_mispredicted = True
         dst = di.inst.dst
-        leader = first_thread(di.itid)
+        leader = FIRST_THREAD[di.itid]
         keep = next(group for group in classes if leader in group)
         di.pdst_by_tid = {tid: di.pdst for tid in keep}
         for group in classes:

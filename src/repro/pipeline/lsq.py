@@ -23,11 +23,12 @@ once the access is accepted; misses complete in the background).
 from __future__ import annotations
 
 from repro.core.config import WorkloadType
-from repro.core.itid import first_thread
+from repro.core.itid import FIRST_THREAD, POPCOUNT, THREADS_OF
 from repro.obs.events import EventKind
 from repro.pipeline.dyninst import DynInst, InstState
 
 _ADDR_UNKNOWN_STATES = (InstState.DECODED, InstState.WAITING, InstState.ISSUED)
+_WAITING_MEM = InstState.WAITING_MEM
 
 
 class LoadStoreQueue:
@@ -52,15 +53,6 @@ class LoadStoreQueue:
         return len(self.entries)
 
     # ---------------------------------------------------------------- loads
-    def init_load_units(self, di: DynInst, wtype: WorkloadType) -> None:
-        """Create the pending-access map once a load's address generation is
-        done.  MT: one access regardless of ITID (shared memory, identical
-        address).  ME: one per owning thread (separate address spaces)."""
-        if wtype is WorkloadType.MULTI_THREADED:
-            di.mem_pending = {first_thread(di.itid): None}
-        else:
-            di.mem_pending = {tid: None for tid in di.threads()}
-
     def process_loads(self, core) -> None:
         """Start pending load accesses, oldest first, one unit per load per
         cycle (ME units serialize), bounded by ports and MSHRs.
@@ -68,67 +60,79 @@ class LoadStoreQueue:
         Effects:
             writes: ldst_ports_left, stats
         """
+        entries = self.entries
+        if not entries:
+            return
         now = core.cycle
-        for di in self.entries:
-            if di.state is not InstState.WAITING_MEM or not di.inst.is_load:
-                continue
-            pending = [t for t, r in di.mem_pending.items() if r is None]
-            if not pending:
-                # All units started; a squash may have dropped the unit we
-                # were waiting on before completion was scheduled.
-                if di.mem_done_count == 0 and di.mem_pending:
-                    di.mem_done_count = 1
-                    core.schedule_completion(di, max(di.mem_pending.values()))
-                continue
-            tid = pending[0]
-            rec = di.execs[tid]
-            conflict = self._older_store(di, tid, rec.addr)
-            if conflict == "block":
-                continue
-            if conflict is not None:
-                # Store-to-load forwarding: value available next cycle.
-                di.mem_pending[tid] = now + 1
-                core.stats.store_forwards += 1
-                if core.obs.tracing:
-                    core.obs.emit(
-                        EventKind.STORE_FORWARD,
-                        now,
-                        tid=tid,
-                        pc=di.pc,
-                        seq=di.seq,
-                        addr=rec.addr,
-                        store_seq=conflict.seq,
+        ports_left = core.ldst_ports_left
+        forwards = accesses = port_stalls = 0
+        try:
+            for di in entries:
+                if di.state is not _WAITING_MEM or not di.inst.is_load:
+                    continue
+                mem_pending = di.mem_pending
+                pending = [t for t, r in mem_pending.items() if r is None]
+                if not pending:
+                    # All units started; a squash may have dropped the unit
+                    # we were waiting on before completion was scheduled.
+                    if di.mem_done_count == 0 and mem_pending:
+                        di.mem_done_count = 1
+                        core.schedule_completion(di, max(mem_pending.values()))
+                    continue
+                tid = pending[0]
+                addr = di.execs[tid].addr
+                # The youngest older same-thread store to this word
+                # forwards; an older one with an unknown address blocks.
+                bit = 1 << tid
+                conflict = None
+                blocked = False
+                for entry in entries:
+                    if entry is di:
+                        break
+                    if not entry.inst.is_store or not entry.itid & bit:
+                        continue
+                    if entry.state in _ADDR_UNKNOWN_STATES:
+                        blocked = True
+                        break
+                    if entry.execs[tid].addr == addr:
+                        conflict = entry
+                if blocked:
+                    continue
+                if conflict is not None:
+                    # Store-to-load forwarding: value available next cycle.
+                    mem_pending[tid] = now + 1
+                    forwards += 1
+                    if core.obs.tracing:
+                        core.obs.emit(
+                            EventKind.STORE_FORWARD,
+                            now,
+                            tid=tid,
+                            pc=di.pc,
+                            seq=di.seq,
+                            addr=addr,
+                            store_seq=conflict.seq,
+                        )
+                else:
+                    if ports_left <= 0:
+                        port_stalls += 1
+                        break
+                    ready = core.hierarchy.data_access(
+                        core.asids[tid], addr, False, now
                     )
-            else:
-                if core.ldst_ports_left <= 0:
-                    core.stats.ldst_port_stalls += 1
-                    break
-                ready = core.hierarchy.data_access(
-                    core.asids[tid], rec.addr, False, now
-                )
-                if ready is None:
-                    continue  # MSHR full; another load may still hit
-                core.ldst_ports_left -= 1
-                core.stats.load_accesses += 1
-                di.mem_pending[tid] = max(ready, now + 1)
-            if all(r is not None for r in di.mem_pending.values()):
-                di.mem_done_count = 1
-                core.schedule_completion(di, max(di.mem_pending.values()))
-
-    def _older_store(self, load: DynInst, tid: int, addr: int):
-        """'block', the forwarding store, or None (no conflict)."""
-        bit = 1 << tid
-        best = None
-        for entry in self.entries:
-            if entry is load:
-                break
-            if not entry.inst.is_store or not entry.itid & bit:
-                continue
-            if entry.state in _ADDR_UNKNOWN_STATES:
-                return "block"
-            if entry.execs[tid].addr == addr:
-                best = entry
-        return best
+                    if ready is None:
+                        continue  # MSHR full; another load may still hit
+                    ports_left -= 1
+                    accesses += 1
+                    mem_pending[tid] = max(ready, now + 1)
+                if None not in mem_pending.values():
+                    di.mem_done_count = 1
+                    core.schedule_completion(di, max(mem_pending.values()))
+        finally:
+            core.ldst_ports_left = ports_left
+            stats = core.stats
+            stats.store_forwards += forwards
+            stats.load_accesses += accesses
+            stats.ldst_port_stalls += port_stalls
 
     # --------------------------------------------------------------- stores
     @staticmethod
@@ -136,7 +140,7 @@ class LoadStoreQueue:
         """Cache accesses a committing store must perform (Table 2)."""
         if wtype is WorkloadType.MULTI_THREADED:
             return 1
-        return di.num_threads
+        return POPCOUNT[di.itid]
 
     def try_commit_store(self, di: DynInst, core) -> bool:
         """Perform (at most one per cycle) of the store's commit accesses.
@@ -149,11 +153,10 @@ class LoadStoreQueue:
             if core.ldst_ports_left <= 0:
                 core.stats.ldst_port_stalls += 1
                 return False
-            threads = di.threads()
             tid = (
-                first_thread(di.itid)
+                FIRST_THREAD[di.itid]
                 if wtype is WorkloadType.MULTI_THREADED
-                else threads[di.store_committed_count]
+                else THREADS_OF[di.itid][di.store_committed_count]
             )
             rec = di.execs[tid]
             ready = core.hierarchy.data_access(

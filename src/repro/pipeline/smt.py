@@ -9,16 +9,20 @@
 * ``Limit``    — MMT-FXR over identical cloned contexts.
 
 The machine is *value-accurate*: physical registers hold real values and a
-per-thread functional oracle (stepped at fetch) provides the correct-path
-stream.  With ``strict=True`` (the default) every issue and writeback is
-checked against the oracle, so an incorrect merge anywhere in the MMT
-machinery raises :class:`SimulationInvariantError` instead of silently
-producing wrong timing.
+per-thread functional oracle provides the correct-path stream (stepped at
+fetch, or run ahead in batches for contexts that cannot interact).  With
+``strict=True`` (the default) every issue and writeback is checked against
+the oracle, so an incorrect merge anywhere in the MMT machinery raises
+:class:`SimulationInvariantError` instead of silently producing wrong
+timing.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 from repro.branch.btb import BTB
 from repro.branch.predictor import TwoLevelPredictor
@@ -30,6 +34,7 @@ from repro.core.lvip import LoadValuesIdenticalPredictor
 from repro.core.regmerge import RegisterMergeUnit
 from repro.core.rst import RegisterSharingTable
 from repro.core.sync import SyncController
+from repro.func.executor import Executed
 from repro.func.fastexec import FastExecutor, decode_program
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.mem.hierarchy import MemoryHierarchy
@@ -46,7 +51,25 @@ from repro.pipeline.regfile import PhysRegFile
 from repro.pipeline.rename_stage import RenameStageMixin
 from repro.pipeline.stats import SimStats
 
-__all__ = ["SMTCore", "SimulationInvariantError"]
+__all__ = ["SMTCore", "SimulationInvariantError", "gc_paused"]
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a simulation run.
+
+    The timing loop allocates heavily (entries, records, event lists) but
+    creates no cycles the collector could reclaim mid-run, so its
+    generation-0 scans are pure overhead.  The caller's setting is
+    restored on every exit, including an exception.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class SMTCore(
@@ -119,6 +142,20 @@ class SMTCore(
             self.oracles.append(FastExecutor(state, ops=ops))
         self.asids = [space.asid for space in job.address_spaces]
 
+        # Functional-first streaming: a context whose oracle cannot
+        # interact with another mid-run has it run ahead in batches, and
+        # fetch replays the buffered records (see ``_refill``).  Message
+        # channels and shared address spaces (multi-threaded workloads)
+        # need fetch-order stepping.
+        spaces = job.address_spaces
+        eligible = job.channels is None and (
+            self.num_threads == 1
+            or len({id(s) for s in spaces}) == len(spaces)
+        )
+        self._stream = [eligible] * self.num_threads
+        self._recs: list[list[Executed]] = [[] for _ in range(self.num_threads)]
+        self._pos = [0] * self.num_threads
+
         # Rename state.
         self.regfile = PhysRegFile(machine.phys_regs)
         self.rat = RegisterAliasTable(self.num_threads)
@@ -183,24 +220,31 @@ class SMTCore(
         from repro.isa.program import INST_BYTES
 
         line = self.config.memory.line_bytes
+        l2 = self.hierarchy.l2
         for program in {id(p): p for p in self.job.programs}.values():
             for byte in range(0, len(program) * INST_BYTES, line):
                 key = self.hierarchy.l1i.line_key(0, byte)
                 self.hierarchy.l1i.access(key)
-                self.hierarchy.l2.access(key)
+                l2.access(key)
             break  # identical text across contexts; one pass warms the PCs
         # Data warms into the L2 only: a long-running workload's working set
         # lives in the L2 at steady state, while L1 contents churn — first
         # touches and capacity misses in the L1 are real, DRAM cold misses
-        # are not.
+        # are not.  Consecutive words mostly share a line; touching the
+        # line just made MRU again changes no LRU state (and the counters
+        # are reset below), so those repeats are skipped.
         seen = set()
         for space in self.job.address_spaces:
             if id(space) in seen:
                 continue
             seen.add(id(space))
+            asid = space.asid
+            last = None
             for addr in space.snapshot():
-                key = self.hierarchy.l2.line_key(space.asid, addr)
-                self.hierarchy.l2.access(key)
+                key = l2.line_key(asid, addr)
+                if key != last:
+                    l2.access(key)
+                    last = key
         for cache in (self.hierarchy.l1i, self.hierarchy.l1d, self.hierarchy.l2):
             cache.stats.accesses = 0
             cache.stats.hits = 0
@@ -240,21 +284,21 @@ class SMTCore(
                             self.rst.set_pair(arch, t, u, identical)
 
     # ------------------------------------------------------------------ run
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def done(self) -> bool:
         """All contexts have committed their HALT."""
         return all(self.finished)
 
     def step(self) -> None:
-        """Advance the machine one clock cycle."""
-        self.cycle += 1
+        """Advance the machine one clock cycle.
+
+        Each stage runs through its attribute, so per-stage wrappers (the
+        campaign benchmark's tracer) see one call per stage per cycle.
+        """
+        self.cycle = cycle = self.cycle + 1
         obs = self.obs
         if obs.active:
-            obs.begin_cycle(self.cycle)
-        self.hierarchy.tick(self.cycle)
+            obs.begin_cycle(cycle)
+        self.hierarchy.tick(cycle)
         self.regmerge.new_cycle()
         self.ldst_ports_left = self.config.ldst_ports
         self.commit_stage()
@@ -263,7 +307,7 @@ class SMTCore(
         self.issue_stage()
         self.rename_stage()
         self.fetch_stage()
-        self.stats.cycles = self.cycle
+        self.stats.cycles = cycle
         if obs.active:
             # Interval sampling plus the no-forward-progress watchdog
             # (raises WatchdogError on livelock, with a flight dump).
@@ -272,13 +316,15 @@ class SMTCore(
     def run(self) -> SimStats:
         """Run to completion; returns the statistics object."""
         limit = self.config.max_cycles
-        while not self.done():
-            if self.cycle >= limit:
-                raise RuntimeError(
-                    f"simulation exceeded {limit} cycles "
-                    f"(finished={self.finished}, cycle={self.cycle})"
-                )
-            self.step()
+        finished = self.finished
+        with gc_paused():
+            while not all(finished):
+                if self.cycle >= limit:
+                    raise RuntimeError(
+                        f"simulation exceeded {limit} cycles "
+                        f"(finished={finished}, cycle={self.cycle})"
+                    )
+                self.step()
         if self.obs.active:
             self.obs.finalize(self)
         # Snapshot predictor-local and RST-local state into the stats

@@ -1,7 +1,7 @@
 """Static instruction source/destination derivation."""
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import DEFAULT_LATENCY, Opcode
 from repro.isa.registers import ZERO
 
 
@@ -57,3 +57,9 @@ def test_nullary_instruction():
     inst = Instruction(Opcode.HALT)
     assert inst.srcs == ()
     assert inst.dst is None
+
+
+def test_latency_is_the_class_default():
+    for op in Opcode:
+        inst = Instruction(op)
+        assert inst.latency == DEFAULT_LATENCY[inst.klass]

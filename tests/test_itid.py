@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.itid import (
     CANDIDATE_EIDS,
+    FIRST_THREAD,
     MAX_THREADS,
     PAIRS,
     PAIRS_IN_MASK,
@@ -37,6 +38,17 @@ def test_single_and_first():
     assert first_thread(0b1100) == 2
     with pytest.raises(ValueError):
         first_thread(0)
+
+
+def test_first_thread_table_matches_helper():
+    for mask in range(1, 1 << MAX_THREADS):
+        assert FIRST_THREAD[mask] == first_thread(mask)
+
+
+def test_first_thread_table_has_no_empty_mask():
+    """An empty ITID must fail loudly, never index thread -1 or 0."""
+    with pytest.raises(KeyError):
+        FIRST_THREAD[0]
 
 
 def test_candidate_eids_largest_first():

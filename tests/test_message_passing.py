@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import MMTConfig, WorkloadType
+from repro.core.config import MMTConfig
 from repro.func.executor import ExecutionError, FunctionalExecutor
 from repro.isa.assembler import assemble
 from repro.mem.channels import MessageNetwork

@@ -1,7 +1,5 @@
 """Machine-detail behaviours: widths, resource limits, fetch shaping."""
 
-import pytest
-
 from repro.core.config import MMTConfig
 from repro.isa.assembler import assemble
 from repro.pipeline.config import MachineConfig
@@ -158,3 +156,28 @@ def test_merge_read_ports_config_respected():
     core = SMTCore(MachineConfig(num_threads=2), config, build.job())
     assert core.regmerge.read_ports == 1
     core.run()
+
+
+def test_cache_warming_matches_touching_every_word():
+    """Warming skips an L2 access to the line it just touched; that must
+    leave exactly the state of touching every initial data word."""
+    from repro.isa.program import INST_BYTES
+    from repro.mem.hierarchy import MemoryHierarchy
+
+    build = build_workload(get_profile("ammp"), 2, scale=0.2)
+    job = build.job()
+    machine = MachineConfig(num_threads=2)
+    core = SMTCore(machine, MMTConfig.mmt_fxr(), job)
+    expected = MemoryHierarchy(machine.memory)
+    program = job.programs[0]
+    line = machine.memory.line_bytes
+    for byte in range(0, len(program) * INST_BYTES, line):
+        key = expected.l1i.line_key(0, byte)
+        expected.l1i.access(key)
+        expected.l2.access(key)
+    for space in {id(s): s for s in job.address_spaces}.values():
+        for addr in space.snapshot():
+            expected.l2.access(expected.l2.line_key(space.asid, addr))
+    for name in ("l1i", "l1d", "l2"):
+        assert getattr(core.hierarchy, name)._sets == getattr(expected, name)._sets
+        assert getattr(core.hierarchy, name).stats.accesses == 0

@@ -7,7 +7,7 @@ from repro.obs.prof import PROFILE_REGIONS, RESIDUAL_REGION, HostProfiler
 from repro.pipeline.fast import FastSMTCore
 from repro.workloads.generator import build_workload
 from repro.workloads.profiles import get_profile
-from tests.test_differential import SCALE, run_pipeline
+from tests.test_differential import SCALE
 
 
 def build_core(app="mcf", nctx=2, seed=7, config=None, core_cls=FastSMTCore):

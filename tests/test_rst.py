@@ -1,6 +1,7 @@
 """Register Sharing Table semantics (paper §4.2.1, §4.2.3)."""
 
-from repro.core.rst import RegisterSharingTable
+from repro.core.itid import MAX_THREADS, PAIRS
+from repro.core.rst import PAIRS_TOUCHING, PAIRS_WITHIN, RegisterSharingTable
 from repro.isa.registers import SP
 
 
@@ -113,3 +114,16 @@ def test_shared_set():
     rst.set_pair(1, 0, 2, True)
     assert rst.shared_set(1, 0, 0b1111) == 0b0101
     assert rst.shared_set(1, 0, 0b0011) == 0b0001  # thread 2 inactive
+
+
+def test_pair_mask_tables():
+    for mask in range(1 << MAX_THREADS):
+        within = touching = 0
+        for index, (t, u) in enumerate(PAIRS):
+            owns_t, owns_u = mask >> t & 1, mask >> u & 1
+            if owns_t and owns_u:
+                within |= 1 << index
+            if owns_t or owns_u:
+                touching |= 1 << index
+        assert PAIRS_WITHIN[mask] == within
+        assert PAIRS_TOUCHING[mask] == touching

@@ -105,7 +105,7 @@ def test_split_is_a_partition(itid, bits, srcs):
 )
 def test_merged_groups_are_actually_shared(itid, shared_pairs):
     """Every multi-thread output group's pairs must all be RST-shared."""
-    from repro.core.itid import PAIRS, pair_bit
+    from repro.core.itid import PAIRS
 
     rst = RegisterSharingTable()
     for index in shared_pairs:
