@@ -256,6 +256,10 @@ class CampaignResult:
     #: ``repro.harness.experiment.validate_campaign_result``, which checks
     #: every successful simulation against the static redundancy oracle).
     validation_failures: list = field(default_factory=list)
+    #: The driver process's peak RSS in bytes, read when the campaign
+    #: ended (a high-water mark over the process's life so far; 0 for an
+    #: empty campaign).  Workers' peaks are on the outcomes.
+    driver_max_rss_bytes: int = 0
 
     @property
     def jobs(self) -> int:
@@ -639,6 +643,7 @@ def run_campaign(
             for entry in running:  # pragma: no cover - interrupted campaign
                 _terminate(entry.proc)
     result.wall_time = time.perf_counter() - started
+    result.driver_max_rss_bytes = _max_rss_bytes()
     if log is not None:
         # Aggregate speedup: serial job wall (cache hits contribute the
         # wall recorded when their entry was produced) over campaign wall.
@@ -657,6 +662,7 @@ def run_campaign(
                 round(job_wall / result.wall_time, 3)
                 if result.wall_time > 0 else 0.0
             ),
+            driver_max_rss_bytes=result.driver_max_rss_bytes,
         )
         if close_log:
             log.close()

@@ -489,28 +489,30 @@ def _campaign(args) -> int:
         )
     # Static lint gate: a broken workload fails here in milliseconds
     # instead of wedging a fleet of worker processes.  The same parallel
-    # pass computes the oracle reports the validation below reads.
-    try:
-        experiment.lint_campaign_jobs(
-            jobs, cache_dir=args.cache_dir, progress=print,
-            workers=args.workers, timeout=args.timeout,
-            oracle=not args.no_validate,
+    # pass computes the oracle reports the validation below reads, and
+    # hands its builds to the simulation workers.
+    with experiment.build_handoff():
+        try:
+            experiment.lint_campaign_jobs(
+                jobs, cache_dir=args.cache_dir, progress=print,
+                workers=args.workers, timeout=args.timeout,
+                oracle=not args.no_validate,
+            )
+        except experiment.WorkloadLintError as exc:
+            print(f"campaign aborted: {exc}")
+            return 2
+        result = run_campaign(
+            jobs,
+            demo_runner,
+            workers=args.workers,
+            timeout=args.timeout,
+            retries=args.retries,
+            cache=args.cache_dir,
+            use_cache=not args.no_cache,
+            campaign_seed=args.seed,
+            progress=print,
+            failure_dump_dir=args.dump_dir or None,
         )
-    except experiment.WorkloadLintError as exc:
-        print(f"campaign aborted: {exc}")
-        return 2
-    result = run_campaign(
-        jobs,
-        demo_runner,
-        workers=args.workers,
-        timeout=args.timeout,
-        retries=args.retries,
-        cache=args.cache_dir,
-        use_cache=not args.no_cache,
-        campaign_seed=args.seed,
-        progress=print,
-        failure_dump_dir=args.dump_dir or None,
-    )
     # Oracle gate: every successful result — including cache hits — is
     # cross-checked against the static redundancy/value analysis at
     # aggregation time.  A violation means the simulator contradicted a

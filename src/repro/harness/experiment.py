@@ -9,13 +9,17 @@ Batches of points go through :func:`run_points`, which fans them out
 across worker processes via :mod:`repro.harness.campaign` (with on-disk
 result caching and per-job timeout/retry) and then seeds the in-memory
 memo, so the serial figure code downstream gets every simulation for
-free.
+free.  A campaign builds each distinct workload once, in its
+pre-dispatch pass, and its results name that workload by content digest
+(:class:`WorkloadRef`) instead of carrying a copy.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,9 +67,33 @@ CONFIG_FACTORIES = {
 }
 
 
+@dataclass(frozen=True)
+class WorkloadRef:
+    """The workload one run simulated, named rather than carried.
+
+    *digest* (:meth:`~repro.isa.program.Program.digest`) and *nctx* key
+    the run's oracle report; ``(app, threads, scale, seed)`` rebuilds the
+    workload through :func:`build_point` when no report is memoised.
+    """
+
+    name: str
+    digest: str
+    nctx: int
+    app: str
+    threads: int
+    scale: float
+    seed: int | None
+
+
 @dataclass
 class RunResult:
-    """One completed simulation."""
+    """One completed simulation.
+
+    Campaign workers ship results to the driver, which holds them and
+    caches them on disk, so a result references its workload
+    (:class:`WorkloadRef`, a few hundred bytes) instead of embedding the
+    build (about 100 KiB pickled at scale 1.0).
+    """
 
     app: str
     config: MMTConfig
@@ -73,7 +101,7 @@ class RunResult:
     stats: SimStats
     energy: EnergyBreakdown
     sync_stats: object
-    build: WorkloadBuild
+    workload: WorkloadRef
     outputs: list = field(repr=False, default_factory=list)
 
     @property
@@ -162,6 +190,35 @@ def _normalize_machine(
     return machine
 
 
+#: Builds a campaign's pre-dispatch pass handed over, pickled, by
+#: ``(app, threads, scale, seed)``; ``None`` outside :func:`build_handoff`.
+#: Module state because simulation workers are forked and inherit it: the
+#: runner and the job (and so the cache key) stay as they are.
+_HANDOFF: dict[tuple, bytes] | None = None
+
+
+@contextmanager
+def build_handoff():
+    """Scope one campaign's build hand-off.
+
+    A pre-dispatch pass (:func:`lint_campaign_jobs`) run inside the scope
+    leaves each build it made, pickled after ``Program.digest()``, for
+    :func:`build_point` to unpickle in the simulation workers forked
+    inside it: a campaign generates and hashes each distinct workload
+    once.  The driver keeps bytes, not objects, because forked workers
+    inherit its heap.  Workers started by ``spawn``, jobs the pass did
+    not build and calls outside a scope build as usual.  On exit, by
+    return or exception, the builds are dropped, so a later campaign
+    builds afresh.
+    """
+    global _HANDOFF
+    outer, _HANDOFF = _HANDOFF, {}
+    try:
+        yield
+    finally:
+        _HANDOFF = outer
+
+
 def build_point(
     app: str, threads: int, scale: float = 1.0, seed: int | None = None
 ) -> WorkloadBuild | EngineBuild:
@@ -174,8 +231,13 @@ def build_point(
     :func:`repro.workloads.engine.register_workload`.  Every harness path
     that turns a name into a program (simulation, lint gate, oracle,
     figures) resolves through here, so registry workloads are first-class
-    campaign citizens.
+    campaign citizens.  Inside a campaign's :func:`build_handoff`, a point
+    its pre-dispatch pass built is unpickled from the pass's copy.
     """
+    if _HANDOFF:
+        pickled = _HANDOFF.get((app, threads, scale, seed))
+        if pickled is not None:
+            return pickle.loads(pickled)
     if is_engine_workload(app):
         return build_engine_workload(app, threads, scale=scale, seed=seed)
     return build_workload(get_profile(app), threads, scale=scale, seed=seed)
@@ -204,6 +266,8 @@ def _simulate(
     injection for tests and demos).
     """
     build = build_point(app, threads, scale=scale, seed=seed)
+    workload = WorkloadRef(build.program.name, build.program.digest(),
+                           build.nctx, app, threads, scale, seed)
     job = build.limit_job() if config.limit_identical else build.job()
     core_cls = resolve_engine(engine or _DEFAULT_ENGINE)
     core = core_cls(machine, config, job, strict=strict, obs=obs)
@@ -245,7 +309,7 @@ def _simulate(
         stats=stats,
         energy=energy_of_run(core, EnergyParams()),
         sync_stats=core.sync.stats,
-        build=build,
+        workload=workload,
         outputs=build.output_region(job),
     )
 
@@ -287,14 +351,10 @@ def simulate_job(job: CampaignJob, seed: int) -> RunResult:
     machine = _normalize_machine(job.machine, job.threads)
     dump_path = get_failure_dump_path()
     obs = campaign_observer() if dump_path else None
-    run = _simulate(
+    return _simulate(
         job.app, job.config, job.threads, machine, job.scale, job.strict,
         obs=obs, failure_dump=dump_path, engine=job.engine, seed=job.seed,
     )
-    # Memoise the digest here, so it ships with the payload and the
-    # driver's oracle lookup does not re-hash the program.
-    run.build.program.digest()
-    return run
 
 
 def _wedge_fetch(core) -> None:
@@ -317,13 +377,11 @@ def simulate_job_faulty(job: CampaignJob, seed: int) -> RunResult:
         campaign_observer(watchdog_cycles=5_000) if dump_path else None
     )
     prepare = _wedge_fetch if job.tag == "livelock" else None
-    run = _simulate(
+    return _simulate(
         job.app, job.config, job.threads, machine, job.scale, job.strict,
         obs=obs, failure_dump=dump_path, prepare=prepare, engine=job.engine,
         seed=job.seed,
     )
-    run.build.program.digest()  # shipped with the payload, as above
-    return run
 
 
 def trace_run(
@@ -507,16 +565,28 @@ def oracle_for_run(run: RunResult):
     Reports are memoised per (program digest, context count, limit-mode)
     so a campaign over many configurations analyses each distinct
     workload once; a campaign's pre-dispatch pass
-    (:func:`lint_campaign_jobs`) seeds the memo from its workers.
-    Limit-study runs (``config.limit_identical``) execute identical
-    clones with soft tid 0 and therefore get the dedicated limit
-    analysis.
+    (:func:`lint_campaign_jobs`) seeds the memo from its workers.  On a
+    miss the workload is rebuilt from the run's :class:`WorkloadRef`;
+    a rebuild whose digest differs from the one the run simulated (the
+    registry changed, say) raises ``ValueError`` rather than validate the
+    run against another program.  Limit-study runs
+    (``config.limit_identical``) execute identical clones with soft tid 0
+    and therefore get the dedicated limit analysis.
     """
+    ref = run.workload
     limit = run.config.limit_identical
-    key = (run.build.program.digest(), run.build.nctx, limit)
+    key = (ref.digest, ref.nctx, limit)
     report = _ORACLE_MEMO.get(key)
     if report is None:
-        report = _ORACLE_MEMO[key] = _analyze_oracle(run.build, limit)
+        build = build_point(ref.app, ref.threads, scale=ref.scale,
+                            seed=ref.seed)
+        digest = build.program.digest()
+        if digest != ref.digest:
+            raise ValueError(
+                f"workload {ref.name!r} rebuilds as program {digest[:12]}, "
+                f"not the {ref.digest[:12]} the run simulated"
+            )
+        report = _ORACLE_MEMO[key] = _analyze_oracle(build, limit)
     return report
 
 
@@ -559,7 +629,7 @@ def validate_campaign_result(result, progress=None) -> list[OracleViolation]:
         if problems:
             violation = OracleViolation(
                 job=job,
-                workload=payload.build.program.name,
+                workload=payload.workload.name,
                 config=payload.config.name,
                 problems=tuple(problems),
             )
@@ -621,6 +691,9 @@ class WorkloadChecked:
     #: limit flag -> oracle report; a flag whose analysis raised is
     #: absent, so validation re-runs it and reports the failure.
     reports: dict
+    #: The build, pickled with its digest memoised (see
+    #: :func:`build_handoff`).
+    build: bytes
 
 
 def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
@@ -629,6 +702,7 @@ def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
     build = build_point(task.app, task.threads, scale=task.scale,
                         seed=task.seed)
     digest = build.program.digest()
+    pickled = pickle.dumps(build, pickle.HIGHEST_PROTOCOL)
     diagnostics = None
     if (task.lint_dir is not None
             and not (Path(task.lint_dir) / f"{digest}.ok").exists()):
@@ -641,7 +715,7 @@ def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
             except Exception:  # noqa: BLE001 - reported by validation
                 pass
     return WorkloadChecked(build.program.name, digest, build.nctx,
-                           diagnostics, reports)
+                           diagnostics, reports, pickled)
 
 
 def check_workload(task: WorkloadCheck, seed: int):
@@ -657,8 +731,6 @@ def check_workload(task: WorkloadCheck, seed: int):
     try:
         return _check_workload(task)
     except Exception as exc:  # noqa: BLE001 - re-raised by the driver
-        import pickle
-
         try:
             pickle.loads(pickle.dumps(exc))
         except Exception:  # noqa: BLE001 - constructor takes other args
@@ -688,8 +760,10 @@ def lint_campaign_jobs(
     oracle report for each ``limit_identical`` flag among that workload's
     jobs.  The driver then works through the results in job order: it
     writes the markers, reports ``lint NAME: ok`` / ``cached ok`` through
-    *progress*, and seeds the memo :func:`oracle_for_run` reads, so
-    validation only runs ``validate_against``.  Any diagnostic aborts
+    *progress*, seeds the memo :func:`oracle_for_run` reads, so
+    validation only runs ``validate_against``, and, inside a
+    :func:`build_handoff` scope, keeps each build for the simulation
+    workers.  Any diagnostic aborts
     dispatch with :class:`WorkloadLintError` — a workload-generator bug
     should fail in milliseconds here, not wedge a fleet of simulations.
     An exception from building or linting is re-raised as it was raised;
@@ -756,6 +830,9 @@ def lint_campaign_jobs(
         if isinstance(checked, WorkloadChecked):
             for limit, report in checked.reports.items():
                 _ORACLE_MEMO[(checked.digest, checked.nctx, limit)] = report
+            if _HANDOFF is not None:
+                _HANDOFF[(task.app, task.threads, task.scale,
+                          task.seed)] = checked.build
     return fresh
 
 
@@ -789,34 +866,37 @@ def run_points(
     time; disagreements land in ``result.validation_failures`` (see
     :func:`validate_campaign_result`).  The lint and the oracle reports
     both come from one pre-dispatch pass on the worker pool (see
-    :func:`lint_campaign_jobs`).
+    :func:`lint_campaign_jobs`), whose builds the simulation workers
+    reuse (see :func:`build_handoff`).
     """
     jobs = [
         point if isinstance(point, CampaignJob) else CampaignJob(*point)
         for point in points
     ]
-    if lint or validate:
-        # Resolve *cache* exactly as run_campaign does, so the lint
-        # markers land beside the results whatever form *cache* takes.
-        cache_root = (
-            cache if isinstance(cache, ResultCache) else ResultCache(cache)
-        ).root
-        lint_campaign_jobs(
-            jobs, cache_dir=cache_root, progress=progress, workers=workers,
-            timeout=timeout, lint=lint, oracle=validate,
+    with build_handoff():
+        if lint or validate:
+            # Resolve *cache* exactly as run_campaign does, so the lint
+            # markers land beside the results whatever form *cache* takes.
+            cache_root = (
+                cache if isinstance(cache, ResultCache)
+                else ResultCache(cache)
+            ).root
+            lint_campaign_jobs(
+                jobs, cache_dir=cache_root, progress=progress,
+                workers=workers, timeout=timeout, lint=lint, oracle=validate,
+            )
+        result = run_campaign(
+            jobs,
+            simulate_job,
+            workers=workers,
+            timeout=timeout,
+            retries=retries,
+            cache=cache,
+            use_cache=use_cache,
+            campaign_seed=campaign_seed,
+            progress=progress,
+            failure_dump_dir=failure_dump_dir,
         )
-    result = run_campaign(
-        jobs,
-        simulate_job,
-        workers=workers,
-        timeout=timeout,
-        retries=retries,
-        cache=cache,
-        use_cache=use_cache,
-        campaign_seed=campaign_seed,
-        progress=progress,
-        failure_dump_dir=failure_dump_dir,
-    )
     for outcome in result.outcomes:
         if outcome.ok:
             _CACHE[outcome.job.memo_key()] = outcome.payload

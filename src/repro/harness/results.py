@@ -85,6 +85,8 @@ def summarize_campaign(result) -> dict:
         # when their entry was produced; zeros are "not measured").
         "job_rss_max_bytes": max(rss) if rss else 0,
         "job_rss_mean_bytes": sum(rss) / len(rss) if rss else 0.0,
+        # Peak RSS of the driver process, which holds every result.
+        "driver_rss_max_bytes": result.driver_max_rss_bytes,
         # JSONL lifecycle log written for this campaign, if any.
         "runlog": getattr(result, "runlog_path", None),
         # Static-oracle disagreements attached at aggregation time (see

@@ -299,6 +299,12 @@ def test_outcomes_record_worker_rss(cache):
         summarize_campaign(result)["job_rss_max_bytes"]
         >= outcome.max_rss_bytes
     )
+    # The driver's own peak, which holds every result, is recorded too.
+    assert result.driver_max_rss_bytes > 1024 * 1024
+    assert (
+        summarize_campaign(result)["driver_rss_max_bytes"]
+        == result.driver_max_rss_bytes
+    )
 
     # A cache hit replays the RSS recorded when the entry was produced.
     second = run_campaign([AddJob(1, 1)], add_runner, workers=1, cache=cache)
@@ -430,7 +436,7 @@ def test_validation_flags_a_corrupted_result(tmp_path, monkeypatch):
     violations = experiment.validate_campaign_result(result)
     assert len(violations) == 1
     violation = violations[0]
-    assert violation.workload == payload.build.program.name
+    assert violation.workload == payload.workload.name
     assert violation.config == "MMT-FXR"
     assert any("999999" in p for p in violation.problems)
     rows = campaign_violation_rows(result)
@@ -635,6 +641,7 @@ def test_cli_campaign_exits_2_on_lint_failure(tmp_path, monkeypatch, capsys):
     assert "campaign aborted: workload 'broken-ammp' failed static lint" in (
         capsys.readouterr().out
     )
+    assert experiment._HANDOFF is None
 
 
 def test_unknown_app_raises_as_before(tmp_path):
@@ -721,3 +728,138 @@ def test_pre_pass_honours_lint_and_validate_flags(tmp_path):
     assert not (tmp_path / "b" / "lint").exists()
     experiment.clear_oracle_memo()
     clear_cache()
+
+
+# ------------------------------------- workload hand-off and references
+def _no_generator(*args, **kwargs):
+    raise RuntimeError("workload generator called")
+
+
+def test_simulation_payload_references_its_workload():
+    """A result names its workload instead of carrying the build, so the
+    pickled payload stays a few KiB (the build alone is ~100 KiB)."""
+    import pickle
+
+    from repro.harness import experiment
+
+    job = CampaignJob("canneal", MMTConfig.mmt_fxr(), 2, scale=0.1)
+    run = experiment.simulate_job(job, 0)
+    assert len(pickle.dumps(run)) < 16 * 1024
+    build = experiment.build_point("canneal", 2, scale=0.1)
+    assert run.workload == experiment.WorkloadRef(
+        build.program.name, build.program.digest(), build.nctx,
+        "canneal", 2, 0.1, None,
+    )
+
+
+def test_simulation_workers_reuse_the_pass_builds(tmp_path, monkeypatch):
+    """Inside a hand-off scope the simulation workers unpickle the
+    pre-dispatch pass's builds instead of running the generator, with
+    the results of fresh builds; once the scope ends they build again."""
+    from repro.harness import experiment
+
+    jobs = [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1),
+            CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1)]
+    expected = [experiment.simulate_job(job, 0) for job in jobs]
+    with experiment.build_handoff():
+        experiment.lint_campaign_jobs(jobs, cache_dir=tmp_path, workers=1)
+        monkeypatch.setattr(experiment, "build_workload", _no_generator)
+        result = run_campaign(jobs, experiment.simulate_job, workers=2,
+                              use_cache=False)
+    assert [o.status for o in result.outcomes] == ["ok", "ok"]
+    for run, outcome in zip(expected, result.outcomes):
+        assert outcome.payload.stats.__dict__ == run.stats.__dict__
+        assert outcome.payload.outputs == run.outputs
+        assert outcome.payload.workload == run.workload
+    after = run_campaign(jobs[:1], experiment.simulate_job, workers=1,
+                         retries=0, use_cache=False)
+    assert "workload generator called" in after.outcomes[0].error
+
+
+def test_run_points_keeps_no_build_after_return_or_raise(tmp_path,
+                                                        monkeypatch):
+    from repro.harness import experiment
+
+    clean = CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)
+    result = run_points([clean], workers=1, cache=tmp_path / "a")
+    assert result.outcomes[0].ok and experiment._HANDOFF is None
+    clear_cache()
+
+    generate = experiment.build_workload
+
+    def lu_fails_lint(profile, threads, scale=1.0, seed=None):
+        if profile.name == "lu":
+            return _lint_failing_build(profile.name, threads)
+        return generate(profile, threads, scale=scale, seed=seed)
+
+    # The pass hands over ammp's build before lu's diagnostics abort it.
+    monkeypatch.setattr(experiment, "build_workload", lu_fails_lint)
+    with pytest.raises(experiment.WorkloadLintError, match="broken-lu"):
+        run_points([clean, CampaignJob("lu", MMTConfig.base(), 2, scale=0.1)],
+                   workers=1, cache=tmp_path / "b")
+    assert experiment._HANDOFF is None
+    monkeypatch.setattr(experiment, "build_workload", _no_generator)
+    after = run_campaign([clean], experiment.simulate_job, workers=1,
+                         retries=0, use_cache=False)
+    assert "workload generator called" in after.outcomes[0].error
+
+
+def test_reregistered_workload_is_rebuilt_by_the_next_campaign(tmp_path,
+                                                               monkeypatch):
+    """A later campaign in the same process never simulates a build an
+    earlier one made: after the name is re-registered with another
+    program, results reference the new program, with or without a
+    pre-dispatch pass."""
+    from repro.harness import experiment
+    from repro.workloads import engine
+
+    monkeypatch.setattr(engine, "_REGISTRY", dict(engine._REGISTRY))
+    name = "handoff-probe"
+    job = CampaignJob(name, MMTConfig.base(), 2, scale=0.2)
+    digests = []
+    for common_ops in (18, 10):
+        engine.register_workload(
+            engine.DynamicWorkload(
+                name, (engine.Phase("lockstep"),),
+                engine._dynamic_profile(name, common_ops=common_ops),
+            ),
+            replace=True,
+        )
+        digest = experiment.build_point(name, 2, scale=0.2).program.digest()
+        result = run_points([job], workers=1, cache=tmp_path,
+                            use_cache=False)
+        assert result.outcomes[0].ok and result.validation_failures == []
+        assert result.outcomes[0].payload.workload.digest == digest
+        digests.append(digest)
+    assert digests[0] != digests[1]
+
+    bare = run_campaign([job], experiment.simulate_job, workers=1,
+                        use_cache=False)
+    assert bare.outcomes[0].payload.workload.digest == digests[1]
+    clear_cache()
+
+
+def test_validation_rebuilds_workloads_without_the_pass():
+    """With no pre-dispatch pass and an empty oracle memo, validation
+    rebuilds each workload from its reference; a reference whose digest
+    the rebuild does not reproduce is one violation, not a check against
+    another program."""
+    from repro.harness import experiment
+
+    jobs = [CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1),
+            CampaignJob("lu", MMTConfig.limit(), 2, scale=0.1)]
+    result = run_campaign(jobs, experiment.simulate_job, workers=2,
+                          use_cache=False)
+    assert all(o.ok for o in result.outcomes)
+    experiment.clear_oracle_memo()
+    assert experiment.validate_campaign_result(result) == []
+    assert len(experiment._ORACLE_MEMO) == 2
+
+    experiment.clear_oracle_memo()
+    payload = result.outcomes[0].payload
+    payload.workload = dataclasses.replace(payload.workload, digest="0" * 64)
+    violations = experiment.validate_campaign_result(result)
+    assert len(violations) == 1
+    assert violations[0].workload == "ammp"
+    assert "rebuilds as program" in violations[0].problems[0]
+    experiment.clear_oracle_memo()

@@ -71,6 +71,7 @@ def test_campaign_writes_lifecycle_log(cache):
     assert end["ok"] == 2 and end["failed"] == 0
     assert end["cache_misses"] == 2 and end["cache_hits"] == 0
     assert end["speedup"] >= 0
+    assert end["driver_max_rss_bytes"] == result.driver_max_rss_bytes > 0
     # The summary surfaces the log path.
     assert summarize_campaign(result)["runlog"] == result.runlog_path
 
