@@ -19,15 +19,17 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import shutil
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.config import MMTConfig
 from repro.harness.campaign import (
-    DEFAULT_CACHE_DIR,
     CampaignResult,
     ResultCache,
+    code_fingerprint,
+    job_key,
     run_campaign,
 )
 from repro.obs import (
@@ -114,13 +116,16 @@ class CampaignJob:
     """One simulation point, as a picklable, hashable campaign job.
 
     ``machine=None`` means the default machine for the thread count, as
-    in :func:`run_app`.  ``tag`` distinguishes otherwise-identical jobs
-    (and is part of the cache key); runners that inject faults or extra
-    behaviours key off it.  ``engine`` picks the simulation core
-    (``"reference"`` or ``"fast"``, see :mod:`repro.pipeline.fast`); it
-    is part of the cache key even though both engines are cycle-exact,
-    so a fast-engine bug can never poison reference results (and the
-    oracle gate cross-checks both populations independently).
+    in :func:`run_app`.  A job stores the machine it simulates (widened
+    to the thread count), and ``None`` when that is the default, so one
+    point has one cache key however it was spelled.  ``tag``
+    distinguishes otherwise-identical jobs (and is part of the cache
+    key); runners that inject faults or extra behaviours key off it.
+    ``engine`` picks the simulation core (``"reference"`` or ``"fast"``,
+    see :mod:`repro.pipeline.fast`); it is part of the cache key even
+    though both engines are cycle-exact, so a fast-engine bug can never
+    poison reference results (and the oracle gate cross-checks both
+    populations independently).
     """
 
     app: str
@@ -136,6 +141,13 @@ class CampaignJob:
     #: into their phase schedules and request streams, so it is part of
     #: both the memo key and the on-disk cache key.
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.machine is not None:
+            machine = _normalize_machine(self.machine, self.threads)
+            if machine == MachineConfig(num_threads=self.threads):
+                machine = None
+            object.__setattr__(self, "machine", machine)
 
     def label(self) -> str:
         return f"{self.app}/{self.config.name}/{self.threads}t" + (
@@ -190,33 +202,40 @@ def _normalize_machine(
     return machine
 
 
-#: Builds a campaign's pre-dispatch pass handed over, pickled, by
-#: ``(app, threads, scale, seed)``; ``None`` outside :func:`build_handoff`.
-#: Module state because simulation workers are forked and inherit it: the
-#: runner and the job (and so the cache key) stay as they are.
-_HANDOFF: dict[tuple, bytes] | None = None
+#: The spool directory of the current :func:`build_handoff` scope, and the
+#: spooled build of each ``(app, threads, scale, seed)`` the pass made;
+#: ``None`` outside a scope.  Module state because simulation workers are
+#: forked and inherit it: the runner and the job (and so the cache key)
+#: stay as they are.
+_SPOOL: str | None = None
+_HANDOFF: dict[tuple, str] | None = None
 
 
 @contextmanager
 def build_handoff():
     """Scope one campaign's build hand-off.
 
-    A pre-dispatch pass (:func:`lint_campaign_jobs`) run inside the scope
-    leaves each build it made, pickled after ``Program.digest()``, for
-    :func:`build_point` to unpickle in the simulation workers forked
-    inside it: a campaign generates and hashes each distinct workload
-    once.  The driver keeps bytes, not objects, because forked workers
-    inherit its heap.  Workers started by ``spawn``, jobs the pass did
-    not build and calls outside a scope build as usual.  On exit, by
-    return or exception, the builds are dropped, so a later campaign
-    builds afresh.
+    The scope owns a spool, a temporary directory.  Each worker of a
+    pre-dispatch pass (:func:`lint_campaign_jobs`) run inside the scope
+    pickles its build there, after ``Program.digest()``, and the driver
+    keeps only the file's path, so no build passes through the driver or
+    sits in the heap that forked workers inherit.  :func:`build_point`
+    in a simulation worker forked inside the scope loads its workload
+    from that file: a campaign generates and hashes each distinct
+    workload once.  Workers started by ``spawn``, jobs the pass did not
+    build, spool files that cannot be read and calls outside a scope
+    build as usual.  On exit, by return or exception, the spool is
+    removed, so a later campaign builds afresh.
     """
-    global _HANDOFF
-    outer, _HANDOFF = _HANDOFF, {}
+    global _HANDOFF, _SPOOL
+    outer = _HANDOFF, _SPOOL
+    _SPOOL = tempfile.mkdtemp(prefix="repro-spool-")
+    _HANDOFF = {}
     try:
         yield
     finally:
-        _HANDOFF = outer
+        shutil.rmtree(_SPOOL, ignore_errors=True)
+        _HANDOFF, _SPOOL = outer
 
 
 def build_point(
@@ -232,12 +251,17 @@ def build_point(
     that turns a name into a program (simulation, lint gate, oracle,
     figures) resolves through here, so registry workloads are first-class
     campaign citizens.  Inside a campaign's :func:`build_handoff`, a point
-    its pre-dispatch pass built is unpickled from the pass's copy.
+    its pre-dispatch pass built is loaded from the pass's spooled copy; a
+    missing or unreadable copy means a fresh build.
     """
     if _HANDOFF:
-        pickled = _HANDOFF.get((app, threads, scale, seed))
-        if pickled is not None:
-            return pickle.loads(pickled)
+        path = _HANDOFF.get((app, threads, scale, seed))
+        if path is not None:
+            try:
+                with open(path, "rb") as handle:
+                    return pickle.load(handle)
+            except Exception:  # noqa: BLE001 - build afresh below
+                pass
     if is_engine_workload(app):
         return build_engine_workload(app, threads, scale=scale, seed=seed)
     return build_workload(get_profile(app), threads, scale=scale, seed=seed)
@@ -659,21 +683,36 @@ class WorkloadLintError(RuntimeError):
         self.diagnostics = diagnostics
 
 
+def _lint_key(digest: str) -> str:
+    """Result-cache key of the clean lint verdict of one program."""
+    return job_key(("lint", digest))
+
+
+def _oracle_key(digest: str, nctx: int, limit: bool) -> str:
+    """Result-cache key of the stored oracle report whose
+    :func:`oracle_for_run` memo key is ``(digest, nctx, limit)``."""
+    return job_key(("oracle", digest, nctx, limit))
+
+
 @dataclass(frozen=True)
 class WorkloadCheck:
     """One task of a campaign's pre-dispatch pass: a distinct workload.
 
-    :func:`check_workload` runs it on the worker pool.  *lint_dir* holds
-    the clean-lint markers (``None``: do not lint); *limits* lists the
-    ``limit_identical`` flags whose oracle reports the campaign needs.
+    :func:`check_workload` runs it on the worker pool.  *cache_root* is
+    the result cache holding the stored lint verdicts and oracle
+    reports; *limits* lists the ``limit_identical`` flags whose oracle
+    reports the campaign needs; *spool* is the hand-off directory the
+    build is pickled into (``None``: no hand-off).
     """
 
     app: str
     threads: int
     scale: float
     seed: int | None
-    lint_dir: str | None
+    cache_root: str
+    lint: bool
     limits: tuple[bool, ...]
+    spool: str | None
 
     def label(self) -> str:
         return f"{self.app}/{self.threads}t"
@@ -686,14 +725,15 @@ class WorkloadChecked:
     name: str
     digest: str
     nctx: int
-    #: Lint findings; ``None`` when not linted (marker found, or lint off).
+    #: Lint findings; ``None`` when not linted (verdict stored, or lint
+    #: off).
     diagnostics: list | None
     #: limit flag -> oracle report; a flag whose analysis raised is
     #: absent, so validation re-runs it and reports the failure.
     reports: dict
-    #: The build, pickled with its digest memoised (see
-    #: :func:`build_handoff`).
-    build: bytes
+    #: The spool file holding the build, pickled with its digest
+    #: memoised (see :func:`build_handoff`); ``None`` without a spool.
+    build_path: str | None
 
 
 def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
@@ -702,20 +742,31 @@ def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
     build = build_point(task.app, task.threads, scale=task.scale,
                         seed=task.seed)
     digest = build.program.digest()
-    pickled = pickle.dumps(build, pickle.HIGHEST_PROTOCOL)
+    build_path = None
+    if task.spool is not None:
+        fd, build_path = tempfile.mkstemp(dir=task.spool, suffix=".pkl")
+        with os.fdopen(fd, "wb") as handle:
+            pickle.dump(build, handle, pickle.HIGHEST_PROTOCOL)
+    cache = ResultCache(task.cache_root)
     diagnostics = None
-    if (task.lint_dir is not None
-            and not (Path(task.lint_dir) / f"{digest}.ok").exists()):
+    if task.lint and cache.load(_lint_key(digest)) is None:
         diagnostics = lint_program(build.program)
+        if not diagnostics:
+            cache.store(_lint_key(digest), True)
     reports = {}
     if not diagnostics:
         for limit in task.limits:
-            try:
-                reports[limit] = _analyze_oracle(build, limit)
-            except Exception:  # noqa: BLE001 - reported by validation
-                pass
+            key = _oracle_key(digest, build.nctx, limit)
+            report = cache.load(key)
+            if report is None:
+                try:
+                    report = _analyze_oracle(build, limit)
+                except Exception:  # noqa: BLE001 - reported by validation
+                    continue
+                cache.store(key, report)
+            reports[limit] = report
     return WorkloadChecked(build.program.name, digest, build.nctx,
-                           diagnostics, reports, pickled)
+                           diagnostics, reports, build_path)
 
 
 def check_workload(task: WorkloadCheck, seed: int):
@@ -755,17 +806,22 @@ def lint_campaign_jobs(
     :class:`WorkloadCheck` task on the worker pool (*workers* processes,
     *timeout* seconds per task, no result cache and no run-log).  A task
     builds the workload (registry workloads included, via
-    :func:`build_point`), lints its program unless a clean verdict is
-    already recorded under ``<cache>/lint/<digest>.ok``, and computes the
-    oracle report for each ``limit_identical`` flag among that workload's
-    jobs.  The driver then works through the results in job order: it
-    writes the markers, reports ``lint NAME: ok`` / ``cached ok`` through
-    *progress*, seeds the memo :func:`oracle_for_run` reads, so
-    validation only runs ``validate_against``, and, inside a
-    :func:`build_handoff` scope, keeps each build for the simulation
-    workers.  Any diagnostic aborts
-    dispatch with :class:`WorkloadLintError` — a workload-generator bug
-    should fail in milliseconds here, not wedge a fleet of simulations.
+    :func:`build_point`) and, inside a :func:`build_handoff` scope,
+    pickles it into the scope's spool.  It lints the program unless a
+    clean verdict is stored, and it loads or computes the oracle report
+    for each ``limit_identical`` flag among that workload's jobs.  Clean
+    verdicts and reports are entries of the result cache at *cache_dir*,
+    keyed by program digest (reports also by context count and limit
+    flag) under the code fingerprint, so a later campaign, in any
+    process, neither lints nor analyses that program again until the
+    code changes.  A corrupt entry is a miss.  The driver then works
+    through the results in job order: it reports ``lint NAME: ok`` /
+    ``cached ok`` through *progress*, seeds the memo
+    :func:`oracle_for_run` reads, so validation only runs
+    ``validate_against``, and records each spooled build's path for the
+    simulation workers.  Any diagnostic aborts dispatch with
+    :class:`WorkloadLintError` — a workload-generator bug should fail in
+    milliseconds here, not wedge a fleet of simulations.
     An exception from building or linting is re-raised as it was raised;
     a task whose worker died or timed out raises ``RuntimeError`` naming
     the workload.
@@ -779,11 +835,8 @@ def lint_campaign_jobs(
     """
     if not (lint or oracle):
         return 0
-    root = Path(
-        cache_dir
-        if cache_dir is not None
-        else os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-    ) / "lint"
+    root = str(ResultCache(cache_dir).root)
+    code_fingerprint()  # once here, not in every forked pass worker
     emit = progress if callable(progress) else (lambda line: None)
     limits: dict[tuple[str, int, float, int | None], list[bool]] = {}
     for job in jobs:
@@ -795,14 +848,23 @@ def lint_campaign_jobs(
         if oracle and job.config.limit_identical not in flags:
             flags.append(job.config.limit_identical)
     tasks = [
-        WorkloadCheck(*key, str(root) if lint else None, tuple(flags))
+        WorkloadCheck(*key, root, lint, tuple(flags), _SPOOL)
         for key, flags in limits.items()
     ]
     result = run_campaign(
         tasks, check_workload, workers=workers, timeout=timeout,
         use_cache=False, runlog=False,
     )
-    fresh = 0
+    # Workloads can share a program.  Their workers run at once, so any
+    # of them may be the one that linted it and stored the verdict the
+    # others found; the driver reports it linted at its first workload in
+    # job order, as a serial pass would.
+    linted = {
+        outcome.payload.digest for outcome in result.outcomes
+        if isinstance(outcome.payload, WorkloadChecked)
+        and outcome.payload.diagnostics == []
+    }
+    reported: set[str] = set()
     for task, outcome in zip(tasks, result.outcomes):
         checked = outcome.payload
         if lint:
@@ -817,23 +879,20 @@ def lint_campaign_jobs(
                 raise checked
             if checked.diagnostics:
                 raise WorkloadLintError(checked.name, checked.diagnostics)
-            # Two workloads can share a program: the second finds the
-            # marker the first left a moment ago, as a serial pass would.
-            marker = root / f"{checked.digest}.ok"
-            if checked.diagnostics is None or marker.exists():
-                emit(f"lint {checked.name}: cached ok")
-            else:
-                fresh += 1
-                root.mkdir(parents=True, exist_ok=True)
-                marker.write_text("ok\n")
+            if checked.diagnostics == []:  # also a check repeated above
+                linted.add(checked.digest)
+            if checked.digest in linted and checked.digest not in reported:
+                reported.add(checked.digest)
                 emit(f"lint {checked.name}: ok")
+            else:
+                emit(f"lint {checked.name}: cached ok")
         if isinstance(checked, WorkloadChecked):
             for limit, report in checked.reports.items():
                 _ORACLE_MEMO[(checked.digest, checked.nctx, limit)] = report
-            if _HANDOFF is not None:
+            if _HANDOFF is not None and checked.build_path is not None:
                 _HANDOFF[(task.app, task.threads, task.scale,
-                          task.seed)] = checked.build
-    return fresh
+                          task.seed)] = checked.build_path
+    return len(reported)
 
 
 def run_points(
@@ -866,8 +925,9 @@ def run_points(
     time; disagreements land in ``result.validation_failures`` (see
     :func:`validate_campaign_result`).  The lint and the oracle reports
     both come from one pre-dispatch pass on the worker pool (see
-    :func:`lint_campaign_jobs`), whose builds the simulation workers
-    reuse (see :func:`build_handoff`).
+    :func:`lint_campaign_jobs`), which stores its verdicts and reports in
+    the result cache, whatever *use_cache* says, and whose builds the
+    simulation workers reuse (see :func:`build_handoff`).
     """
     jobs = [
         point if isinstance(point, CampaignJob) else CampaignJob(*point)
@@ -875,8 +935,9 @@ def run_points(
     ]
     with build_handoff():
         if lint or validate:
-            # Resolve *cache* exactly as run_campaign does, so the lint
-            # markers land beside the results whatever form *cache* takes.
+            # Resolve *cache* exactly as run_campaign does, so the stored
+            # verdicts and reports land beside the results whatever form
+            # *cache* takes.
             cache_root = (
                 cache if isinstance(cache, ResultCache)
                 else ResultCache(cache)

@@ -86,7 +86,13 @@ def test_mp_oracle_bounds_are_sane(pattern):
 # ------------------------------------------------------ campaign lint gate
 def test_lint_campaign_jobs_checks_each_workload_once(tmp_path):
     from repro.core.config import MMTConfig
-    from repro.harness.experiment import CampaignJob, lint_campaign_jobs
+    from repro.harness.campaign import ResultCache
+    from repro.harness.experiment import (
+        CampaignJob,
+        _lint_key,
+        build_point,
+        lint_campaign_jobs,
+    )
 
     jobs = [
         CampaignJob("ammp", MMTConfig.base(), 2, scale=0.25),
@@ -97,15 +103,18 @@ def test_lint_campaign_jobs_checks_each_workload_once(tmp_path):
     fresh = lint_campaign_jobs(jobs, cache_dir=tmp_path, progress=lines.append)
     assert fresh == 2  # two distinct (app, threads, scale) triples
     assert len(lines) == 2
-    # Second invocation: content-addressed markers short-circuit the lint.
+    # Second invocation: content-addressed verdicts short-circuit the lint.
     fresh = lint_campaign_jobs(jobs, cache_dir=tmp_path)
     assert fresh == 0
-    assert len(list((tmp_path / "lint").glob("*.ok"))) == 2
+    cache = ResultCache(tmp_path)
+    for app in ("ammp", "vpr"):
+        digest = build_point(app, 2, scale=0.25).program.digest()
+        assert _lint_key(digest) in cache
 
 
 def test_lint_campaign_jobs_counts_a_shared_program_once(tmp_path):
     """Distinct workloads with one program lint it once: the later one
-    reports the marker the earlier one left, even when both were
+    reports the verdict the earlier one left, even when both were
     checked at the same time."""
     from repro.core.config import MMTConfig
     from repro.harness.experiment import (
@@ -134,10 +143,16 @@ def test_lint_campaign_jobs_skips_custom_jobs(tmp_path):
 def test_run_points_lint_markers_follow_a_path_cache(
     tmp_path, monkeypatch, as_type
 ):
-    """A cache given as a path holds the lint markers too: nothing lands
+    """A cache given as a path holds the lint verdicts too: nothing lands
     under ``$REPRO_CACHE_DIR`` or the working directory's default."""
     from repro.core.config import MMTConfig
-    from repro.harness.experiment import CampaignJob, run_points
+    from repro.harness.campaign import ResultCache
+    from repro.harness.experiment import (
+        CampaignJob,
+        _lint_key,
+        build_point,
+        run_points,
+    )
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
@@ -149,7 +164,8 @@ def test_run_points_lint_markers_follow_a_path_cache(
         validate=False,
     )
     assert result.completed
-    assert len(list((chosen / "lint").glob("*.ok"))) == 1
+    digest = build_point("ammp", 2, scale=0.1).program.digest()
+    assert _lint_key(digest) in ResultCache(chosen)
     assert not (tmp_path / "env-cache").exists()
     assert not (tmp_path / ".repro-cache").exists()
 

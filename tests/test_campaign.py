@@ -98,6 +98,31 @@ def test_fast_job_keys_need_no_workload_build():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_each_figure_point_has_one_job_key():
+    """fig7b and fig7d spell out the default 4-thread machine where fig5c
+    and fig6 leave it ``None``; both spellings make one job, so the
+    figure union has as many job keys as memo keys."""
+    from repro.harness import experiment, figure_points
+    from repro.pipeline.config import MachineConfig
+
+    figures = ("fig5a", "fig5b", "fig5c", "fig5d", "fig6",
+               "fig7a", "fig7b", "fig7c", "fig7d")
+    jobs = [job for fig in figures for job in figure_points(fig)]
+    assert len(jobs) == 720
+    assert len({job_key(job, experiment.simulate_job) for job in jobs}) == 448
+    assert len({job.memo_key() for job in jobs}) == 448
+    assert all(job.machine is None for job in figure_points("fig6"))
+
+    spelled = CampaignJob("ammp", MMTConfig.base(), 4,
+                          machine=MachineConfig(num_threads=4))
+    narrow = CampaignJob("ammp", MMTConfig.base(), 4,
+                         machine=MachineConfig(num_threads=2))
+    wide = MachineConfig(num_threads=4).with_fetch_width(4)
+    other = CampaignJob("ammp", MMTConfig.base(), 4, machine=wide)
+    assert spelled == narrow == CampaignJob("ammp", MMTConfig.base(), 4)
+    assert other.machine == wide and other != spelled
+
+
 def test_derive_seed_pure_function():
     key = job_key(AddJob(1, 2))
     assert derive_seed(0, key) == derive_seed(0, key)
@@ -718,14 +743,17 @@ def test_pre_pass_honours_lint_and_validate_flags(tmp_path):
 
     experiment.clear_oracle_memo()
     jobs = [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)]
+    verdict = experiment._lint_key(
+        experiment.build_point("ammp", 2, scale=0.1).program.digest()
+    )
     run_points(jobs, workers=1, cache=tmp_path / "a", validate=False)
     assert experiment._ORACLE_MEMO == {}
-    assert len(list((tmp_path / "a" / "lint").glob("*.ok"))) == 1
+    assert verdict in ResultCache(tmp_path / "a")
 
     result = run_points(jobs, workers=1, cache=tmp_path / "b", lint=False)
     assert result.validation_failures == []
     assert len(experiment._ORACLE_MEMO) == 1
-    assert not (tmp_path / "b" / "lint").exists()
+    assert verdict not in ResultCache(tmp_path / "b")
     experiment.clear_oracle_memo()
     clear_cache()
 
