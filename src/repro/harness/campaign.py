@@ -195,22 +195,17 @@ def _wrap_cache_entry(payload, wall_time: float, max_rss_bytes: int) -> dict:
     }
 
 
-def _unwrap_cache_entry(entry) -> tuple[object, float, int]:
-    """(payload, wall_time, max_rss_bytes) of a cache entry.
-
-    Raw payloads (entries written before cost recording existed, or by
-    hand) pass through with zero cost metadata.  Entries written while
-    peak RSS was recorded in raw ``ru_maxrss`` units (the pre-bytes
-    ``max_rss_kb`` key) are unreachable in practice — the code
-    fingerprint that partitions the cache changed with this code — but
-    normalize them anyway rather than misreport by 1024x.
-    """
+def _unwrap_cache_entry(entry) -> tuple[object, float, int] | None:
+    """(payload, wall_time, max_rss_bytes) of an entry
+    :func:`_wrap_cache_entry` wrote, or None for anything else: a foreign
+    object stored under a job's key is a miss, never a result."""
     if isinstance(entry, dict) and entry.get("__campaign__") == 1:
-        rss = entry.get("max_rss_bytes")
-        if rss is None:
-            rss = entry.get("max_rss_kb", 0) * 1024
-        return entry["payload"], entry.get("wall_time", 0.0), rss
-    return entry, 0.0, 0
+        try:
+            return (entry["payload"], entry["wall_time"],
+                    entry["max_rss_bytes"])
+        except KeyError:
+            pass
+    return None
 
 
 # ----------------------------------------------------------------- results
@@ -247,7 +242,10 @@ class CampaignResult:
     cache_hits: int = 0
     cache_misses: int = 0
     retries: int = 0
+    #: Dispatch wall time, from the first cache lookup to the last result.
     wall_time: float = 0.0
+    #: Wall time of ``run_points``' pre-dispatch pass (0.0: no pass ran).
+    pass_wall_time: float = 0.0
     #: Path of the JSONL lifecycle run-log written for this campaign (see
     #: :mod:`repro.obs.runlog`), or None when logging was disabled.
     runlog_path: str | None = None
@@ -509,10 +507,12 @@ def run_campaign(
     for index, job in enumerate(jobs):
         key = job_key(job, runner)
         seed = derive_seed(campaign_seed, key)
-        cached = cache.load(key) if cache is not None else None
+        cached = _unwrap_cache_entry(
+            cache.load(key) if cache is not None else None
+        )
         if cached is not None:
             result.cache_hits += 1
-            payload, cached_wall, cached_rss = _unwrap_cache_entry(cached)
+            payload, cached_wall, cached_rss = cached
             finish(index, JobOutcome(
                 job=job, key=key, status=_OK, payload=payload,
                 attempts=0, wall_time=cached_wall, from_cache=True,

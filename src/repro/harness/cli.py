@@ -15,9 +15,10 @@ Usage::
 Each figure target prints the same report the corresponding benchmark
 emits, but without pytest in the loop — convenient for exploring one
 result.  ``campaign`` runs an arbitrary (apps × configs × threads) sweep
-through the parallel campaign runner: results are cached on disk (keyed
-by configuration and code version), hung jobs are timed out and retried,
-and a summary with cache hit/miss counts is printed at the end.
+through ``experiment.run_points``, as a figure's ``--workers`` prefetch
+does: results are cached on disk (keyed by configuration and code
+version), hung jobs are timed out and retried, and a summary with cache
+hit/miss counts is printed at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from repro.analysis.host.selfcheck import JSON_SCHEMA_VERSION
@@ -424,24 +424,7 @@ def _selfcheck(args) -> int:
 
 
 # ---------------------------------------------------------------- campaign
-def _hang_forever() -> None:  # pragma: no cover - killed by the timeout
-    while True:
-        time.sleep(3600)
-
-
-def demo_runner(job, seed):
-    """Campaign runner used by ``repro campaign``: simulates the job,
-    honouring fault-injection tags — ``inject-hang`` (the ``--inject-hang``
-    demo) hangs until the per-job timeout kills it, ``livelock`` (the
-    ``--inject-livelock`` demo) wedges fetch so the watchdog fires."""
-    if getattr(job, "tag", "") == "inject-hang":
-        _hang_forever()
-    return experiment.simulate_job_faulty(job, seed)
-
-
 def _campaign(args) -> int:
-    from repro.harness.campaign import run_campaign
-
     apps = args.apps or experiment.default_apps()
     if args.suite:
         from repro.workloads.suites import SuiteError, expand_suite_jobs, load_suite
@@ -487,23 +470,11 @@ def _campaign(args) -> int:
                                    args.threads[0], scale=args.scale,
                                    tag="livelock")
         )
-    # Static lint gate: a broken workload fails here in milliseconds
-    # instead of wedging a fleet of worker processes.  The same parallel
-    # pass computes the oracle reports the validation below reads, and
-    # hands its builds to the simulation workers.
-    with experiment.build_handoff():
-        try:
-            experiment.lint_campaign_jobs(
-                jobs, cache_dir=args.cache_dir, progress=print,
-                workers=args.workers, timeout=args.timeout,
-                oracle=not args.no_validate,
-            )
-        except experiment.WorkloadLintError as exc:
-            print(f"campaign aborted: {exc}")
-            return 2
-        result = run_campaign(
+    # A workload that fails the static lint aborts before any simulation
+    # starts; a result that contradicts the static oracle fails below.
+    try:
+        result = experiment.run_points(
             jobs,
-            demo_runner,
             workers=args.workers,
             timeout=args.timeout,
             retries=args.retries,
@@ -512,13 +483,11 @@ def _campaign(args) -> int:
             campaign_seed=args.seed,
             progress=print,
             failure_dump_dir=args.dump_dir or None,
+            validate=not args.no_validate,
         )
-    # Oracle gate: every successful result — including cache hits — is
-    # cross-checked against the static redundancy/value analysis at
-    # aggregation time.  A violation means the simulator contradicted a
-    # proven bound; that fails the campaign.
-    if not args.no_validate:
-        experiment.validate_campaign_result(result, progress=print)
+    except experiment.WorkloadLintError as exc:
+        print(f"campaign aborted: {exc}")
+        return 2
     rows = []
     for outcome in result.outcomes:
         job = outcome.job

@@ -21,6 +21,7 @@ import os
 import pickle
 import shutil
 import tempfile
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -120,7 +121,7 @@ class CampaignJob:
     to the thread count), and ``None`` when that is the default, so one
     point has one cache key however it was spelled.  ``tag``
     distinguishes otherwise-identical jobs (and is part of the cache
-    key); runners that inject faults or extra behaviours key off it.
+    key); :func:`simulate_job` keys its two fault injections off it.
     ``engine`` picks the simulation core (``"reference"`` or ``"fast"``,
     see :mod:`repro.pipeline.fast`); it is part of the cache key even
     though both engines are cycle-exact, so a fast-engine bug can never
@@ -363,49 +364,44 @@ def run_app(
 
 
 def simulate_job(job: CampaignJob, seed: int) -> RunResult:
-    """Standard campaign runner: execute one :class:`CampaignJob`.
+    """The campaign runner: execute one :class:`CampaignJob`.
 
     Runs in a worker process; the returned :class:`RunResult` is shipped
     back (and disk-cached) by the campaign layer.  The derived *seed* is
     unused here — paper workloads are bit-deterministic by construction —
     but the signature keeps the runner drop-in compatible with stochastic
     runners.
+
+    Two tags inject faults, for the ``repro campaign`` demos and tests:
+    ``inject-hang`` sleeps until the campaign's timeout kills it, and
+    ``livelock`` wedges every context's fetch, so with failure dumps
+    enabled the no-forward-progress watchdog fires (after a deliberately
+    short 5,000-cycle fuse, so demos stay fast) and leaves a flight dump.
+    Any other job runs as is.
     """
     del seed
+    if job.tag == "inject-hang":
+        while True:  # pragma: no cover - killed by the campaign timeout
+            time.sleep(3600)
+    livelock = job.tag == "livelock"
     machine = _normalize_machine(job.machine, job.threads)
     dump_path = get_failure_dump_path()
-    obs = campaign_observer() if dump_path else None
+    obs = None
+    if dump_path:
+        obs = campaign_observer(
+            watchdog_cycles=5_000 if livelock else DEFAULT_WATCHDOG_CYCLES
+        )
     return _simulate(
         job.app, job.config, job.threads, machine, job.scale, job.strict,
-        obs=obs, failure_dump=dump_path, engine=job.engine, seed=job.seed,
+        obs=obs, failure_dump=dump_path,
+        prepare=_wedge_fetch if livelock else None, engine=job.engine,
+        seed=job.seed,
     )
 
 
 def _wedge_fetch(core) -> None:
     """Stall every context's fetch forever: an injected livelock."""
     core.fetch_stall_until = [core.config.max_cycles + 1] * core.num_threads
-
-
-def simulate_job_faulty(job: CampaignJob, seed: int) -> RunResult:
-    """Campaign runner honouring fault-injection tags (CLI demo, tests).
-
-    ``tag="livelock"`` wedges every context's fetch before running: with
-    failure dumps enabled the no-forward-progress watchdog fires (after a
-    deliberately short fuse, so demos stay fast) and leaves a flight dump;
-    any other tag behaves like :func:`simulate_job`.
-    """
-    del seed
-    machine = _normalize_machine(job.machine, job.threads)
-    dump_path = get_failure_dump_path()
-    obs = (
-        campaign_observer(watchdog_cycles=5_000) if dump_path else None
-    )
-    prepare = _wedge_fetch if job.tag == "livelock" else None
-    return _simulate(
-        job.app, job.config, job.threads, machine, job.scale, job.strict,
-        obs=obs, failure_dump=dump_path, prepare=prepare, engine=job.engine,
-        seed=job.seed,
-    )
 
 
 def trace_run(
@@ -738,6 +734,7 @@ class WorkloadChecked:
 
 def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
     from repro.analysis.lint import lint_program
+    from repro.analysis.redundancy import OracleReport
 
     build = build_point(task.app, task.threads, scale=task.scale,
                         seed=task.seed)
@@ -749,7 +746,7 @@ def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
             pickle.dump(build, handle, pickle.HIGHEST_PROTOCOL)
     cache = ResultCache(task.cache_root)
     diagnostics = None
-    if task.lint and cache.load(_lint_key(digest)) is None:
+    if task.lint and cache.load(_lint_key(digest)) is not True:
         diagnostics = lint_program(build.program)
         if not diagnostics:
             cache.store(_lint_key(digest), True)
@@ -758,7 +755,7 @@ def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
         for limit in task.limits:
             key = _oracle_key(digest, build.nctx, limit)
             report = cache.load(key)
-            if report is None:
+            if not isinstance(report, OracleReport):
                 try:
                     report = _analyze_oracle(build, limit)
                 except Exception:  # noqa: BLE001 - reported by validation
@@ -814,9 +811,9 @@ def lint_campaign_jobs(
     keyed by program digest (reports also by context count and limit
     flag) under the code fingerprint, so a later campaign, in any
     process, neither lints nor analyses that program again until the
-    code changes.  A corrupt entry is a miss.  The driver then works
-    through the results in job order: it reports ``lint NAME: ok`` /
-    ``cached ok`` through *progress*, seeds the memo
+    code changes.  A corrupt or foreign entry is a miss.  The driver then
+    works through the results in job order: it reports ``lint NAME: ok``
+    / ``cached ok`` through *progress*, seeds the memo
     :func:`oracle_for_run` reads, so validation only runs
     ``validate_against``, and records each spooled build's path for the
     simulation workers.  Any diagnostic aborts dispatch with
@@ -909,13 +906,16 @@ def run_points(
     lint: bool = True,
     validate: bool = True,
 ) -> CampaignResult:
-    """Run many simulation points in parallel and seed the in-memory memo.
+    """Run the :class:`CampaignJob` *points* as one campaign and seed the
+    in-memory memo.
 
-    *points* is an iterable of :class:`CampaignJob` or of
-    ``(app, config, threads[, machine[, scale[, strict]]])`` tuples.
-    After this returns, a serial :func:`run_app` call for any successful
-    point is a memo hit — which is how the figure regenerators and the
-    benchmark drivers get their parallelism without restructuring.
+    This is the one code path that sequences a simulation campaign:
+    ``repro campaign``, the figure prefetches and the benchmarks all come
+    through here, with :func:`simulate_job` as the runner, so a point has
+    one cache key whichever command ran it.  After this returns, a serial
+    :func:`run_app` call for any successful point is a memo hit — which
+    is how the figure regenerators and the benchmark drivers get their
+    parallelism without restructuring.
 
     Unless *lint* is disabled, every distinct workload is statically
     linted (content-addressed, so effectively free after the first run)
@@ -927,12 +927,12 @@ def run_points(
     both come from one pre-dispatch pass on the worker pool (see
     :func:`lint_campaign_jobs`), which stores its verdicts and reports in
     the result cache, whatever *use_cache* says, and whose builds the
-    simulation workers reuse (see :func:`build_handoff`).
+    simulation workers reuse (see :func:`build_handoff`).  The pass's
+    wall time is ``result.pass_wall_time``; ``result.wall_time`` is the
+    simulation campaign's alone.
     """
-    jobs = [
-        point if isinstance(point, CampaignJob) else CampaignJob(*point)
-        for point in points
-    ]
+    jobs = list(points)
+    pass_wall_time = 0.0
     with build_handoff():
         if lint or validate:
             # Resolve *cache* exactly as run_campaign does, so the stored
@@ -942,10 +942,12 @@ def run_points(
                 cache if isinstance(cache, ResultCache)
                 else ResultCache(cache)
             ).root
+            started = time.perf_counter()
             lint_campaign_jobs(
                 jobs, cache_dir=cache_root, progress=progress,
                 workers=workers, timeout=timeout, lint=lint, oracle=validate,
             )
+            pass_wall_time = time.perf_counter() - started
         result = run_campaign(
             jobs,
             simulate_job,
@@ -958,6 +960,7 @@ def run_points(
             progress=progress,
             failure_dump_dir=failure_dump_dir,
         )
+    result.pass_wall_time = pass_wall_time
     for outcome in result.outcomes:
         if outcome.ok:
             _CACHE[outcome.job.memo_key()] = outcome.payload

@@ -78,6 +78,8 @@ def summarize_campaign(result) -> dict:
         ),
         "retries": result.retries,
         "wall_time": result.wall_time,
+        # The pre-dispatch pass (lint, oracle reports, builds) before it.
+        "pass_wall_time": result.pass_wall_time,
         "job_wall_total": sum(walls),
         "job_wall_mean": sum(walls) / len(walls) if walls else 0.0,
         "job_wall_max": max(walls) if walls else 0.0,

@@ -172,10 +172,10 @@ def test_run_points_lint_markers_follow_a_path_cache(
 
 def test_run_points_lints_before_dispatch(tmp_path):
     from repro.core.config import MMTConfig
-    from repro.harness.experiment import run_points
+    from repro.harness.experiment import CampaignJob, run_points
 
     result = run_points(
-        [("ammp", MMTConfig.base(), 2, None, 0.25)],
+        [CampaignJob("ammp", MMTConfig.base(), 2, None, 0.25)],
         workers=1,
         cache=None,
         use_cache=False,

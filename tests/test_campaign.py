@@ -338,11 +338,11 @@ def test_outcomes_record_worker_rss(cache):
 
 
 def test_livelocked_job_leaves_flight_dump(cache, tmp_path):
-    from repro.harness.experiment import simulate_job_faulty
+    from repro.harness.experiment import simulate_job
     from repro.obs import load_dump
 
     job = CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1, tag="livelock")
-    result = run_campaign([job], simulate_job_faulty, workers=1, retries=0,
+    result = run_campaign([job], simulate_job, workers=1, retries=0,
                           cache=cache, failure_dump_dir=tmp_path / "flight")
     outcome = result.outcomes[0]
     assert outcome.status == "failed"
@@ -361,12 +361,12 @@ def test_livelocked_fast_engine_job_leaves_flight_dump(cache, tmp_path):
     a fast-engine campaign job that livelocks leaves the same dump a
     reference job would, and the dump replays (satellite: oracle gate on
     the replay path)."""
-    from repro.harness.experiment import replay_dump, simulate_job_faulty
+    from repro.harness.experiment import replay_dump, simulate_job
     from repro.obs import load_dump
 
     job = CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1,
                       tag="livelock", engine="fast")
-    result = run_campaign([job], simulate_job_faulty, workers=1, retries=0,
+    result = run_campaign([job], simulate_job, workers=1, retries=0,
                           cache=cache, failure_dump_dir=tmp_path / "flight")
     outcome = result.outcomes[0]
     assert outcome.status == "failed"
@@ -891,3 +891,58 @@ def test_validation_rebuilds_workloads_without_the_pass():
     assert violations[0].workload == "ammp"
     assert "rebuilds as program" in violations[0].problems[0]
     experiment.clear_oracle_memo()
+
+
+# ------------------------------------------------------ one campaign path
+def test_pass_wall_time_is_recorded_beside_the_dispatch(tmp_path):
+    """``wall_time`` is the dispatch alone; the pre-dispatch pass has its
+    own figure, in the result and in its summary, and 0.0 when no pass
+    ran."""
+    clear_cache()
+    jobs = [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)]
+    result = run_points(jobs, workers=1, cache=tmp_path)
+    assert result.outcomes[0].ok
+    assert result.pass_wall_time > 0
+    assert summarize_campaign(result)["pass_wall_time"] == (
+        result.pass_wall_time
+    )
+    bare = run_points(jobs, workers=1, cache=tmp_path, lint=False,
+                      validate=False)
+    assert bare.outcomes[0].from_cache
+    assert bare.pass_wall_time == 0.0
+    assert summarize_campaign(bare)["pass_wall_time"] == 0.0
+    clear_cache()
+
+
+@pytest.mark.parametrize("foreign", [
+    {"not": "a result"},
+    # A wrapper whose cost is in the retired ``max_rss_kb`` field.
+    {"__campaign__": 1, "payload": "stale", "wall_time": 1.0,
+     "max_rss_kb": 1},
+])
+def test_a_foreign_cache_entry_is_rerun_validated_and_replaced(tmp_path,
+                                                              foreign):
+    """Only an entry the campaign wrote is a result: any other object
+    under a job's key is a miss, which is simulated, validated against
+    the oracle, served by run_app and overwritten."""
+    from repro.harness import experiment
+
+    clear_cache()
+    cache = ResultCache(tmp_path)
+    job = CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)
+    key = job_key(job, experiment.simulate_job)
+    cache.store(key, foreign)
+    result = run_points([job], workers=1, cache=cache)
+    outcome = result.outcomes[0]
+    assert outcome.ok and not outcome.from_cache
+    assert isinstance(outcome.payload, experiment.RunResult)
+    assert (result.cache_hits, result.cache_misses) == (0, 1)
+    assert result.validation_failures == []
+    assert experiment.run_app("ammp", MMTConfig.base(), 2,
+                              scale=0.1) is outcome.payload
+    entry = cache.load(key)
+    assert entry["__campaign__"] == 1
+    assert isinstance(entry["payload"], experiment.RunResult)
+    again = run_points([job], workers=1, cache=cache)
+    assert again.outcomes[0].from_cache
+    clear_cache()

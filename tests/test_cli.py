@@ -138,6 +138,39 @@ def test_replay_target_roundtrip(capsys, tmp_path, monkeypatch):
     assert "replay clean" in out
 
 
+def test_inject_hang_times_out_and_the_sweep_goes_on(capsys, tmp_path):
+    """campaign --inject-hang: the tagged job sleeps until its timeout
+    kills it and is reported; the healthy job completes."""
+    code = main(["campaign", "--apps", "ammp", "--configs", "Base",
+                 "--scale", "0.1", "--workers", "2", "--timeout", "2",
+                 "--retries", "0", "--inject-hang",
+                 "--cache-dir", str(tmp_path), "--dump-dir", ""])
+    assert code == 0  # partial failure reported, not fatal
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [(row[0], row[3]) for row in rows
+            if len(row) > 3 and row[1] == "Base"] == [
+        ("ammp", "ok"), ("ammp[inject-hang]", "timeout"),
+    ]
+
+
+def test_campaign_and_figure_prefetch_share_cache_entries(capsys, tmp_path):
+    """`repro campaign` and a figure's prefetch run one path with one
+    runner, so a point has one cache key whichever command ran it."""
+    from repro.harness.figures import prefetch_figure
+
+    cache = tmp_path / "cache"
+    assert main(["campaign", "--apps", "ammp", "lu", "--configs", "Base",
+                 "MMT-FXR", "--threads", "2", "4", "--scale", "0.1",
+                 "--workers", "2", "--cache-dir", str(cache),
+                 "--dump-dir", ""]) == 0
+    capsys.readouterr()
+    result = prefetch_figure("fig6", apps=["ammp", "lu"], scale=0.1,
+                             workers=2, cache=cache)
+    assert len(result.outcomes) == 8
+    assert all(o.ok and o.from_cache for o in result.outcomes)
+    assert result.validation_failures == []
+
+
 def test_replay_without_dump_is_usage_error(capsys):
     assert main(["replay"]) == 2
     assert "--dump" in capsys.readouterr().out
@@ -236,7 +269,7 @@ def test_campaign_suite_engine_interaction(tmp_path, monkeypatch):
         raise SystemExit(0)  # stop before simulating anything
 
     monkeypatch.setattr(
-        "repro.harness.campaign.run_campaign", fake_run_campaign
+        cli_mod.experiment, "run_campaign", fake_run_campaign
     )
     monkeypatch.setattr(
         cli_mod.experiment, "lint_campaign_jobs",

@@ -255,6 +255,28 @@ def test_a_truncated_report_or_verdict_is_redone_and_replaced(tmp_path,
     assert cache.load(experiment._lint_key(first.digest)) is True
 
 
+def test_a_foreign_report_or_verdict_is_redone_and_replaced(tmp_path,
+                                                           monkeypatch):
+    """Only what the pass stores counts: any other object under a
+    verdict's or a report's key is a miss."""
+    from repro.analysis import lint
+
+    first = experiment._check_workload(_task(tmp_path))
+    cache = ResultCache(tmp_path)
+    report_key = experiment._oracle_key(first.digest, 2, False)
+    verdict_key = experiment._lint_key(first.digest)
+    for key in (report_key, verdict_key):
+        cache.store(key, {"not": "a result"})
+
+    analyses = _count_calls(monkeypatch, experiment, "_analyze_oracle")
+    lints = _count_calls(monkeypatch, lint, "lint_program")
+    again = experiment._check_workload(_task(tmp_path))
+    assert (len(analyses), len(lints)) == (1, 1)
+    assert again.diagnostics == [] and again.reports == first.reports
+    assert cache.load(report_key) == first.reports[False]
+    assert cache.load(verdict_key) is True
+
+
 def test_more_workers_than_cores_store_shared_entries_once(tmp_path):
     """Six pass workers at once, three per program: each program is
     reported linted once, at its first workload, and every verdict and
