@@ -51,8 +51,6 @@ from repro.analysis.redundancy import (
     OracleReport,
     analyze_build,
     analyze_cfg,
-    analyze_limit_build,
-    analyze_mp_build,
     analyze_program,
 )
 from repro.analysis.values import (
@@ -91,8 +89,6 @@ __all__ = [
     "OracleReport",
     "analyze_build",
     "analyze_cfg",
-    "analyze_limit_build",
-    "analyze_mp_build",
     "analyze_program",
     "LoadClass",
     "MemoryModel",

@@ -60,7 +60,6 @@ from repro.isa.program import Program
 from repro.isa.registers import NUM_ARCH_REGS, reg_name
 from repro.pipeline.stats import SimStats
 from repro.workloads.generator import WorkloadBuild
-from repro.workloads.message_passing import MPWorkloadBuild
 
 #: Static execution-frequency multiplier per loop-nesting level.
 LOOP_WEIGHT = 8
@@ -195,16 +194,6 @@ class OracleReport:
             f"control-div={self.control_divergent_fraction:.2f} "
             f"merge<={self.merge_upper_bound:.3f} "
             f"rst<={self.rst_upper_bound:.3f} "
-            f"lvip<={self.lvip_hit_rate_upper_bound:.1f}"
-        )
-
-    def values_summary(self) -> str:
-        """One-line summary of the value-level (LVIP) columns."""
-        return (
-            f"{self.name}: lvip-eligible={len(self.lvip_eligible_pcs)} "
-            f"must-identical={len(self.lvip_must_identical_pcs)} "
-            f"({self.lvip_must_identical_fraction:.2f} weighted) "
-            f"widened-headers={self.widened_loop_headers} "
             f"lvip<={self.lvip_hit_rate_upper_bound:.1f}"
         )
 
@@ -392,58 +381,33 @@ def _must_differ_exit(v: tuple[object, ...]) -> bool:
     return v[2] is None and v[3] is None  # unknown injective, not widened
 
 
-def analyze_build(build: WorkloadBuild) -> OracleReport:
-    """Oracle report for a generated single/multi-context workload build."""
-    shared = build.profile.wtype is WorkloadType.MULTI_THREADED
+def analyze_build(build: WorkloadBuild, limit: bool = False) -> OracleReport:
+    """Oracle report for a workload build, under its job convention.
+
+    Multi-threaded jobs share one address space: strided stacks, no
+    LVIP.  Multi-execution and message-passing jobs give every context
+    its own space (with the per-instance overlays) and consult the LVIP.
+    ``limit=True`` analyses the build run under the Limit-study
+    configuration: ``Job.limit_clone`` runs *nctx* identical clones that
+    see the base data image (no overlays) and soft tid 0, as a
+    multi-execution job, so far more loads are provably identical.
+    """
+    program = build.program
+    shared = build.wtype is WorkloadType.MULTI_THREADED and not limit
+    memory = MemoryModel(
+        dict(program.data),
+        () if limit else build.per_instance_data,
+        shared=shared,
+        regions=regions_from_symbols(
+            getattr(program, "symbols", None) or {}, program.data
+        ),
+    )
     return analyze_program(
-        build.program,
+        program,
         build.nctx,
         sp_divergent=shared,
-        memory=MemoryModel.for_build(build, shared=shared),
+        name=program.name + "-limit" if limit else None,
+        memory=memory,
         lvip_eligible=not shared,
-    )
-
-
-def analyze_limit_build(build: WorkloadBuild) -> OracleReport:
-    """Oracle report for a build run under the Limit-study configuration.
-
-    ``Job.limit_clone`` runs *nctx* identical clones of the program: every
-    context sees the base data image (no overlays) and soft tid 0, and
-    the clones execute as a multi-execution job, so they do consult the
-    LVIP.  With no overlays and a pinned tid, far more loads are provably
-    identical — which is the point of the limit study.
-    """
-    return analyze_program(
-        build.program,
-        build.nctx,
-        sp_divergent=False,
-        name=build.program.name + "-limit",
-        memory=MemoryModel(
-            dict(build.program.data),
-            regions=regions_from_symbols(
-                getattr(build.program, "symbols", None) or {},
-                build.program.data,
-            ),
-        ),
-        lvip_eligible=True,
-        tid_value=0,
-    )
-
-
-def analyze_mp_build(build: MPWorkloadBuild) -> OracleReport:
-    """Oracle report for a generated message-passing workload build."""
-    return analyze_program(
-        build.program,
-        build.nctx,
-        sp_divergent=False,
-        # Every rank boots from the same image in its own address space
-        # (rank-specific inputs arrive by message, not by overlay).
-        memory=MemoryModel(
-            dict(build.program.data),
-            regions=regions_from_symbols(
-                getattr(build.program, "symbols", None) or {},
-                build.program.data,
-            ),
-        ),
-        lvip_eligible=True,
+        tid_value=0 if limit else None,
     )

@@ -569,19 +569,6 @@ class MemoryModel:
         self._clobbered: list[Interval] = []
         self._memo: dict[Interval, tuple[bool, Interval]] = {}
 
-    @classmethod
-    def for_build(cls, build: object, shared: bool = False) -> MemoryModel:
-        """Model for a generated workload build (per-instance overlays)."""
-        program = build.program  # type: ignore[attr-defined]
-        overlays = build.per_instance_data  # type: ignore[attr-defined]
-        symbols = getattr(program, "symbols", None) or {}
-        return cls(
-            dict(program.data),
-            list(overlays),
-            shared=shared,
-            regions=regions_from_symbols(symbols, program.data),
-        )
-
     def region_at(self, addr: int) -> Region | None:
         """The named array containing *addr*, if any."""
         for region in self.regions:
@@ -1024,14 +1011,6 @@ class ValueAnalysis:
         """Advance a mutable register list across the instruction at *pc*."""
         assert self.transfer is not None
         self.transfer.apply(pc, self.cfg.instructions[pc], regs)
-
-    def state_at(self, pc: int) -> RegVals:
-        """Abstract register state immediately before *pc*."""
-        bid = self.cfg.block_of[pc]
-        regs = list(self.block_in[bid])
-        for earlier in range(self.cfg.blocks[bid].start, pc):
-            self.apply(earlier, regs)
-        return tuple(regs)
 
     def eligible_load_pcs(self) -> frozenset[int]:
         """Load PCs an LVIP check could ever target (reachable loads)."""

@@ -241,84 +241,56 @@ def _trace(args) -> int:
 def _analyze(args) -> int:
     """Static analysis of guest workloads: lint + redundancy oracle."""
     from repro.analysis import lint_program
-    from repro.analysis.redundancy import analyze_build, analyze_mp_build
+    from repro.analysis.redundancy import analyze_build
     from repro.workloads.engine import (
         WorkloadRegistryError,
-        analyze_engine_build,
-        build_engine_workload,
         get_workload,
         is_engine_workload,
         workload_names,
     )
-    from repro.workloads.generator import build_workload
     from repro.workloads.message_passing import PATTERNS, build_mp_workload
-    from repro.workloads.profiles import APP_ORDER, get_profile
+    from repro.workloads.profiles import APP_ORDER
 
     apps = list(APP_ORDER) if args.all_workloads else (
         args.apps or list(APP_ORDER)
     )
     suppress = tuple(args.suppress or ())
-    thread_counts = args.threads
-    targets = []  # (label, build, oracle_fn)
-    for app in apps:
-        if is_engine_workload(app):
-            workload = get_workload(app)
-            for threads in thread_counts:
-                if not workload.valid_nctx(threads):
+
+    def points(names):
+        for name in names:
+            for threads in args.threads:
+                if (is_engine_workload(name)
+                        and not get_workload(name).valid_nctx(threads)):
                     continue
-                targets.append(
-                    (f"{app}/{threads}t",
-                     build_engine_workload(app, threads, scale=args.scale),
-                     analyze_engine_build)
-                )
-            continue
-        try:
-            profile = get_profile(app)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}")
-            return 2
-        for threads in thread_counts:
-            targets.append(
-                (f"{app}/{threads}t",
-                 build_workload(profile, threads, scale=args.scale),
-                 analyze_build)
-            )
-    if args.all_workloads:
-        for pattern in PATTERNS:
-            for threads in thread_counts:
-                if threads < 2:
-                    continue
-                targets.append(
-                    (f"mp-{pattern}/{threads}t",
-                     build_mp_workload(threads, pattern=pattern),
-                     analyze_mp_build)
-                )
-        # Registry workloads (the engine-generated families).
-        for name in workload_names():
-            workload = get_workload(name)
-            for threads in thread_counts:
-                if not workload.valid_nctx(threads):
-                    continue
-                try:
-                    build = build_engine_workload(
-                        name, threads, scale=args.scale
-                    )
-                except WorkloadRegistryError as exc:
-                    print(f"error: {exc}")
-                    return 2
-                targets.append(
-                    (f"{name}/{threads}t", build, analyze_engine_build)
-                )
+                yield (f"{name}/{threads}t",
+                       experiment.build_point(name, threads,
+                                              scale=args.scale))
+
+    try:
+        targets = list(points(apps))  # (label, build)
+        if args.all_workloads:
+            targets += [
+                (f"mp-{pattern}/{threads}t",
+                 build_mp_workload(threads, pattern=pattern))
+                for pattern in PATTERNS
+                for threads in args.threads
+                if threads >= 2
+            ]
+            # Registry workloads (the engine-generated families).
+            targets += points(workload_names())
+    except (KeyError, WorkloadRegistryError) as exc:
+        print(f"error: {exc.args[0]}")
+        return 2
 
     rows = []
     all_diags = []
-    for label, build, oracle_fn in targets:
+    for label, build in targets:
         try:
             diags = lint_program(build.program, suppress=suppress)
         except ValueError as exc:  # unknown suppression rule
             print(f"error: {exc}")
             return 2
-        oracle = oracle_fn(build)
+        oracle = analyze_build(build)
         row = {
             "workload": label,
             "insts": len(build.program),
@@ -425,7 +397,23 @@ def _selfcheck(args) -> int:
 
 # ---------------------------------------------------------------- campaign
 def _campaign(args) -> int:
+    from repro.workloads.engine import (
+        WorkloadRegistryError,
+        is_engine_workload,
+        workload_names,
+    )
+    from repro.workloads.profiles import PROFILES
+
     apps = args.apps or experiment.default_apps()
+    unknown = [
+        app for app in apps
+        if app not in PROFILES and not is_engine_workload(app)
+    ]
+    if unknown:
+        known = ", ".join(experiment.default_apps() + workload_names())
+        print(f"campaign aborted: unknown app(s) {unknown}; choose from: "
+              f"{known}")
+        return 2
     if args.suite:
         from repro.workloads.suites import SuiteError, expand_suite_jobs, load_suite
 
@@ -462,16 +450,17 @@ def _campaign(args) -> int:
         jobs.append(
             experiment.CampaignJob(apps[0], MMTConfig.base(),
                                    args.threads[0], scale=args.scale,
-                                   tag="inject-hang")
+                                   tag="inject-hang", engine=args.engine)
         )
     if args.inject_livelock:
         jobs.append(
             experiment.CampaignJob(apps[0], MMTConfig.base(),
                                    args.threads[0], scale=args.scale,
-                                   tag="livelock")
+                                   tag="livelock", engine=args.engine)
         )
-    # A workload that fails the static lint aborts before any simulation
-    # starts; a result that contradicts the static oracle fails below.
+    # A workload that fails the static lint, or does not resolve, aborts
+    # before any simulation starts; a result that contradicts the static
+    # oracle fails below.
     try:
         result = experiment.run_points(
             jobs,
@@ -485,7 +474,7 @@ def _campaign(args) -> int:
             failure_dump_dir=args.dump_dir or None,
             validate=not args.no_validate,
         )
-    except experiment.WorkloadLintError as exc:
+    except (experiment.WorkloadLintError, WorkloadRegistryError) as exc:
         print(f"campaign aborted: {exc}")
         return 2
     rows = []

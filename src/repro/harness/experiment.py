@@ -31,6 +31,7 @@ from repro.harness.campaign import (
     ResultCache,
     code_fingerprint,
     job_key,
+    job_label,
     run_campaign,
 )
 from repro.obs import (
@@ -49,11 +50,7 @@ from repro.pipeline.fast import resolve_engine
 from repro.pipeline.stats import SimStats
 from repro.power.model import energy_of_run
 from repro.power.params import EnergyBreakdown, EnergyParams
-from repro.workloads.engine import (
-    EngineBuild,
-    build_engine_workload,
-    is_engine_workload,
-)
+from repro.workloads.engine import build_engine_workload, is_engine_workload
 from repro.workloads.generator import WorkloadBuild, build_workload
 from repro.workloads.profiles import APP_ORDER, get_profile
 
@@ -241,7 +238,7 @@ def build_handoff():
 
 def build_point(
     app: str, threads: int, scale: float = 1.0, seed: int | None = None
-) -> WorkloadBuild | EngineBuild:
+) -> WorkloadBuild:
     """Build the workload for one simulation point, whatever its origin.
 
     *app* is either a paper application profile (``fft``, ``ocean``, …)
@@ -591,13 +588,15 @@ def oracle_for_run(run: RunResult):
     registry changed, say) raises ``ValueError`` rather than validate the
     run against another program.  Limit-study runs
     (``config.limit_identical``) execute identical clones with soft tid 0
-    and therefore get the dedicated limit analysis.
+    and therefore get the Limit analysis.
     """
     ref = run.workload
     limit = run.config.limit_identical
     key = (ref.digest, ref.nctx, limit)
     report = _ORACLE_MEMO.get(key)
     if report is None:
+        from repro.analysis.redundancy import analyze_build
+
         build = build_point(ref.app, ref.threads, scale=ref.scale,
                             seed=ref.seed)
         digest = build.program.digest()
@@ -606,18 +605,8 @@ def oracle_for_run(run: RunResult):
                 f"workload {ref.name!r} rebuilds as program {digest[:12]}, "
                 f"not the {ref.digest[:12]} the run simulated"
             )
-        report = _ORACLE_MEMO[key] = _analyze_oracle(build, limit)
+        report = _ORACLE_MEMO[key] = analyze_build(build, limit)
     return report
-
-
-def _analyze_oracle(build, limit: bool):
-    """The oracle report of *build* (its Limit-study form if *limit*)."""
-    from repro.analysis.redundancy import analyze_build, analyze_limit_build
-    from repro.workloads.engine import analyze_engine_build
-
-    if isinstance(build, EngineBuild):
-        return analyze_engine_build(build, limit=limit)
-    return analyze_limit_build(build) if limit else analyze_build(build)
 
 
 def validate_campaign_result(result, progress=None) -> list[OracleViolation]:
@@ -640,7 +629,7 @@ def validate_campaign_result(result, progress=None) -> list[OracleViolation]:
         payload = outcome.payload
         if not outcome.ok or not isinstance(payload, RunResult):
             continue
-        job = job_label_of(outcome)
+        job = job_label(outcome.job)
         try:
             report = oracle_for_run(payload)
             problems = report.validate_against(payload.stats)
@@ -657,13 +646,6 @@ def validate_campaign_result(result, progress=None) -> list[OracleViolation]:
             emit(f"[oracle] VIOLATION {violation}")
     result.validation_failures.extend(violations)
     return violations
-
-
-def job_label_of(outcome) -> str:
-    """Display label for one campaign outcome's job."""
-    from repro.harness.campaign import job_label
-
-    return job_label(outcome.job)
 
 
 class WorkloadLintError(RuntimeError):
@@ -734,7 +716,7 @@ class WorkloadChecked:
 
 def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
     from repro.analysis.lint import lint_program
-    from repro.analysis.redundancy import OracleReport
+    from repro.analysis.redundancy import OracleReport, analyze_build
 
     build = build_point(task.app, task.threads, scale=task.scale,
                         seed=task.seed)
@@ -757,7 +739,7 @@ def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
             report = cache.load(key)
             if not isinstance(report, OracleReport):
                 try:
-                    report = _analyze_oracle(build, limit)
+                    report = analyze_build(build, limit)
                 except Exception:  # noqa: BLE001 - reported by validation
                     continue
                 cache.store(key, report)

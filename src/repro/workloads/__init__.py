@@ -3,14 +3,12 @@
 from repro.workloads.dsl import ProgramBuilder
 from repro.workloads.engine import (
     DynamicWorkload,
-    EngineBuild,
     Phase,
     Req,
     ReqGenEngine,
     RequestStreamWorkload,
     Workload,
     WorkloadRegistryError,
-    analyze_engine_build,
     build_engine_workload,
     get_workload,
     is_engine_workload,
@@ -18,7 +16,7 @@ from repro.workloads.engine import (
     workload_names,
 )
 from repro.workloads.generator import WorkloadBuild, build_workload
-from repro.workloads.message_passing import MPWorkloadBuild, build_mp_workload
+from repro.workloads.message_passing import build_mp_workload
 from repro.workloads.profiles import APP_ORDER, PROFILES, AppProfile, get_profile
 from repro.workloads.record import (
     RecordedTrace,
@@ -35,7 +33,6 @@ from repro.workloads.suites import (
 
 __all__ = [
     "ProgramBuilder",
-    "MPWorkloadBuild",
     "build_mp_workload",
     "WorkloadBuild",
     "build_workload",
@@ -47,7 +44,6 @@ __all__ = [
     "Req",
     "ReqGenEngine",
     "Workload",
-    "EngineBuild",
     "Phase",
     "DynamicWorkload",
     "RequestStreamWorkload",
@@ -57,7 +53,6 @@ __all__ = [
     "is_engine_workload",
     "get_workload",
     "build_engine_workload",
-    "analyze_engine_build",
     # Trace record/replay.
     "RecordedTrace",
     "TraceReplayWorkload",

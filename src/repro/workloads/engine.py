@@ -37,14 +37,14 @@ from dataclasses import dataclass
 
 from repro.core.config import WorkloadType
 from repro.isa.opcodes import Opcode
-from repro.isa.program import WORD_SIZE, Program
-from repro.pipeline.job import Job
+from repro.isa.program import WORD_SIZE
 from repro.workloads.dsl import ProgramBuilder
 from repro.workloads.generator import (
     BODY_SECTIONS,
     CHECKSUM_WORDS,
     PRIV_WORDS,
     SHARED_WORDS,
+    WorkloadBuild,
     _emit_program,
 )
 from repro.workloads.profiles import AppProfile
@@ -78,21 +78,21 @@ class Workload(ABC):
     """A named generator of guest programs (one registry entry).
 
     Subclasses compile an engine's request stream into a
-    :class:`EngineBuild`; the build carries everything the harness needs
-    (job factories, output regions, oracle classification) so registry
-    workloads are drop-in replacements for the built-in app profiles in
-    campaigns, figures and the differential suites.
+    :class:`~repro.workloads.generator.WorkloadBuild`, the build type of
+    the built-in app profiles too, so registry workloads are drop-in
+    replacements for them in campaigns, figures and the differential
+    suites.
     """
 
     name: str
-    #: Job convention of generated builds (drives oracle dispatch and
+    #: Job convention of generated builds (picks the oracle analysis and
     #: whether the Limit configuration applies).
     wtype: WorkloadType
 
     @abstractmethod
     def build(
         self, nctx: int, scale: float = 1.0, seed: int | None = None
-    ) -> "EngineBuild":
+    ) -> WorkloadBuild:
         """Deterministically generate a program for *nctx* contexts."""
 
     def valid_nctx(self, nctx: int) -> bool:
@@ -109,73 +109,6 @@ class Workload(ABC):
         # while staying bit-deterministic across processes (str seeding
         # hashes the text, never the interpreter's randomized hash()).
         return random.Random(f"{self.name}/{0 if seed is None else seed}")
-
-
-class EngineBuild:
-    """A compiled registry workload: program + job factories.
-
-    Structurally compatible with
-    :class:`~repro.workloads.generator.WorkloadBuild` (``program``,
-    ``nctx``, ``per_instance_data``, ``job()``, ``limit_job()``,
-    ``output_region()``) so the experiment/campaign layers treat both
-    uniformly; ``wtype`` additionally records the job convention for
-    oracle dispatch.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        nctx: int,
-        wtype: WorkloadType,
-        program: Program,
-        per_instance_data: list[dict[int, int | float]] | None = None,
-        out_words: int = CHECKSUM_WORDS,
-        out_stride: int | None = None,
-    ) -> None:
-        self.name = name
-        self.nctx = nctx
-        self.wtype = wtype
-        self.program = program
-        self.per_instance_data = per_instance_data or [{}]
-        #: Words per context in the ``out`` region.
-        self.out_words = out_words
-        #: Per-context byte stride inside a shared ``out`` array
-        #: (multi-threaded jobs); ``None`` means private spaces.
-        self.out_stride = out_stride
-
-    def job(self) -> Job:
-        if self.wtype is WorkloadType.MULTI_THREADED:
-            return Job.multi_threaded(self.name, self.program, self.nctx)
-        if self.wtype is WorkloadType.MESSAGE_PASSING:
-            return Job.message_passing(
-                self.name, self.program, [{}] * self.nctx
-            )
-        return Job.multi_execution(
-            self.name, self.program, self.per_instance_data
-        )
-
-    def limit_job(self) -> Job:
-        if self.wtype is WorkloadType.MESSAGE_PASSING:
-            raise ValueError(
-                f"workload {self.name!r} is message-passing: identical "
-                "Limit clones would all wait on rank-0 traffic that never "
-                "arrives; drop the Limit configuration for this scenario"
-            )
-        return Job.limit_clone(
-            self.name, self.program, self.nctx, soft_nctx=self.nctx
-        )
-
-    def output_region(self, job: Job) -> list[list[int | float]]:
-        base = self.program.symbol("out")
-        outputs = []
-        for ctx, space in enumerate(job.address_spaces):
-            offset = (
-                ctx * (self.out_stride or 0)
-                if job.wtype is WorkloadType.MULTI_THREADED
-                else 0
-            )
-            outputs.append(space.read_array(base + offset, self.out_words))
-        return outputs
 
 
 # ---------------------------------------------------------------- registry
@@ -250,7 +183,7 @@ def get_workload(name: str) -> Workload:
 
 def build_engine_workload(
     name: str, nctx: int, scale: float = 1.0, seed: int | None = None
-) -> EngineBuild:
+) -> WorkloadBuild:
     """Resolve *name* and build it, validating the context count."""
     workload = get_workload(name)
     if not workload.valid_nctx(nctx):
@@ -258,47 +191,6 @@ def build_engine_workload(
             name, f"does not support nctx={nctx}"
         )
     return workload.build(nctx, scale=scale, seed=seed)
-
-
-def analyze_engine_build(build: EngineBuild, limit: bool = False):
-    """Static oracle report for an engine build (dispatch on job type).
-
-    Mirrors :func:`~repro.analysis.redundancy.analyze_build` /
-    ``analyze_mp_build``: multi-threaded builds share one address space
-    (strided stacks, no LVIP); message-passing and multi-execution builds
-    run per-context spaces and do consult the LVIP.  ``limit=True``
-    analyses the Limit-study clone convention (soft tid pinned to 0).
-    """
-    from repro.analysis.redundancy import analyze_program
-    from repro.analysis.values import MemoryModel, regions_from_symbols
-
-    program = build.program
-    image_model = MemoryModel(
-        dict(program.data),
-        regions=regions_from_symbols(
-            getattr(program, "symbols", None) or {}, program.data
-        ),
-    )
-    if limit:
-        return analyze_program(
-            program,
-            build.nctx,
-            sp_divergent=False,
-            name=program.name + "-limit",
-            memory=image_model,
-            lvip_eligible=True,
-            tid_value=0,
-        )
-    shared = build.wtype is WorkloadType.MULTI_THREADED
-    return analyze_program(
-        program,
-        build.nctx,
-        sp_divergent=shared,
-        memory=(
-            MemoryModel.for_build(build, shared=True) if shared else image_model
-        ),
-        lvip_eligible=not shared,
-    )
 
 
 # ------------------------------------------------------------ dynamic mixes
@@ -394,7 +286,7 @@ class DynamicWorkload(Workload):
 
     def build(
         self, nctx: int, scale: float = 1.0, seed: int | None = None
-    ) -> EngineBuild:
+    ) -> WorkloadBuild:
         if not self.valid_nctx(nctx):
             raise ValueError(f"{self.name}: need at least one context")
         rng = self._rng(seed)
@@ -409,7 +301,7 @@ class DynamicWorkload(Workload):
         _place_streams(builder, nctx, chunk, rng, flags, sels)
         _emit_program(builder, self.profile, nctx, chunk, rng, True, False)
         out_stride = (chunk + CHECKSUM_WORDS) * WORD_SIZE
-        return EngineBuild(
+        return WorkloadBuild(
             self.name,
             nctx,
             self.wtype,
@@ -570,7 +462,7 @@ class RequestStreamWorkload(Workload):
 
     def build(
         self, nctx: int, scale: float = 1.0, seed: int | None = None
-    ) -> EngineBuild:
+    ) -> WorkloadBuild:
         if not self.valid_nctx(nctx):
             raise ValueError(
                 f"{self.name}: request streams need at least 2 ranks "
@@ -583,7 +475,7 @@ class RequestStreamWorkload(Workload):
         b.array("reqdata", [req.value for req in reqs])
         b.reserve("out", _OUT_WORDS)
         self._emit(b, nreq, rng)
-        return EngineBuild(
+        return WorkloadBuild(
             self.name, nctx, self.wtype, b.build(), out_words=_OUT_WORDS
         )
 

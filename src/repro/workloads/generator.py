@@ -68,54 +68,78 @@ _INT_OPS = (Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR)
 
 
 class WorkloadBuild:
-    """A generated program plus the data needed to instantiate jobs."""
+    """A generated program plus the data needed to instantiate jobs.
+
+    Every workload source returns one: the paper's app profiles
+    (:func:`build_workload`), the registry workloads and trace replays
+    (:mod:`repro.workloads.engine`) and the message-passing patterns
+    (:mod:`repro.workloads.message_passing`).  *wtype* is the job
+    convention; it picks the job factory and the oracle analysis
+    (:func:`~repro.analysis.redundancy.analyze_build`).
+    """
 
     def __init__(
         self,
-        profile: AppProfile,
+        name: str,
         nctx: int,
-        chunk: int,
+        wtype: WorkloadType,
         program: Program,
-        per_instance_data: list[dict[int, int | float]],
+        per_instance_data: list[dict[int, int | float]] | None = None,
+        out_words: int = CHECKSUM_WORDS,
+        out_stride: int | None = None,
     ) -> None:
-        self.profile = profile
+        self.name = name
         self.nctx = nctx
-        self.chunk = chunk
+        self.wtype = wtype
         self.program = program
-        self.per_instance_data = per_instance_data
+        self.per_instance_data = per_instance_data or [{}]
+        #: Words per context in the ``out`` region.
+        self.out_words = out_words
+        #: Per-context byte stride inside a shared ``out`` array
+        #: (multi-threaded jobs); ``None`` means private spaces.
+        self.out_stride = out_stride
 
     def job(self) -> Job:
         """A fresh job (new address spaces) for this build."""
-        if self.profile.wtype is WorkloadType.MULTI_THREADED:
-            return Job.multi_threaded(self.profile.name, self.program, self.nctx)
+        if self.wtype is WorkloadType.MULTI_THREADED:
+            return Job.multi_threaded(self.name, self.program, self.nctx)
+        if self.wtype is WorkloadType.MESSAGE_PASSING:
+            return Job.message_passing(
+                self.name, self.program, [{}] * self.nctx
+            )
         return Job.multi_execution(
-            self.profile.name, self.program, self.per_instance_data
+            self.name, self.program, self.per_instance_data
         )
 
     def limit_job(self) -> Job:
         """The Limit configuration: identical clones of context 0."""
+        if self.wtype is WorkloadType.MESSAGE_PASSING:
+            raise ValueError(
+                f"workload {self.name!r} is message-passing: identical "
+                "Limit clones would all wait on rank-0 traffic that never "
+                "arrives; drop the Limit configuration for this scenario"
+            )
         return Job.limit_clone(
-            self.profile.name, self.program, self.nctx, soft_nctx=self.nctx
+            self.name, self.program, self.nctx, soft_nctx=self.nctx
         )
 
     def output_region(self, job: Job) -> list[list[int | float]]:
         """Final per-context outputs (for cross-configuration correctness).
 
         Multi-threaded jobs share one address space: every context returns
-        its own slice.  Multi-execution contexts return their own copies.
+        its own slice.  Other contexts return their own copies.
         """
         base = self.program.symbol("out")
-        slice_words = self.chunk + CHECKSUM_WORDS
         outputs = []
         # Keyed off the *job*'s type: a Limit job clones an MT program into
         # separate address spaces whose clones all write the tid-0 slice.
         for ctx, space in enumerate(job.address_spaces):
             offset = (
-                ctx * slice_words * WORD_SIZE
+                ctx * (self.out_stride or 0)
                 if job.wtype is WorkloadType.MULTI_THREADED
                 else 0
             )
-            outputs.append(space.read_array(base + offset, slice_words))
+            outputs.append(space.read_array(base + offset, self.out_words))
         return outputs
 
 
@@ -151,7 +175,16 @@ def build_workload(
         per_instance = _me_instance_data(
             builder, profile, nctx, chunk, rng, flags, sels
         )
-    return WorkloadBuild(profile, nctx, chunk, program, per_instance)
+    out_words = chunk + CHECKSUM_WORDS
+    return WorkloadBuild(
+        profile.name,
+        nctx,
+        profile.wtype,
+        program,
+        per_instance,
+        out_words=out_words,
+        out_stride=out_words * WORD_SIZE,
+    )
 
 
 def _seed_of(name: str) -> int:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import random
 
+from repro.core.config import WorkloadType
 from repro.isa.opcodes import Opcode
-from repro.isa.program import WORD_SIZE, Program
-from repro.pipeline.job import Job
+from repro.isa.program import WORD_SIZE
 from repro.workloads.dsl import ProgramBuilder
+from repro.workloads.generator import WorkloadBuild
 
 # Register plan.
 R_CACC = (1, 2, 3, 4)  # common accumulators
@@ -46,29 +47,13 @@ OUT_WORDS = 8
 PATTERNS = ("ring", "pairs")
 
 
-class MPWorkloadBuild:
-    """A generated message-passing program and its job factory."""
-
-    def __init__(self, name: str, nctx: int, program: Program) -> None:
-        self.name = name
-        self.nctx = nctx
-        self.program = program
-
-    def job(self) -> Job:
-        return Job.message_passing(self.name, self.program, [{}] * self.nctx)
-
-    def output_region(self, job: Job) -> list[list[int | float]]:
-        base = self.program.symbol("out")
-        return [space.read_array(base, OUT_WORDS) for space in job.address_spaces]
-
-
 def build_mp_workload(
     nctx: int,
     pattern: str = "ring",
     iterations: int = 32,
     common_ops: int = 16,
     seed: int | None = None,
-) -> MPWorkloadBuild:
+) -> WorkloadBuild:
     """Generate an N-rank message-passing workload."""
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; choose from {PATTERNS}")
@@ -132,4 +117,5 @@ def build_mp_workload(
     for offset, reg in enumerate(R_CACC + (R_PACC, R_RECVD)):
         b.store(reg, R_OUT, disp=offset * WORD_SIZE)
     b.halt()
-    return MPWorkloadBuild(f"mp-{pattern}", nctx, b.build())
+    return WorkloadBuild(f"mp-{pattern}", nctx, WorkloadType.MESSAGE_PASSING,
+                         b.build(), out_words=OUT_WORDS)

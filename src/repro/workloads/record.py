@@ -39,8 +39,8 @@ from repro.obs.events import EventKind
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.smt import SMTCore
 from repro.workloads.dsl import ProgramBuilder
-from repro.workloads.engine import EngineBuild, Workload
-from repro.workloads.generator import build_workload
+from repro.workloads.engine import Workload
+from repro.workloads.generator import WorkloadBuild, build_workload
 from repro.workloads.profiles import get_profile
 
 #: Recording format version (bump on incompatible schema changes).
@@ -245,7 +245,7 @@ class TraceReplayWorkload(Workload):
 
     def build(
         self, nctx: int, scale: float = 1.0, seed: int | None = None
-    ) -> EngineBuild:
+    ) -> WorkloadBuild:
         if not self.valid_nctx(nctx):
             raise ValueError(
                 f"{self.name}: recorded with {self.trace.threads} threads, "
@@ -270,7 +270,7 @@ class TraceReplayWorkload(Workload):
         b.array("toks", flat)
         b.reserve("out", _OUT_WORDS * nctx)
         self._emit(b, slice_len, rng)
-        return EngineBuild(
+        return WorkloadBuild(
             self.name,
             nctx,
             self.wtype,

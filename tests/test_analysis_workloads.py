@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lint import lint_program
-from repro.analysis.redundancy import analyze_build, analyze_mp_build
+from repro.analysis.redundancy import analyze_build
 from repro.core.config import WorkloadType
+from repro.workloads.engine import workload_names
 from repro.workloads.generator import build_workload
 from repro.workloads.message_passing import PATTERNS, build_mp_workload
 from repro.workloads.profiles import APP_ORDER, get_profile
@@ -51,10 +52,21 @@ def test_message_passing_workload_lints_clean(pattern, nctx):
     assert diags == [], "\n".join(str(d) for d in diags)
 
 
-@pytest.mark.parametrize("app", APP_ORDER)
-def test_oracle_bounds_are_sane(app):
-    build = build_workload(get_profile(app), 4)
-    report = analyze_build(build)
+@pytest.mark.parametrize("name,limit", [
+    pytest.param(name, limit, id=name + ("-limit" if limit else ""))
+    for name in (*APP_ORDER, *workload_names(),
+                 *(f"mp-{pattern}" for pattern in PATTERNS))
+    for limit in (False, True)
+])
+def test_oracle_bounds_are_sane(name, limit):
+    """Every build family, plain and under the Limit study."""
+    from repro.harness.experiment import build_point
+
+    if name.startswith("mp-"):
+        build = build_mp_workload(4, pattern=name[len("mp-"):])
+    else:
+        build = build_point(name, 4)
+    report = analyze_build(build, limit=limit)
     assert 0.0 <= report.merge_upper_bound <= 1.0
     assert 0.0 <= report.rst_upper_bound <= 1.0
     fractions = (
@@ -63,7 +75,10 @@ def test_oracle_bounds_are_sane(app):
         + report.control_divergent_fraction
     )
     assert fractions == pytest.approx(1.0)
-    if get_profile(app).wtype is WorkloadType.MULTI_THREADED:
+    assert report.name.endswith("-limit") == limit
+    shared = build.wtype is WorkloadType.MULTI_THREADED and not limit
+    assert report.lvip_eligible == (not shared)
+    if shared:
         # MT threads get strided stacks and read their tid: some registers
         # provably end pairwise-different, so the RST bound is non-trivial.
         assert report.rst_upper_bound < 1.0
@@ -74,13 +89,6 @@ def SP_must_differ(report):
     from repro.isa.registers import SP
 
     return SP in report.diverging_exit_regs
-
-
-@pytest.mark.parametrize("pattern", PATTERNS)
-def test_mp_oracle_bounds_are_sane(pattern):
-    report = analyze_mp_build(build_mp_workload(4, pattern=pattern))
-    assert 0.0 <= report.merge_upper_bound <= 1.0
-    assert 0.0 <= report.rst_upper_bound <= 1.0
 
 
 # ------------------------------------------------------ campaign lint gate

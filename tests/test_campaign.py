@@ -706,17 +706,17 @@ def test_dead_pre_pass_worker_fails_the_gate(tmp_path, monkeypatch):
 def test_pre_pass_seeds_the_oracle_memo(tmp_path, monkeypatch):
     """One report per distinct (digest, nctx, limit), equal to the serial
     analysis, and none computed in the driver."""
-    from repro.analysis.redundancy import analyze_build, analyze_limit_build
+    from repro.analysis import redundancy
     from repro.harness import experiment
 
     driver_analyses = []  # forked workers append to their own copies
-    analyze = experiment._analyze_oracle
+    analyze = redundancy.analyze_build
 
-    def counted(build, limit):
+    def counted(build, limit=False):
         driver_analyses.append(limit)
         return analyze(build, limit)
 
-    monkeypatch.setattr(experiment, "_analyze_oracle", counted)
+    monkeypatch.setattr(redundancy, "analyze_build", counted)
     experiment.clear_oracle_memo()
     clear_cache()
     jobs = [CampaignJob(app, config, 2, scale=0.1)
@@ -731,8 +731,8 @@ def test_pre_pass_seeds_the_oracle_memo(tmp_path, monkeypatch):
     for app in ("ammp", "lu"):
         build = experiment.build_point(app, 2, scale=0.1)
         key = (build.program.digest(), build.nctx)
-        expected[(*key, False)] = analyze_build(build)
-        expected[(*key, True)] = analyze_limit_build(build)
+        expected[(*key, False)] = analyze(build)
+        expected[(*key, True)] = analyze(build, limit=True)
     assert experiment._ORACLE_MEMO == expected
     experiment.clear_oracle_memo()
     clear_cache()

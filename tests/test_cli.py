@@ -1,5 +1,7 @@
 """The `python -m repro` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.harness.cli import TARGETS, build_parser, main
@@ -136,6 +138,53 @@ def test_replay_target_roundtrip(capsys, tmp_path, monkeypatch):
     assert "original failure" in out
     assert "no instruction committed" in out
     assert "replay clean" in out
+
+
+def test_injected_demo_jobs_run_on_the_chosen_engine(capsys, tmp_path):
+    """--inject-livelock appends its job on the --engine engine, so the
+    flight dump it leaves names that engine."""
+    from repro.harness import experiment
+
+    dump_dir = tmp_path / "flight"
+    try:
+        code = main(["campaign", "--engine", "fast", "--apps", "ammp",
+                     "--configs", "Base", "--scale", "0.1", "--workers", "2",
+                     "--retries", "0", "--inject-livelock",
+                     "--dump-dir", str(dump_dir),
+                     "--cache-dir", str(tmp_path / "cache")])
+    finally:
+        experiment.set_default_engine("reference")
+    assert code == 0  # partial failure reported, not fatal
+    dumps = list(dump_dir.glob("*.flight.json"))
+    assert len(dumps) == 1
+    assert json.loads(dumps[0].read_text())["job"]["engine"] == "fast"
+
+
+def _truncated_trace(tmp_path):
+    path = tmp_path / "cut.trace.json"
+    path.write_text('{"format_version": 1, "app": "mcf", "thr')
+    return f"trace:{path}"
+
+
+@pytest.mark.parametrize("app", ["nosuchapp", "truncated-trace"])
+def test_campaign_with_an_unresolvable_app_aborts(capsys, tmp_path, app):
+    """A name that resolves to no workload aborts the campaign with a
+    message and exit 2, and no result is stored."""
+    if app == "truncated-trace":
+        app = _truncated_trace(tmp_path)
+    cache = tmp_path / "cache"
+    assert main(["campaign", "--apps", app, "--configs", "Base",
+                 "--threads", "2", "--scale", "0.1", "--workers", "1",
+                 "--cache-dir", str(cache), "--dump-dir", ""]) == 2
+    out = capsys.readouterr().out
+    assert "campaign aborted: " in out and "Traceback" not in out
+    assert not [path for path in cache.rglob("*") if path.is_file()]
+
+
+def test_analyze_with_an_unresolvable_app_is_exit_2(capsys, tmp_path):
+    assert main(["analyze", "--apps", _truncated_trace(tmp_path),
+                 "--threads", "2"]) == 2
+    assert "error: workload 'trace:" in capsys.readouterr().out
 
 
 def test_inject_hang_times_out_and_the_sweep_goes_on(capsys, tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from repro.func.executor import FunctionalExecutor
 from repro.profiling.tracing import capture_job_traces
 from repro.workloads.generator import (
+    CHECKSUM_WORDS,
     F_CACC,
     R_CACC,
     R_I,
@@ -80,7 +81,7 @@ def test_divergence_rate_realised():
     profile = get_profile("twolf")
     build = build_workload(profile, 2, scale=1.0)
     flags_base = build.program.symbol("flags")
-    n_sections = build.chunk * 3
+    n_sections = (build.out_words - CHECKSUM_WORDS) * 3
     base_flags = [build.program.data[flags_base + 8 * i] for i in range(n_sections)]
     overlay = build.per_instance_data[1]
     disagreements = sum(

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import redundancy
 from repro.core.config import MMTConfig
 from repro.harness import experiment
 from repro.harness.campaign import ResultCache
@@ -217,7 +218,7 @@ def test_reports_and_verdicts_live_under_the_code_fingerprint(tmp_path,
                                                             monkeypatch):
     from repro.analysis import lint
 
-    analyses = _count_calls(monkeypatch, experiment, "_analyze_oracle")
+    analyses = _count_calls(monkeypatch, redundancy, "analyze_build")
     lints = _count_calls(monkeypatch, lint, "lint_program")
     _use_fingerprint(monkeypatch, "code-one")
     first = experiment._check_workload(_task(tmp_path))
@@ -244,7 +245,7 @@ def test_a_truncated_report_or_verdict_is_redone_and_replaced(tmp_path,
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
 
-    analyses = _count_calls(monkeypatch, experiment, "_analyze_oracle")
+    analyses = _count_calls(monkeypatch, redundancy, "analyze_build")
     lints = _count_calls(monkeypatch, lint, "lint_program")
     again = experiment._check_workload(_task(tmp_path))
     assert (len(analyses), len(lints)) == (1, 1)
@@ -268,7 +269,7 @@ def test_a_foreign_report_or_verdict_is_redone_and_replaced(tmp_path,
     for key in (report_key, verdict_key):
         cache.store(key, {"not": "a result"})
 
-    analyses = _count_calls(monkeypatch, experiment, "_analyze_oracle")
+    analyses = _count_calls(monkeypatch, redundancy, "analyze_build")
     lints = _count_calls(monkeypatch, lint, "lint_program")
     again = experiment._check_workload(_task(tmp_path))
     assert (len(analyses), len(lints)) == (1, 1)

@@ -9,7 +9,7 @@ same proof obligations as the paper workloads:
   SimStats, final registers, memory images, and per-cycle fetch/commit
   streams (:func:`assert_cycle_exact` from the fast-path suite).
 * **Oracle validation** — the static redundancy/value analysis
-  (:func:`analyze_engine_build`) must bound every dynamic run
+  (:func:`~repro.analysis.redundancy.analyze_build`) must bound every dynamic run
   (``validate_against``).
 * **Lint gate** — every generated program lints clean.
 
@@ -27,8 +27,8 @@ import pytest
 
 from repro.analysis.lint import lint_program
 from repro.harness.experiment import CONFIG_FACTORIES
+from repro.analysis.redundancy import analyze_build
 from repro.workloads.engine import (
-    analyze_engine_build,
     build_engine_workload,
     get_workload,
     workload_names,
@@ -57,7 +57,7 @@ def _check_workload(name: str, config_names, nctx: int, scale: float):
     """One workload through the full gate: lint, differential, oracle."""
     build = build_engine_workload(name, nctx, scale=scale, seed=5)
     assert lint_program(build.program) == [], f"{name}: lint diagnostics"
-    report = analyze_engine_build(build)
+    report = analyze_build(build)
     for config_name in config_names:
         config = CONFIG_FACTORIES[config_name]()
         label = f"{name}/{nctx}t/{config_name}"
@@ -96,13 +96,13 @@ def test_shipped_suites_load_and_expand():
 
 def test_limit_config_runs_dynamic_workload():
     """Limit-study clones of a dynamic workload run and validate (the
-    MT -> limit_clone path of EngineBuild)."""
+    MT -> limit_clone path of WorkloadBuild)."""
     from tests.test_fastpath_differential import run_pipeline
 
     build = build_engine_workload("dyn-phased", 4, scale=SCALE, seed=5)
     config = CONFIG_FACTORIES["Limit"]()
     core, _ = run_pipeline(build, config, 4)
-    report = analyze_engine_build(build, limit=True)
+    report = analyze_build(build, limit=True)
     assert report.validate_against(core.stats) == []
 
 
@@ -138,7 +138,7 @@ def test_scenario_suite_files_execute_differentially():
                     scale=scenario.scale, seed=scenario.seed,
                 )
                 assert lint_program(build.program) == []
-                report = analyze_engine_build(build)
+                report = analyze_build(build)
                 for config_name in scenario.configs:
                     config = CONFIG_FACTORIES[config_name]()
                     label = f"{suite.name}:{scenario.workload}/{nctx}t/{config_name}"
@@ -146,7 +146,7 @@ def test_scenario_suite_files_execute_differentially():
                         from tests.test_fastpath_differential import run_pipeline
 
                         core, _ = run_pipeline(build, config, nctx)
-                        limit_report = analyze_engine_build(build, limit=True)
+                        limit_report = analyze_build(build, limit=True)
                         assert limit_report.validate_against(core.stats) == []
                         continue
                     ref_stats = assert_cycle_exact(build, config, nctx, label)

@@ -60,7 +60,7 @@ def test_different_apps_differ():
 def test_scale_controls_work():
     small = build_workload(get_profile("lu"), 2, scale=0.5)
     large = build_workload(get_profile("lu"), 2, scale=1.0)
-    assert small.chunk < large.chunk
+    assert small.out_words < large.out_words
 
 
 def test_me_instances_have_overlays():
