@@ -6,34 +6,11 @@ the paper's values.  Headline targets: ~88% fetch-identical and ~35%
 execute-identical on average.
 """
 
-from conftest import emit, prefetch
-
-from repro.harness import fig1_sharing, format_table
+from conftest import regenerate
 
 
 def test_fig1_sharing_breakdown(benchmark, scale):
-    prefetch("fig1", scale)
-    rows = benchmark.pedantic(
-        lambda: fig1_sharing(scale=scale), rounds=1, iterations=1
-    )
-    emit(
-        "Figure 1 — Instruction sharing characteristics",
-        format_table(
-            rows,
-            columns=[
-                "app",
-                "execute_identical",
-                "fetch_identical_only",
-                "not_identical",
-                "paper_execute_identical",
-                "paper_fetch_identical",
-            ],
-            headers=[
-                "app", "exec-id", "fetch-only", "not-id",
-                "paper exec", "paper fetch",
-            ],
-        ),
-    )
+    rows = regenerate(benchmark, "fig1", scale)
     average = rows[-1]
     assert average["app"] == "average"
     # Shape targets from the paper's motivation study.

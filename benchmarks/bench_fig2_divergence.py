@@ -6,22 +6,11 @@ programs except equake and vortex have >85% of divergences within 16 taken
 branches — short taken-branch history (the FHB) suffices for remerging.
 """
 
-from conftest import emit, prefetch
-
-from repro.harness import fig2_divergence, format_table
-from repro.profiling.divergence import FIG2_BUCKETS
+from conftest import regenerate
 
 
 def test_fig2_divergence_histogram(benchmark, scale):
-    prefetch("fig2", scale)
-    rows = benchmark.pedantic(
-        lambda: fig2_divergence(scale=scale), rounds=1, iterations=1
-    )
-    columns = ["app"] + [f"<={b}" for b in FIG2_BUCKETS]
-    emit(
-        "Figure 2 — Divergent path length difference (taken branches, cumulative)",
-        format_table(rows, columns=columns, float_format="{:.2f}"),
-    )
+    rows = regenerate(benchmark, "fig2", scale)
     within16 = {row["app"]: row["<=16"] for row in rows}
     hard = {"equake", "vortex"}
     easy_apps = [app for app in within16 if app not in hard]

@@ -6,22 +6,11 @@ ammp/equake/mcf/water/swaptions/fluidanimate gain the most, while
 libsvm/twolf/vortex/vpr/ocean/lu/fft gain 0–10%.
 """
 
-from conftest import emit, prefetch
-
-from repro.harness import fig5_speedups, format_table
+from conftest import regenerate
 
 
 def test_fig5a_speedups_two_threads(benchmark, scale):
-    prefetch("fig5a", scale)
-    rows = benchmark.pedantic(
-        lambda: fig5_speedups(2, scale=scale), rounds=1, iterations=1
-    )
-    emit(
-        "Figure 5(a) — Speedup over 2-thread SMT (2 threads)",
-        format_table(
-            rows, columns=["app", "MMT-F", "MMT-FX", "MMT-FXR", "Limit"]
-        ),
-    )
+    rows = regenerate(benchmark, "fig5a", scale)
     geo = rows[-1]
     assert geo["app"] == "geomean"
     # Shape: full MMT beats shared-execution-only beats nothing; Limit is

@@ -8,33 +8,21 @@ half of which are execute-identical; equake/mcf/fft/water-ns show a
 noticeable RegMerge component.
 """
 
-from conftest import emit, prefetch
+from conftest import prefetch, regenerate
 
-from repro.harness import fig1_sharing, fig5b_identified, format_stacked_bars
+from repro.harness import FIGURES
 
 
 def test_fig5b_identified_identical(benchmark, scale):
-    prefetch("fig5b", scale)
     prefetch("fig1", scale)
-    rows = benchmark.pedantic(
-        lambda: fig5b_identified(2, scale=scale), rounds=1, iterations=1
-    )
-    emit(
-        "Figure 5(b) — Identified identical instructions (MMT-FXR, 2 threads)",
-        format_stacked_bars(
-            rows,
-            "app",
-            ["exec_identical", "exec_identical_regmerge", "fetch_identical",
-             "not_identical"],
-        ),
-    )
+    rows = regenerate(benchmark, "fig5b", scale)
     by_app = {row["app"]: row for row in rows}
     # Register merging must matter for the apps the paper singles out.
     regmerge_apps = ["equake", "mcf", "water-ns"]
     assert any(by_app[a]["exec_identical_regmerge"] > 0.05 for a in regmerge_apps)
     # Identified exec-identical never exceeds the profiled potential by much
     # (identification is bounded by what exists).
-    profile_rows = {r["app"]: r for r in fig1_sharing(scale=scale)}
+    profile_rows = {r["app"]: r for r in FIGURES["fig1"].compute(scale=scale)}
     for app, row in by_app.items():
         identified = row["exec_identical"] + row["exec_identical_regmerge"]
         potential = profile_rows[app]["execute_identical"]

@@ -5,28 +5,19 @@ gains than at two threads (more merge opportunity, more contention
 relieved).
 """
 
-from conftest import emit, prefetch
+from conftest import emit, regenerate
 
-from repro.harness import fig5_speedups, format_table
+from repro.harness import FIGURES
 
 
 def test_fig5c_speedups_four_threads(benchmark, scale):
-    prefetch("fig5c", scale)
-    rows4 = benchmark.pedantic(
-        lambda: fig5_speedups(4, scale=scale), rounds=1, iterations=1
-    )
-    emit(
-        "Figure 5(c) — Speedup over 4-thread SMT (4 threads)",
-        format_table(
-            rows4, columns=["app", "MMT-F", "MMT-FX", "MMT-FXR", "Limit"]
-        ),
-    )
+    rows4 = regenerate(benchmark, "fig5c", scale)
     geo4 = rows4[-1]
     assert geo4["MMT-FXR"] > 1.10  # paper: 1.25
     assert geo4["Limit"] > geo4["MMT-FXR"]
 
     # The paper's central scaling claim: 4-thread gains exceed 2-thread.
-    geo2 = fig5_speedups(2, scale=scale)[-1]  # cached if fig5a ran first
+    geo2 = FIGURES["fig5a"].compute(scale=scale)[-1]  # cached if fig5a ran first
     emit(
         "Figure 5(a)+(c) — geomean summary",
         f"2T MMT-FXR {geo2['MMT-FXR']:.3f} (paper 1.15)   "

@@ -6,20 +6,13 @@ vpr/twolf/vortex spend the least time in MERGE mode; 90% of remerges are
 found within 512 fetched branches.
 """
 
-from conftest import emit, prefetch
+from conftest import emit, regenerate
 
-from repro.harness import fig5d_modes, format_stacked_bars, geomean
+from repro.harness import geomean
 
 
 def test_fig5d_fetch_mode_breakdown(benchmark, scale):
-    prefetch("fig5d", scale)
-    rows = benchmark.pedantic(
-        lambda: fig5d_modes(2, scale=scale), rounds=1, iterations=1
-    )
-    emit(
-        "Figure 5(d) — Instruction breakdown by fetch mode (MMT-FXR, 2 threads)",
-        format_stacked_bars(rows, "app", ["merge", "detect", "catchup"]),
-    )
+    rows = regenerate(benchmark, "fig5d", scale)
     by_app = {row["app"]: row for row in rows}
     # Irregular-control applications merge the least (paper §6.3).
     irregular = ["twolf", "vpr", "vortex"]

@@ -7,41 +7,11 @@ consumes 50–90% of the SMT's energy (geomean ~66%), most apps saving
 10–20% already at two threads.
 """
 
-from conftest import emit, prefetch
-
-from repro.harness import fig6_energy, format_table
-
-
-def _flatten(rows):
-    flat = []
-    for row in rows:
-        for label in ("SMT-2T", "MMT-2T", "SMT-4T", "MMT-4T"):
-            bar = row[label]
-            flat.append(
-                {
-                    "app": row["app"],
-                    "config": label,
-                    "cache": bar["cache"],
-                    "overhead": bar["mmt_overhead"],
-                    "other": bar["other"],
-                    "total": bar["total"],
-                }
-            )
-    return flat
+from conftest import emit, regenerate
 
 
 def test_fig6_energy_per_job(benchmark, scale):
-    prefetch("fig6", scale)
-    rows = benchmark.pedantic(
-        lambda: fig6_energy(scale=scale), rounds=1, iterations=1
-    )
-    emit(
-        "Figure 6 — Energy per job, normalised to SMT-2T",
-        format_table(
-            _flatten(rows),
-            columns=["app", "config", "cache", "overhead", "other", "total"],
-        ),
-    )
+    rows = regenerate(benchmark, "fig6", scale)
     geo = rows[-1]
     assert geo["app"] == "geomean"
     # MMT must reduce energy per job at both thread counts.

@@ -5,20 +5,13 @@ increases through 32 entries for all applications and keeps creeping up
 slightly; the paper picks 32 as the design point (single-cycle CAM).
 """
 
-from conftest import emit, prefetch
+from conftest import regenerate
 
-from repro.harness import FHB_SIZES, fig7a_fhb_speedup, format_table
+from repro.harness import FHB_SIZES
 
 
 def test_fig7a_fhb_size_sweep(benchmark, scale):
-    prefetch("fig7a", scale)
-    rows = benchmark.pedantic(
-        lambda: fig7a_fhb_speedup(scale=scale), rounds=1, iterations=1
-    )
-    emit(
-        "Figure 7(a) — Speedup vs FHB size (MMT-FXR over Base, 2 threads)",
-        format_table(rows, columns=["app"] + list(FHB_SIZES)),
-    )
+    rows = regenerate(benchmark, "fig7a", scale)
     geo = rows[-1]
     assert geo["app"] == "geomean"
     # The paper's chosen design point (32) must not trail the tiny FHB.

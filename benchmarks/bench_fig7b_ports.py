@@ -5,22 +5,13 @@ make the fetch/execute merging *more* beneficial, because the front end
 becomes the remaining bottleneck.
 """
 
-from conftest import SWEEP_APPS, emit, prefetch
+from conftest import SWEEP_APPS, regenerate
 
-from repro.harness import LDST_PORT_COUNTS, fig7b_ports, format_table
+from repro.harness import LDST_PORT_COUNTS
 
 
 def test_fig7b_ldst_port_sweep(benchmark, scale):
-    prefetch("fig7b", scale, apps=SWEEP_APPS)
-    rows = benchmark.pedantic(
-        lambda: fig7b_ports(apps=SWEEP_APPS, scale=scale),
-        rounds=1,
-        iterations=1,
-    )
-    emit(
-        "Figure 7(b) — Geomean MMT-FXR speedup vs load/store ports (4 threads)",
-        format_table(rows, columns=["ldst_ports", "geomean_speedup"]),
-    )
+    rows = regenerate(benchmark, "fig7b", scale, apps=SWEEP_APPS)
     assert [row["ldst_ports"] for row in rows] == list(LDST_PORT_COUNTS)
     speeds = [row["geomean_speedup"] for row in rows]
     # The machine must stay beneficial across the sweep, and the

@@ -5,26 +5,15 @@ MERGE time for equake/ocean/lu/fft/water-ns) but can also lengthen
 CATCHUP for twolf/vortex/vpr/water-sp.
 """
 
-from conftest import emit, prefetch
+from conftest import regenerate
 
-from repro.harness import FHB_SIZES, fig7c_fhb_modes, format_table
+from repro.harness import FHB_SIZES
 
 APPS = ["equake", "vortex", "lu", "fft", "water-sp", "twolf"]
 
 
 def test_fig7c_fhb_mode_breakdown(benchmark, scale):
-    prefetch("fig7c", scale, apps=APPS)
-    rows = benchmark.pedantic(
-        lambda: fig7c_fhb_modes(apps=APPS, scale=scale), rounds=1, iterations=1
-    )
-    emit(
-        "Figure 7(c) — Fetch modes vs FHB size (MMT-FXR, 2 threads)",
-        format_table(
-            rows,
-            columns=["app", "fhb_size", "merge", "detect", "catchup"],
-            float_format="{:.2f}",
-        ),
-    )
+    rows = regenerate(benchmark, "fig7c", scale, apps=APPS)
     for row in rows:
         total = row["merge"] + row["detect"] + row["catchup"]
         assert abs(total - 1.0) < 1e-9

@@ -5,22 +5,13 @@ relieves disappears) but remain positive — still ~11% at width 32 with a
 perfect-prediction trace cache.
 """
 
-from conftest import SWEEP_APPS, emit, prefetch
+from conftest import SWEEP_APPS, regenerate
 
-from repro.harness import FETCH_WIDTHS, fig7d_fetch_width, format_table
+from repro.harness import FETCH_WIDTHS
 
 
 def test_fig7d_fetch_width_sweep(benchmark, scale):
-    prefetch("fig7d", scale, apps=SWEEP_APPS)
-    rows = benchmark.pedantic(
-        lambda: fig7d_fetch_width(apps=SWEEP_APPS, scale=scale),
-        rounds=1,
-        iterations=1,
-    )
-    emit(
-        "Figure 7(d) — Geomean MMT-FXR speedup vs fetch width (4 threads)",
-        format_table(rows, columns=["fetch_width", "geomean_speedup"]),
-    )
+    rows = regenerate(benchmark, "fig7d", scale, apps=SWEEP_APPS)
     assert [row["fetch_width"] for row in rows] == list(FETCH_WIDTHS)
     speeds = {row["fetch_width"]: row["geomean_speedup"] for row in rows}
     # Gains remain positive even at width 32 (paper: ~11%).

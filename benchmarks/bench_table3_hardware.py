@@ -1,8 +1,7 @@
 """Tables 2 and 3: the split-decision logic and the MMT hardware budget."""
 
-from conftest import emit
+from conftest import emit, regenerate
 
-from repro.harness import format_table, table3_hardware
 from repro.power.budget import (
     hardware_budget,
     storage_overhead_fraction,
@@ -64,15 +63,7 @@ def test_table2_split_logic(benchmark):
 
 
 def test_table3_hardware_budget(benchmark):
-    rows = benchmark.pedantic(table3_hardware, rounds=1, iterations=1)
-    emit(
-        "Table 3 — Conservative estimate of hardware requirements",
-        format_table(
-            rows,
-            columns=["component", "description", "area", "delay", "storage_bits"],
-            headers=["Component", "Description", "Area", "Delay", "Storage (bits)"],
-        ),
-    )
+    regenerate(benchmark, "table3")
     budget = hardware_budget()
     total = total_storage_bits(budget)
     overhead = storage_overhead_fraction(budget)

@@ -1,13 +1,10 @@
 """Tables 4 and 5: simulator configuration and evaluated configurations."""
 
-from conftest import emit
-
-from repro.harness import format_pairs, table4_configuration, table5_configurations
+from conftest import regenerate
 
 
 def test_table4_simulator_configuration(benchmark):
-    rows = benchmark.pedantic(table4_configuration, rounds=1, iterations=1)
-    emit("Table 4 — Simulator configuration", format_pairs(rows))
+    rows = regenerate(benchmark, "table4")
     as_dict = dict(rows)
     assert as_dict["Threads"] == "4"
     assert as_dict["Issue/Commit Width"] == "8/8"
@@ -20,7 +17,6 @@ def test_table4_simulator_configuration(benchmark):
 
 
 def test_table5_mmt_configurations(benchmark):
-    rows = benchmark.pedantic(table5_configurations, rounds=1, iterations=1)
-    emit("Table 5 — MMT and baseline configurations", format_pairs(rows))
+    rows = regenerate(benchmark, "table5")
     names = [name for name, _ in rows]
     assert names == ["Base", "MMT-F", "MMT-FX", "MMT-FXR", "Limit"]

@@ -7,12 +7,13 @@ memoised across benchmarks within one pytest session, so figures that
 share runs (5(a)/5(b)/5(d)/6) only simulate each point once.
 
 Simulation points are executed up front as a parallel campaign (see
-``repro.harness.campaign``): every figure driver calls :func:`prefetch`
-before regenerating its rows, which fans the points out across worker
-processes and fills the in-memory memo plus the on-disk result cache
-(``.repro-cache/``).  ``REPRO_BENCH_WORKERS`` controls the fan-out:
-unset uses every core, ``N`` uses N processes, ``0`` disables
-prefetching entirely (pure serial, the pre-campaign behaviour).
+``repro.harness.campaign``): every figure module regenerates its entry
+of ``repro.harness.FIGURES`` through :func:`regenerate`, whose
+:func:`prefetch` fans the points out across worker processes and fills
+the in-memory memo plus the on-disk result cache (``.repro-cache/``).
+``REPRO_BENCH_WORKERS`` controls the fan-out: unset uses every core,
+``N`` uses N processes, ``0`` disables prefetching entirely (pure
+serial, the pre-campaign behaviour).
 """
 
 import os
@@ -40,6 +41,22 @@ def prefetch(fig_id: str, scale: float, apps=None):
     from repro.harness import prefetch_figure
 
     return prefetch_figure(fig_id, apps=apps, scale=scale, workers=WORKERS)
+
+
+def regenerate(benchmark, fig_id: str, scale: float = 1.0, apps=None):
+    """Regenerate one entry of ``repro.harness.FIGURES``: prefetch its
+    runs, compute its rows under the benchmark timer and print them in
+    the paper's layout.  Returns the rows."""
+    from repro.harness import FIGURES
+
+    figure = FIGURES[fig_id]
+    prefetch(fig_id, scale, apps=apps)
+    rows = benchmark.pedantic(
+        lambda: figure.compute(apps, scale), rounds=1, iterations=1
+    )
+    emit(figure.title, figure.layout(rows))
+    return rows
+
 
 #: Subset used by the machine-parameter sweeps (Figures 7(b)/(d)) to keep
 #: wall time reasonable; spans both workload categories and both ends of

@@ -235,10 +235,6 @@ def _iv_widen(old: Interval, new: Interval) -> Interval:
     return lo, hi
 
 
-def _fits_s64(lo: int, hi: int) -> bool:
-    return _S64_MIN <= lo and hi <= _S64_MAX
-
-
 def _clamp_lo(lo: int | None) -> int | None:
     """A computed lower bound below the s64 range carries no information."""
     return None if lo is None or lo < _S64_MIN else lo

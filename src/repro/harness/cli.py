@@ -12,13 +12,14 @@ Usage::
     python -m repro trace --apps ammp --config MMT-FXR --interval 1000 \
         --chrome trace.json             # traced run + Perfetto export
 
-Each figure target prints the same report the corresponding benchmark
-emits, but without pytest in the loop — convenient for exploring one
-result.  ``campaign`` runs an arbitrary (apps × configs × threads) sweep
-through ``experiment.run_points``, as a figure's ``--workers`` prefetch
-does: results are cached on disk (keyed by configuration and code
-version), hung jobs are timed out and retried, and a summary with cache
-hit/miss counts is printed at the end.
+Each figure and table target is one entry of ``figures.FIGURES``, and
+prints the report the corresponding benchmark emits, but without pytest
+in the loop — convenient for exploring one result.  The tool commands
+are the entries of :data:`COMMANDS`.  ``campaign`` runs an arbitrary
+(apps × configs × threads) sweep through ``experiment.run_points``, as a
+figure's ``--workers`` prefetch does: results are cached on disk (keyed
+by configuration and code version), hung jobs are timed out and
+retried, and a summary with cache hit/miss counts is printed at the end.
 """
 
 from __future__ import annotations
@@ -32,144 +33,10 @@ from repro.analysis.host.selfcheck import JSON_SCHEMA_VERSION
 from repro.core.config import MMTConfig
 from repro.harness import experiment, figures, report, results
 from repro.harness.experiment import CONFIG_FACTORIES
-from repro.profiling.divergence import FIG2_BUCKETS
 
 #: The ``src/`` root the host self-analysis reads; located from the
 #: package itself so ``repro selfcheck`` works from any cwd.
 _SRC_ROOT = Path(__file__).resolve().parent.parent.parent
-
-
-def _fig1(args) -> str:
-    rows = figures.fig1_sharing(apps=args.apps, scale=args.scale)
-    return report.format_table(
-        rows,
-        columns=[
-            "app", "execute_identical", "fetch_identical_only", "not_identical",
-            "paper_execute_identical", "paper_fetch_identical",
-        ],
-        headers=["app", "exec-id", "fetch-only", "not-id", "paper exec",
-                 "paper fetch"],
-        title="Figure 1 — Instruction sharing characteristics",
-    )
-
-
-def _fig2(args) -> str:
-    rows = figures.fig2_divergence(apps=args.apps, scale=args.scale)
-    return report.format_table(
-        rows,
-        columns=["app"] + [f"<={b}" for b in FIG2_BUCKETS],
-        float_format="{:.2f}",
-        title="Figure 2 — Divergent path length difference (cumulative)",
-    )
-
-
-def _fig5(threads):
-    def run(args) -> str:
-        rows = figures.fig5_speedups(threads, apps=args.apps, scale=args.scale)
-        label = "a" if threads == 2 else "c"
-        return report.format_table(
-            rows,
-            columns=["app", "MMT-F", "MMT-FX", "MMT-FXR", "Limit"],
-            title=f"Figure 5({label}) — Speedup over {threads}-thread SMT",
-        )
-
-    return run
-
-
-def _fig5b(args) -> str:
-    rows = figures.fig5b_identified(2, apps=args.apps, scale=args.scale)
-    return report.format_stacked_bars(
-        rows,
-        "app",
-        ["exec_identical", "exec_identical_regmerge", "fetch_identical",
-         "not_identical"],
-        title="Figure 5(b) — Identified identical instructions (MMT-FXR)",
-    )
-
-
-def _fig5d(args) -> str:
-    rows = figures.fig5d_modes(2, apps=args.apps, scale=args.scale)
-    return report.format_stacked_bars(
-        rows,
-        "app",
-        ["merge", "detect", "catchup"],
-        title="Figure 5(d) — Instruction breakdown by fetch mode (MMT-FXR)",
-    )
-
-
-def _fig6(args) -> str:
-    rows = figures.fig6_energy(apps=args.apps, scale=args.scale)
-    flat = []
-    for row in rows:
-        for label in ("SMT-2T", "MMT-2T", "SMT-4T", "MMT-4T"):
-            bar = row[label]
-            flat.append(
-                {"app": row["app"], "bar": label, "cache": bar["cache"],
-                 "overhead": bar["mmt_overhead"], "other": bar["other"],
-                 "total": bar["total"]}
-            )
-    return report.format_table(
-        flat,
-        columns=["app", "bar", "cache", "overhead", "other", "total"],
-        title="Figure 6 — Energy per job, normalised to SMT-2T",
-    )
-
-
-def _fig7a(args) -> str:
-    rows = figures.fig7a_fhb_speedup(apps=args.apps, scale=args.scale)
-    return report.format_table(
-        rows,
-        columns=["app"] + list(figures.FHB_SIZES),
-        title="Figure 7(a) — Speedup vs FHB size",
-    )
-
-
-def _fig7b(args) -> str:
-    rows = figures.fig7b_ports(apps=args.apps, scale=args.scale)
-    return report.format_table(
-        rows,
-        columns=["ldst_ports", "geomean_speedup"],
-        title="Figure 7(b) — Speedup vs load/store ports",
-    )
-
-
-def _fig7c(args) -> str:
-    rows = figures.fig7c_fhb_modes(apps=args.apps, scale=args.scale)
-    return report.format_table(
-        rows,
-        columns=["app", "fhb_size", "merge", "detect", "catchup"],
-        float_format="{:.2f}",
-        title="Figure 7(c) — Fetch modes vs FHB size",
-    )
-
-
-def _fig7d(args) -> str:
-    rows = figures.fig7d_fetch_width(apps=args.apps, scale=args.scale)
-    return report.format_table(
-        rows,
-        columns=["fetch_width", "geomean_speedup"],
-        title="Figure 7(d) — Speedup vs fetch width",
-    )
-
-
-def _table3(args) -> str:
-    return report.format_table(
-        figures.table3_hardware(),
-        columns=["component", "description", "area", "delay", "storage_bits"],
-        title="Table 3 — Hardware requirements",
-    )
-
-
-def _table4(args) -> str:
-    return report.format_pairs(
-        figures.table4_configuration(), title="Table 4 — Simulator configuration"
-    )
-
-
-def _table5(args) -> str:
-    return report.format_pairs(
-        figures.table5_configurations(), title="Table 5 — Configurations"
-    )
 
 
 # ------------------------------------------------------------------- trace
@@ -248,7 +115,11 @@ def _analyze(args) -> int:
         is_engine_workload,
         workload_names,
     )
-    from repro.workloads.message_passing import PATTERNS, build_mp_workload
+    from repro.workloads.message_passing import (
+        PATTERNS,
+        build_mp_workload,
+        valid_nctx,
+    )
     from repro.workloads.profiles import APP_ORDER
 
     apps = list(APP_ORDER) if args.all_workloads else (
@@ -274,7 +145,7 @@ def _analyze(args) -> int:
                  build_mp_workload(threads, pattern=pattern))
                 for pattern in PATTERNS
                 for threads in args.threads
-                if threads >= 2
+                if valid_nctx(pattern, threads)
             ]
             # Registry workloads (the engine-generated families).
             targets += points(workload_names())
@@ -576,9 +447,6 @@ def _profile(args) -> int:
     ]
     print(report.format_pairs(pairs, title="Host totals"))
     if args.json:
-        import json as _json
-        from pathlib import Path
-
         document = prof.as_dict()
         document.update(
             {"app": app, "config": config.name, "threads": threads,
@@ -586,7 +454,7 @@ def _profile(args) -> int:
              "cycles": stats.cycles, "committed_insts": committed}
         )
         Path(args.json).write_text(
-            _json.dumps(document, indent=2, sort_keys=True) + "\n"
+            json.dumps(document, indent=2, sort_keys=True) + "\n"
         )
         print(f"[host profile written to {args.json}]")
     if args.chrome:
@@ -664,40 +532,39 @@ def _record(args) -> int:
     return 0
 
 
-TARGETS = {
-    "fig1": (_fig1, "instruction-sharing breakdown"),
-    "fig2": (_fig2, "divergent-path-length histogram"),
-    "fig5a": (_fig5(2), "speedups, 2 threads"),
-    "fig5b": (_fig5b, "identified identical instructions"),
-    "fig5c": (_fig5(4), "speedups, 4 threads"),
-    "fig5d": (_fig5d, "fetch-mode breakdown"),
-    "fig6": (_fig6, "energy per job"),
-    "fig7a": (_fig7a, "FHB size sweep (speedup)"),
-    "fig7b": (_fig7b, "load/store port sweep"),
-    "fig7c": (_fig7c, "FHB size sweep (fetch modes)"),
-    "fig7d": (_fig7d, "fetch width sweep"),
-    "table3": (_table3, "hardware budget"),
-    "table4": (_table4, "simulator configuration"),
-    "table5": (_table5, "evaluated configurations"),
+#: The tool commands of ``repro``: name -> (handler, ``list`` line).  The
+#: figures and tables are the targets of ``figures.FIGURES``.
+COMMANDS = {
+    "campaign": (_campaign, "parallel batch sweep with result caching"),
+    "trace": (_trace, "one observed run: events, interval metrics, Perfetto "
+              "export"),
+    "profile": (_profile, "host self-profile: wall-clock by rare-path region"),
+    "record": (_record, "record per-thread commit streams into a replayable "
+               "trace workload"),
+    "replay": (_replay, "re-run a flight dump under the oracle gate"),
+    "analyze": (_analyze, "static workload lint + redundancy oracle bounds"),
+    "selfcheck": (_selfcheck, "host self-analysis: drift check + determinism "
+                  "lint"),
 }
 
 
-ROW_SOURCES = {
-    "fig1": lambda a: figures.fig1_sharing(apps=a.apps, scale=a.scale),
-    "fig2": lambda a: figures.fig2_divergence(apps=a.apps, scale=a.scale),
-    "fig5a": lambda a: figures.fig5_speedups(2, apps=a.apps, scale=a.scale),
-    "fig5b": lambda a: figures.fig5b_identified(2, apps=a.apps, scale=a.scale),
-    "fig5c": lambda a: figures.fig5_speedups(4, apps=a.apps, scale=a.scale),
-    "fig5d": lambda a: figures.fig5d_modes(2, apps=a.apps, scale=a.scale),
-    "fig6": lambda a: figures.fig6_energy(apps=a.apps, scale=a.scale),
-    "fig7a": lambda a: figures.fig7a_fhb_speedup(apps=a.apps, scale=a.scale),
-    "fig7b": lambda a: figures.fig7b_ports(apps=a.apps, scale=a.scale),
-    "fig7c": lambda a: figures.fig7c_fhb_modes(apps=a.apps, scale=a.scale),
-    "fig7d": lambda a: figures.fig7d_fetch_width(apps=a.apps, scale=a.scale),
-    "table3": lambda a: figures.table3_hardware(),
-    "table4": lambda a: [list(pair) for pair in figures.table4_configuration()],
-    "table5": lambda a: [list(pair) for pair in figures.table5_configurations()],
-}
+def _figure(args) -> int:
+    """Regenerate one figure or table: compute its rows once, print them
+    in the paper's layout and, with ``--json``, dump them."""
+    figure = figures.FIGURES[args.target]
+    if args.workers:
+        figures.prefetch_figure(
+            args.target, apps=args.apps, scale=args.scale,
+            workers=args.workers, cache=args.cache_dir,
+            use_cache=not args.no_cache, timeout=args.timeout,
+            retries=args.retries, progress=print,
+        )
+    rows = figure.compute(args.apps, args.scale)
+    print(figure.render(rows))
+    if args.json:
+        results.dump_figure(args.target, rows, args.json, scale=args.scale)
+        print(f"\n[rows written to {args.json}]")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -707,18 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "target",
-        choices=sorted(TARGETS)
-        + ["analyze", "list", "campaign", "trace", "profile", "record",
-           "replay", "selfcheck"],
-        help="which table/figure to regenerate ('list' to enumerate; "
-        "'campaign' runs a parallel batch sweep; 'trace' runs one point "
-        "with event tracing and interval metrics; 'profile' runs one "
-        "point under the host self-profiler; 'record' captures per-thread "
-        "commit streams into a replayable trace workload; 'replay' re-runs "
-        "a flight dump under the oracle gate; 'analyze' statically lints "
-        "workloads and reports redundancy-oracle bounds; 'selfcheck' "
-        "runs the host self-analysis: fast/reference drift check + "
-        "determinism lint over the simulator's own source)",
+        choices=[*figures.FIGURES, "list", *COMMANDS],
+        help="the figure or table to regenerate, or the tool command to "
+        "run ('list' describes each)",
     )
     parser.add_argument(
         "--scale",
@@ -928,57 +786,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}")
         return 2
     if args.target == "list":
-        width = max(len(name) for name in TARGETS)
-        for name in sorted(TARGETS):
-            print(f"{name.ljust(width)}  {TARGETS[name][1]}")
-        print(f"{'campaign'.ljust(width)}  parallel batch sweep with "
-              "result caching")
-        print(f"{'trace'.ljust(width)}  one observed run: events, interval "
-              "metrics, Perfetto export")
-        print(f"{'profile'.ljust(width)}  host self-profile: wall-clock by "
-              "rare-path region")
-        print(f"{'record'.ljust(width)}  record per-thread commit streams "
-              "into a replayable trace workload")
-        print(f"{'replay'.ljust(width)}  re-run a flight dump under the "
-              "oracle gate")
-        print(f"{'analyze'.ljust(width)}  static workload lint + redundancy "
-              "oracle bounds")
-        print(f"{'selfcheck'.ljust(width)}  host self-analysis: drift check "
-              "+ determinism lint")
+        entries = [(name, figure.description)
+                   for name, figure in figures.FIGURES.items()]
+        entries += [(name, description)
+                    for name, (_, description) in COMMANDS.items()]
+        width = max(len(name) for name, _ in entries)
+        for name, description in entries:
+            print(f"{name.ljust(width)}  {description}")
         return 0
-    if args.target == "campaign":
-        return _campaign(args)
-    if args.target == "trace":
-        return _trace(args)
-    if args.target == "profile":
-        return _profile(args)
-    if args.target == "record":
-        return _record(args)
-    if args.target == "replay":
-        return _replay(args)
-    if args.target == "analyze":
-        return _analyze(args)
-    if args.target == "selfcheck":
-        return _selfcheck(args)
-    if args.workers:
-        figures.prefetch_figure(
-            args.target, apps=args.apps, scale=args.scale,
-            workers=args.workers, cache=args.cache_dir,
-            use_cache=not args.no_cache, timeout=args.timeout,
-            retries=args.retries, progress=print,
-        )
-    handler, _ = TARGETS[args.target]
-    print(handler(args))
-    if args.json:
-        from repro.harness.results import dump_figure
-
-        # Completed runs are memoised, so this re-invocation is cheap.
-        dump_figure(
-            args.target, ROW_SOURCES[args.target](args), args.json,
-            scale=args.scale,
-        )
-        print(f"\n[rows written to {args.json}]")
-    return 0
+    if args.target in COMMANDS:
+        return COMMANDS[args.target][0](args)
+    return _figure(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

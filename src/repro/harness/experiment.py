@@ -131,7 +131,6 @@ class CampaignJob:
     threads: int
     machine: MachineConfig | None = None
     scale: float = 1.0
-    strict: bool = True
     tag: str = ""
     engine: str = "reference"
     #: Workload-generation seed (``None`` = the workload's default).
@@ -156,7 +155,7 @@ class CampaignJob:
         """The in-memory memo key :func:`run_app` would use."""
         machine = _normalize_machine(self.machine, self.threads)
         return (self.app, self.config, self.threads, machine, self.scale,
-                self.strict, self.engine, self.seed)
+                self.engine, self.seed)
 
 
 _CACHE: dict[tuple, RunResult] = {}
@@ -271,14 +270,14 @@ def _simulate(
     threads: int,
     machine: MachineConfig,
     scale: float,
-    strict: bool,
     obs: Observer | None = None,
     failure_dump: str | None = None,
     prepare=None,
     engine: str | None = None,
     seed: int | None = None,
 ) -> RunResult:
-    """Run one simulation point (no caching at this level).
+    """Run one simulation point (no caching at this level), with the
+    core's strict operand and writeback checks armed.
 
     With *failure_dump* set (and an observer carrying a flight recorder),
     any exception escaping the run — watchdog, invariant violation, even
@@ -292,7 +291,7 @@ def _simulate(
                            build.nctx, app, threads, scale, seed)
     job = build.limit_job() if config.limit_identical else build.job()
     core_cls = resolve_engine(engine or _DEFAULT_ENGINE)
-    core = core_cls(machine, config, job, strict=strict, obs=obs)
+    core = core_cls(machine, config, job, obs=obs)
     if prepare is not None:
         prepare(core)
     try:
@@ -315,7 +314,6 @@ def _simulate(
                 "config": config.name,
                 "threads": threads,
                 "scale": scale,
-                "strict": strict,
                 "engine": engine or _DEFAULT_ENGINE,
                 "seed": seed,
             }
@@ -342,7 +340,6 @@ def run_app(
     threads: int,
     machine: MachineConfig | None = None,
     scale: float = 1.0,
-    strict: bool = True,
     use_cache: bool = True,
     engine: str | None = None,
     seed: int | None = None,
@@ -350,11 +347,11 @@ def run_app(
     """Simulate *app* under *config* with *threads* hardware contexts."""
     machine = _normalize_machine(machine, threads)
     engine = engine or _DEFAULT_ENGINE
-    key = (app, config, threads, machine, scale, strict, engine, seed)
+    key = (app, config, threads, machine, scale, engine, seed)
     if use_cache and key in _CACHE:
         return _CACHE[key]
-    result = _simulate(app, config, threads, machine, scale, strict,
-                       engine=engine, seed=seed)
+    result = _simulate(app, config, threads, machine, scale, engine=engine,
+                       seed=seed)
     if use_cache:
         _CACHE[key] = result
     return result
@@ -389,10 +386,9 @@ def simulate_job(job: CampaignJob, seed: int) -> RunResult:
             watchdog_cycles=5_000 if livelock else DEFAULT_WATCHDOG_CYCLES
         )
     return _simulate(
-        job.app, job.config, job.threads, machine, job.scale, job.strict,
-        obs=obs, failure_dump=dump_path,
-        prepare=_wedge_fetch if livelock else None, engine=job.engine,
-        seed=job.seed,
+        job.app, job.config, job.threads, machine, job.scale, obs=obs,
+        failure_dump=dump_path, prepare=_wedge_fetch if livelock else None,
+        engine=job.engine, seed=job.seed,
     )
 
 
@@ -409,7 +405,6 @@ def trace_run(
     scale: float = 1.0,
     interval: int = 1000,
     sink_capacity: int | None = None,
-    strict: bool = True,
     engine: str | None = None,
     seed: int | None = None,
 ) -> tuple[RunResult, Observer]:
@@ -426,7 +421,7 @@ def trace_run(
         recorder=FlightRecorder(),
         watchdog_cycles=DEFAULT_WATCHDOG_CYCLES,
     )
-    result = _simulate(app, config, threads, machine, scale, strict, obs=obs,
+    result = _simulate(app, config, threads, machine, scale, obs=obs,
                        engine=engine, seed=seed)
     return result, obs
 
@@ -437,7 +432,6 @@ def profile_run(
     threads: int,
     machine: MachineConfig | None = None,
     scale: float = 1.0,
-    strict: bool = True,
     engine: str | None = None,
     record_slices: bool = False,
     seed: int | None = None,
@@ -454,9 +448,7 @@ def profile_run(
     machine = _normalize_machine(machine, threads)
     build = build_point(app, threads, scale=scale, seed=seed)
     job = build.limit_job() if config.limit_identical else build.job()
-    core = resolve_engine(engine or _DEFAULT_ENGINE)(
-        machine, config, job, strict=strict
-    )
+    core = resolve_engine(engine or _DEFAULT_ENGINE)(machine, config, job)
     prof = HostProfiler(record_slices=record_slices)
     stats = prof.run(core)
     return stats, prof
@@ -521,7 +513,6 @@ def replay_dump(
         factory(),
         int(spec["threads"]),
         scale=float(spec.get("scale", 1.0)),
-        strict=bool(spec.get("strict", True)),
         engine=spec.get("engine"),
         interval=interval,
         seed=None if seed is None else int(seed),

@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.events import TraceEvent
-
 #: Process id used for all simulator tracks.
 _PID = 1
 #: Track id for events not attributable to one hardware thread.
@@ -156,27 +154,3 @@ def validate_chrome_trace(document: dict) -> list[str]:
         if not isinstance(row.get("ts"), (int, float)):
             problems.append(f"{where}: non-numeric ts")
     return problems
-
-
-def events_from_dicts(rows) -> list[TraceEvent]:
-    """Rebuild TraceEvent objects from ``as_dict`` rows (dump tooling)."""
-    from repro.obs.events import EventKind
-
-    events = []
-    for row in rows:
-        data = {
-            key: value
-            for key, value in row.items()
-            if key not in ("cycle", "kind", "tid", "pc", "seq")
-        }
-        events.append(
-            TraceEvent(
-                row["cycle"],
-                EventKind(row["kind"]),
-                row.get("tid", -1),
-                row.get("pc", -1),
-                row.get("seq", -1),
-                data or None,
-            )
-        )
-    return events

@@ -47,6 +47,12 @@ OUT_WORDS = 8
 PATTERNS = ("ring", "pairs")
 
 
+def valid_nctx(pattern: str, nctx: int) -> bool:
+    """May *pattern* run with *nctx* ranks?  Both need two; ``pairs``
+    also needs an even count."""
+    return nctx >= 2 and (pattern != "pairs" or nctx % 2 == 0)
+
+
 def build_mp_workload(
     nctx: int,
     pattern: str = "ring",
@@ -57,11 +63,14 @@ def build_mp_workload(
     """Generate an N-rank message-passing workload."""
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; choose from {PATTERNS}")
-    if nctx < 2:
-        raise ValueError("message passing needs at least two ranks")
-    if pattern == "pairs" and nctx % 2:
-        raise ValueError("the 'pairs' pattern needs an even rank count")
-    rng = random.Random(seed if seed is not None else hash(pattern) & 0xFFFF)
+    if not valid_nctx(pattern, nctx):
+        raise ValueError(
+            f"the {pattern!r} pattern cannot run on {nctx} rank(s): it needs "
+            "at least two" + (", and an even count" if pattern == "pairs" else "")
+        )
+    # Seeded by the pattern's name as text, so the program is the same in
+    # every interpreter (str seeding never uses the randomized hash()).
+    rng = random.Random(seed if seed is not None else pattern)
 
     b = ProgramBuilder(f"mp-{pattern}")
     b.array("shared_i", [rng.randrange(1, 1 << 16) for _ in range(SHARED_WORDS)])

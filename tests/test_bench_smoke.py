@@ -106,6 +106,29 @@ def test_tables_need_no_simulation():
     assert figures.prefetch_figure("table3") is None
 
 
+@pytest.mark.parametrize(
+    "fig", [name for name, figure in figures.FIGURES.items() if figure.series()]
+)
+def test_prefetch_covers_the_rows(fig, tmp_path, monkeypatch):
+    """A figure's prefetch runs every point its rows read: computing the
+    rows afterwards simulates nothing."""
+    from repro.harness import experiment
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    clear_cache()
+    figures.prefetch_figure(fig, apps=["ammp"], scale=0.05, workers=2)
+    simulate = experiment._simulate
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[:3])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_simulate", spy)
+    _tiny(figures.FIGURES[fig].compute, ["ammp"], 0.05)
+    assert calls == []
+
+
 def test_prefetch_second_pass_is_all_cache_hits(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_cache()

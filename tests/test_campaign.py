@@ -399,8 +399,8 @@ def test_replay_rejects_spec_less_dump(tmp_path):
 
 
 def test_replay_accepts_dump_with_legacy_specialize_key(tmp_path):
-    """Dumps written while jobs carried a ``specialize`` flag still
-    replay: the spec key is ignored."""
+    """Dumps written while jobs carried ``specialize`` and ``strict``
+    flags still replay: the spec keys are ignored."""
     import json
 
     from repro.harness.experiment import replay_dump
@@ -413,6 +413,7 @@ def test_replay_accepts_dump_with_legacy_specialize_key(tmp_path):
     replay = replay_dump(path)
     assert replay.ok, replay.problems
     assert replay.spec["specialize"] is True
+    assert replay.spec["strict"] is True
     assert replay.run.stats.committed_thread_insts > 0
 
 

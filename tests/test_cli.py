@@ -4,20 +4,51 @@ import json
 
 import pytest
 
-from repro.harness.cli import TARGETS, build_parser, main
+from repro.harness.cli import COMMANDS, build_parser, main
+from repro.harness.figures import FIGURES
 
 
 def test_list_target(capsys):
+    """`list` names every figure, table and tool command once, with the
+    descriptions in one aligned column."""
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in TARGETS:
-        assert name in out
+    lines = capsys.readouterr().out.splitlines()
+    names = [*FIGURES, *COMMANDS]
+    assert [line.split()[0] for line in lines] == names
+    width = max(len(name) for name in names)
+    assert all(line[width:width + 2] == "  " and line[width + 2] != " "
+               for line in lines)
 
 
 def test_every_figure_has_a_handler_and_description():
-    for name, (handler, description) in TARGETS.items():
+    for figure in FIGURES.values():
+        assert callable(figure.rows) and callable(figure.layout)
+        assert figure.description and figure.title
+    for handler, description in COMMANDS.values():
         assert callable(handler)
         assert description
+
+
+def test_figure_rows_are_computed_once_for_report_and_json(
+    capsys, tmp_path, monkeypatch
+):
+    """With --json a figure's rows are computed once; the dump holds the
+    rows the report printed."""
+    table3 = FIGURES["table3"]
+    calls = []
+
+    def rows(series, apps, scale):
+        calls.append(apps)
+        return table3.rows(series, apps, scale)
+
+    monkeypatch.setitem(FIGURES, "table3", table3._replace(rows=rows))
+    path = tmp_path / "table3.json"
+    assert main(["table3", "--json", str(path)]) == 0
+    assert len(calls) == 1
+    assert "LVIP" in capsys.readouterr().out
+    document = json.loads(path.read_text())
+    assert document["figure"] == "table3"
+    assert document["rows"] == table3.compute()
 
 
 def test_tables_render(capsys):
@@ -356,6 +387,16 @@ def test_analyze_all_workloads_includes_registry(capsys):
     assert "dyn-bursty/2t" in out
     assert "reqstream-uniform/2t" in out
     assert "mp-ring/2t" in out  # the pre-existing patterns survive
+
+
+def test_analyze_all_workloads_skips_rank_counts_a_pattern_refuses(capsys):
+    """mp-pairs needs an even rank count, so at three threads it is left
+    out, as registry workloads leave out counts they refuse."""
+    assert main(["analyze", "--all-workloads", "--threads", "3",
+                 "--scale", "0.1"]) == 0
+    out = capsys.readouterr().out
+    assert "mp-ring/3t" in out
+    assert "mp-pairs/3t" not in out
 
 
 # ---------------------------------------------------------------- engine

@@ -174,6 +174,31 @@ def test_mp_message_ops_never_merge():
     assert core.job.channels.sends == core.job.channels.receives
 
 
+def test_programs_do_not_depend_on_the_hash_seed():
+    """Both patterns build the same program in every interpreter,
+    whatever its PYTHONHASHSEED."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from repro.workloads.message_passing import PATTERNS, "
+        "build_mp_workload\n"
+        "print([build_mp_workload(2, p).program.digest() for p in PATTERNS])"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
+
+
 def test_pattern_validation():
     with pytest.raises(ValueError):
         build_mp_workload(2, "mesh")

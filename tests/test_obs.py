@@ -124,7 +124,7 @@ def test_watchdog_fires_on_injected_livelock(tmp_path):
     machine = experiment._normalize_machine(None, 2)
     with pytest.raises(WatchdogError) as excinfo:
         experiment._simulate(
-            "ammp", MMTConfig.base(), 2, machine, 0.1, True,
+            "ammp", MMTConfig.base(), 2, machine, 0.1,
             obs=obs, failure_dump=str(dump_path),
             prepare=experiment._wedge_fetch,
         )
@@ -156,7 +156,7 @@ def test_watchdog_fires_inside_fast_loop(tmp_path):
     machine = experiment._normalize_machine(None, 2)
     with pytest.raises(WatchdogError) as excinfo:
         experiment._simulate(
-            "ammp", MMTConfig.base(), 2, machine, 0.1, True,
+            "ammp", MMTConfig.base(), 2, machine, 0.1,
             obs=obs, failure_dump=str(dump_path),
             prepare=experiment._wedge_fetch, engine="fast",
         )
@@ -189,7 +189,7 @@ def test_fast_and_reference_watchdog_dumps_agree(tmp_path):
         dump_path = tmp_path / f"wedged-{engine}.flight.json"
         with pytest.raises(WatchdogError):
             experiment._simulate(
-                "mcf", MMTConfig.mmt_fxr(), 2, machine, 0.1, True,
+                "mcf", MMTConfig.mmt_fxr(), 2, machine, 0.1,
                 obs=obs, failure_dump=str(dump_path),
                 prepare=experiment._wedge_fetch, engine=engine,
             )
