@@ -360,6 +360,17 @@ class _Running:
         self.started = time.perf_counter()
         self.dump_path = dump_path
 
+    def receive(self):
+        """The worker's message, or None while there is none; a worker
+        that exited without sending one is joined."""
+        if not self.conn.poll():
+            return None
+        try:
+            return self.conn.recv()
+        except EOFError:  # exited without sending a word
+            self.proc.join()
+            return None
+
 
 def default_workers() -> int:
     """Worker processes to use when the caller names no count: the CPUs
@@ -573,12 +584,17 @@ def run_campaign(
                 for entry in running:
                     status = error = payload = None
                     rss = 0
-                    message = None
-                    if entry.conn.poll():
-                        try:
-                            message = entry.conn.recv()
-                        except EOFError:  # exited without sending a word
+                    message = entry.receive()
+                    if message is None and not entry.proc.is_alive():
+                        # A worker sends its result, then exits: one that
+                        # did both since the poll above left its result
+                        # in the pipe.
+                        message = entry.receive()
+                        if message is None:
                             entry.proc.join()
+                            status = _FAILED
+                            error = (f"worker died (exitcode "
+                                     f"{entry.proc.exitcode})")
                     if message is not None:
                         kind, body, _child_wall, rss = message
                         entry.proc.join()
@@ -586,11 +602,7 @@ def run_campaign(
                             status, payload = _OK, body
                         else:
                             status, error = _FAILED, body
-                    elif not entry.proc.is_alive():
-                        entry.proc.join()
-                        status = _FAILED
-                        error = f"worker died (exitcode {entry.proc.exitcode})"
-                    elif (timeout is not None
+                    elif (status is None and timeout is not None
                           and time.perf_counter() - entry.started > timeout):
                         _terminate(entry.proc)
                         status = _TIMEOUT

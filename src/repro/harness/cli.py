@@ -9,17 +9,19 @@ Usage::
     python -m repro fig5a --workers 8    # parallel prefetch of the runs
     python -m repro campaign --apps ammp mcf --configs Base MMT-FXR \
         --threads 2 4 --workers 8       # batch sweep with result caching
+    python -m repro reproduce           # every figure + the paper's claims
     python -m repro trace --apps ammp --config MMT-FXR --interval 1000 \
         --chrome trace.json             # traced run + Perfetto export
 
-Each figure and table target is one entry of ``figures.FIGURES``, and
-prints the report the corresponding benchmark emits, but without pytest
-in the loop — convenient for exploring one result.  The tool commands
-are the entries of :data:`COMMANDS`.  ``campaign`` runs an arbitrary
-(apps × configs × threads) sweep through ``experiment.run_points``, as a
+Each figure and table target is one entry of ``figures.FIGURES`` and
+prints that figure in the paper's layout.  The tool commands are the
+entries of :data:`COMMANDS`.  ``campaign`` runs an arbitrary (apps ×
+configs × threads) sweep through ``experiment.run_points``, as a
 figure's ``--workers`` prefetch does: results are cached on disk (keyed
 by configuration and code version), hung jobs are timed out and
 retried, and a summary with cache hit/miss counts is printed at the end.
+``reproduce`` runs every figure's points as one such campaign, prints
+every figure and table, and checks the paper's claims on them.
 """
 
 from __future__ import annotations
@@ -39,17 +41,36 @@ from repro.harness.experiment import CONFIG_FACTORIES
 _SRC_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
+# --------------------------------------------------------------- one point
+def _point(args):
+    """The one point ``trace``, ``profile`` and ``record`` run: the first
+    of ``--apps`` (default: the first paper app) at the first of
+    ``--threads``, under ``--config``.  Returns ``(app, config, threads)``,
+    or None after printing why it does not resolve."""
+    from repro.workloads.engine import WorkloadRegistryError
+
+    app = (args.apps or experiment.default_apps())[0]
+    threads = args.threads[0]
+    factory = CONFIG_FACTORIES.get(args.config)
+    if factory is None:
+        known = ", ".join(sorted(CONFIG_FACTORIES))
+        print(f"error: unknown config {args.config!r}; choose from: {known}")
+        return None
+    try:
+        experiment.build_point(app, threads, scale=args.scale)
+    except (KeyError, WorkloadRegistryError) as exc:
+        print(f"error: {exc.args[0]}")
+        return None
+    return app, factory(), threads
+
+
 # ------------------------------------------------------------------- trace
 def _trace(args) -> int:
     """One observed run: interval table, reconciliation, optional exports."""
-    apps = args.apps or experiment.default_apps()
-    app = apps[0]
-    threads = args.threads[0]
-    if args.config not in CONFIG_FACTORIES:
-        known = ", ".join(sorted(CONFIG_FACTORIES))
-        print(f"unknown config {args.config!r}; choose from: {known}")
+    point = _point(args)
+    if point is None:
         return 2
-    config = CONFIG_FACTORIES[args.config]()
+    app, config, threads = point
     run, obs = experiment.trace_run(
         app, config, threads, scale=args.scale, interval=args.interval,
         engine=args.engine,
@@ -267,12 +288,10 @@ def _selfcheck(args) -> int:
 
 
 # ---------------------------------------------------------------- campaign
-def _campaign(args) -> int:
-    from repro.workloads.engine import (
-        WorkloadRegistryError,
-        is_engine_workload,
-        workload_names,
-    )
+def _known_apps(args, command):
+    """``--apps`` (default: all sixteen), or None after printing the names
+    among them that resolve to no workload."""
+    from repro.workloads.engine import is_engine_workload, workload_names
     from repro.workloads.profiles import PROFILES
 
     apps = args.apps or experiment.default_apps()
@@ -282,21 +301,68 @@ def _campaign(args) -> int:
     ]
     if unknown:
         known = ", ".join(experiment.default_apps() + workload_names())
-        print(f"campaign aborted: unknown app(s) {unknown}; choose from: "
+        print(f"{command} aborted: unknown app(s) {unknown}; choose from: "
               f"{known}")
+        return None
+    return apps
+
+
+def _parallel(args) -> dict:
+    """The campaign options of *args*, with progress printed."""
+    return {"workers": args.workers, "timeout": args.timeout,
+            "retries": args.retries, "cache": args.cache_dir,
+            "use_cache": not args.no_cache, "progress": print}
+
+
+def _run_points(args, jobs, command, **options):
+    """``experiment.run_points`` over *jobs* with the campaign options of
+    *args*.  Returns its result, or None after printing why *command*
+    aborted: a workload that fails the static lint, or does not
+    resolve, aborts before any simulation starts."""
+    from repro.workloads.engine import WorkloadRegistryError
+
+    try:
+        return experiment.run_points(jobs, **_parallel(args), **options)
+    except (experiment.WorkloadLintError, WorkloadRegistryError) as exc:
+        print(f"{command} aborted: {exc}")
+        return None
+
+
+def _print_problems(failures_title, *campaigns) -> tuple[int, int]:
+    """Print the failed jobs (under *failures_title*) and the oracle
+    violations of *campaigns* as tables; returns how many of each."""
+    failures = [row for result in campaigns
+                for row in results.campaign_failure_rows(result)]
+    if failures:
+        print(report.format_table(
+            failures,
+            columns=["job", "status", "attempts", "error", "dump"],
+            title=failures_title,
+        ))
+    violations = [row for result in campaigns
+                  for row in results.campaign_violation_rows(result)]
+    if violations:
+        print(report.format_table(
+            violations,
+            columns=["job", "workload", "config", "problems"],
+            title="Oracle violations (dynamic run contradicted a "
+                  "static bound — FATAL)",
+        ))
+    return len(failures), len(violations)
+
+
+def _campaign(args) -> int:
+    apps = _known_apps(args, "campaign")
+    if apps is None:
         return 2
     if args.suite:
         from repro.workloads.suites import SuiteError, expand_suite_jobs, load_suite
 
-        # A scenario's own `engine` key wins; an explicit --engine is the
-        # default for scenarios that don't pin one.
-        default_engine = (
-            args.engine if getattr(args, "engine_explicit", False)
-            else "reference"
-        )
+        # A scenario's own `engine` key wins; --engine is the default for
+        # scenarios that don't pin one.
         try:
             suite = load_suite(args.suite)
-            jobs = expand_suite_jobs(suite, default_engine=default_engine)
+            jobs = expand_suite_jobs(suite, default_engine=args.engine)
         except SuiteError as exc:
             print(f"suite error: {exc}")
             return 2
@@ -329,24 +395,12 @@ def _campaign(args) -> int:
                                    args.threads[0], scale=args.scale,
                                    tag="livelock", engine=args.engine)
         )
-    # A workload that fails the static lint, or does not resolve, aborts
-    # before any simulation starts; a result that contradicts the static
-    # oracle fails below.
-    try:
-        result = experiment.run_points(
-            jobs,
-            workers=args.workers,
-            timeout=args.timeout,
-            retries=args.retries,
-            cache=args.cache_dir,
-            use_cache=not args.no_cache,
-            campaign_seed=args.seed,
-            progress=print,
-            failure_dump_dir=args.dump_dir or None,
-            validate=not args.no_validate,
-        )
-    except (experiment.WorkloadLintError, WorkloadRegistryError) as exc:
-        print(f"campaign aborted: {exc}")
+    # A result that contradicts the static oracle fails below.
+    result = _run_points(
+        args, jobs, "campaign", failure_dump_dir=args.dump_dir or None,
+        validate=not args.no_validate,
+    )
+    if result is None:
         return 2
     rows = []
     for outcome in result.outcomes:
@@ -378,21 +432,8 @@ def _campaign(args) -> int:
          for key, value in summary.items()],
         title="Campaign summary",
     ))
-    failures = results.campaign_failure_rows(result)
-    if failures:
-        print(report.format_table(
-            failures,
-            columns=["job", "status", "attempts", "error", "dump"],
-            title="Failed jobs (reported, not fatal)",
-        ))
-    violations = results.campaign_violation_rows(result)
-    if violations:
-        print(report.format_table(
-            violations,
-            columns=["job", "workload", "config", "problems"],
-            title="Oracle violations (dynamic run contradicted a "
-                  "static bound — FATAL)",
-        ))
+    _, violations = _print_problems("Failed jobs (reported, not fatal)",
+                                    result)
     if result.runlog_path:
         print(f"\n[campaign run-log written to {result.runlog_path}]")
     if args.json:
@@ -405,17 +446,61 @@ def _campaign(args) -> int:
     return 0 if (not jobs or result.completed) else 1
 
 
+# --------------------------------------------------------------- reproduce
+def _reproduce(args) -> int:
+    """The paper's evaluation in one command: every figure's points run
+    as one campaign, every figure and table printed from its results,
+    and, over all sixteen apps, the paper's claims checked on them."""
+    apps = _known_apps(args, "reproduce")
+    if apps is None:
+        return 2
+    points = dict.fromkeys(
+        point for target in figures.FIGURES
+        for point in figures.figure_points(target, apps, args.scale)
+    )
+    result = _run_points(args, list(points), "reproduce")
+    if result is None:
+        return 2
+    # Figures 1 and 2 profile functional traces instead.
+    sharing = figures.prefetch_figure("fig1", apps, args.scale,
+                                      **_parallel(args))
+    print(f"\n{result.jobs} points ({result.cache_hits} from the cache): "
+          f"pass {result.pass_wall_time:.1f}s, campaign "
+          f"{result.wall_time:.1f}s; {sharing.jobs} sharing profiles")
+    failures, violations = _print_problems("Failed jobs", result, sharing)
+    if failures:
+        return 1
+    rows = {target: figure.compute(apps, args.scale)
+            for target, figure in figures.FIGURES.items()}
+    for target, figure in figures.FIGURES.items():
+        print(f"\n{figure.render(rows[target])}")
+    claims = None
+    if set(experiment.default_apps()) <= set(apps):
+        claims = [{"figure": figure, "claim": claim, "holds": holds}
+                  for figure, claim, holds in figures.paper_claims(rows)]
+        print("\n" + report.format_table(
+            [{**claim, "holds": "yes" if claim["holds"] else "NO"}
+             for claim in claims],
+            columns=["figure", "claim", "holds"], title="Paper claims",
+        ))
+    else:
+        print("\npaper claims not checked: they are stated over all "
+              "sixteen paper apps")
+    if args.json:
+        results.dump_figure("reproduce", rows, args.json, scale=args.scale,
+                            extra={"claims": claims})
+        print(f"\n[rows written to {args.json}]")
+    held = all(claim["holds"] for claim in claims or ())
+    return 0 if held and not violations else 1
+
+
 # ----------------------------------------------------------------- profile
 def _profile(args) -> int:
     """Host self-profile of one point: where does the wall-clock go?"""
-    apps = args.apps or experiment.default_apps()
-    app = apps[0]
-    threads = args.threads[0]
-    if args.config not in CONFIG_FACTORIES:
-        known = ", ".join(sorted(CONFIG_FACTORIES))
-        print(f"unknown config {args.config!r}; choose from: {known}")
+    point = _point(args)
+    if point is None:
         return 2
-    config = CONFIG_FACTORIES[args.config]()
+    app, config, threads = point
     stats, prof = experiment.profile_run(
         app, config, threads, scale=args.scale, engine=args.engine,
         record_slices=bool(args.chrome),
@@ -501,14 +586,10 @@ def _record(args) -> int:
     save them as a replayable trace workload (``trace:PATH``)."""
     from repro.workloads.record import record_trace
 
-    apps = args.apps or experiment.default_apps()
-    app = apps[0]
-    threads = args.threads[0]
-    if args.config not in CONFIG_FACTORIES:
-        known = ", ".join(sorted(CONFIG_FACTORIES))
-        print(f"unknown config {args.config!r}; choose from: {known}")
+    point = _point(args)
+    if point is None:
         return 2
-    config = CONFIG_FACTORIES[args.config]()
+    app, config, threads = point
     if config.limit_identical:
         print("cannot record under the Limit study (identical clones "
               "carry no per-thread structure); pick a real config")
@@ -536,6 +617,8 @@ def _record(args) -> int:
 #: figures and tables are the targets of ``figures.FIGURES``.
 COMMANDS = {
     "campaign": (_campaign, "parallel batch sweep with result caching"),
+    "reproduce": (_reproduce, "every figure's points as one campaign, then "
+                  "every figure and the paper's claims"),
     "trace": (_trace, "one observed run: events, interval metrics, Perfetto "
               "export"),
     "profile": (_profile, "host self-profile: wall-clock by rare-path region"),
@@ -553,12 +636,8 @@ def _figure(args) -> int:
     in the paper's layout and, with ``--json``, dump them."""
     figure = figures.FIGURES[args.target]
     if args.workers:
-        figures.prefetch_figure(
-            args.target, apps=args.apps, scale=args.scale,
-            workers=args.workers, cache=args.cache_dir,
-            use_cache=not args.no_cache, timeout=args.timeout,
-            retries=args.retries, progress=print,
-        )
+        figures.prefetch_figure(args.target, args.apps, args.scale,
+                                **_parallel(args))
     rows = figure.compute(args.apps, args.scale)
     print(figure.render(rows))
     if args.json:
@@ -610,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="run simulations as a parallel campaign with this many "
-        "worker processes (default for figures: serial; for campaign: "
-        "every CPU this process may run on)",
+        "worker processes (default for figures: serial; for campaign "
+        "and reproduce: every CPU this process may run on)",
     )
     parallel.add_argument(
         "--timeout",
@@ -636,12 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the on-disk result cache",
-    )
-    parallel.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="campaign seed (per-job seeds derive deterministically)",
     )
     campaign = parser.add_argument_group("campaign target")
     campaign.add_argument(
@@ -774,9 +847,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # The self-profiler exists to explain fast-loop wall-clock, so
     # `profile` defaults to the fast engine; everything else stays on
-    # the reference core unless asked.  Suite expansion needs to know
-    # whether --engine was the user's choice or this default.
-    args.engine_explicit = args.engine is not None
+    # the reference core unless asked.
     if args.engine is None:
         args.engine = "fast" if args.target == "profile" else "reference"
     try:

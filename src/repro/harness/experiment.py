@@ -679,7 +679,6 @@ class WorkloadCheck:
     scale: float
     seed: int | None
     cache_root: str
-    lint: bool
     limits: tuple[bool, ...]
     spool: str | None
 
@@ -694,8 +693,7 @@ class WorkloadChecked:
     name: str
     digest: str
     nctx: int
-    #: Lint findings; ``None`` when not linted (verdict stored, or lint
-    #: off).
+    #: Lint findings; ``None`` when not linted (verdict stored).
     diagnostics: list | None
     #: limit flag -> oracle report; a flag whose analysis raised is
     #: absent, so validation re-runs it and reports the failure.
@@ -719,7 +717,7 @@ def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
             pickle.dump(build, handle, pickle.HIGHEST_PROTOCOL)
     cache = ResultCache(task.cache_root)
     diagnostics = None
-    if task.lint and cache.load(_lint_key(digest)) is not True:
+    if cache.load(_lint_key(digest)) is not True:
         diagnostics = lint_program(build.program)
         if not diagnostics:
             cache.store(_lint_key(digest), True)
@@ -766,7 +764,6 @@ def lint_campaign_jobs(
     *,
     workers: int | None = None,
     timeout: float | None = None,
-    lint: bool = True,
     oracle: bool = False,
 ) -> int:
     """The pre-dispatch pass: lint every distinct workload a campaign will
@@ -796,15 +793,9 @@ def lint_campaign_jobs(
     a task whose worker died or timed out raises ``RuntimeError`` naming
     the workload.
 
-    With ``lint=False`` nothing is linted and nothing is raised: a
-    workload that cannot be built is left to fail its simulation jobs.
-    With neither *lint* nor *oracle* the pass does not run.
-
     Returns the number of programs actually linted (cache misses).
     Non-:class:`CampaignJob` entries (custom test jobs) are skipped.
     """
-    if not (lint or oracle):
-        return 0
     root = str(ResultCache(cache_dir).root)
     code_fingerprint()  # once here, not in every forked pass worker
     emit = progress if callable(progress) else (lambda line: None)
@@ -818,7 +809,7 @@ def lint_campaign_jobs(
         if oracle and job.config.limit_identical not in flags:
             flags.append(job.config.limit_identical)
     tasks = [
-        WorkloadCheck(*key, root, lint, tuple(flags), _SPOOL)
+        WorkloadCheck(*key, root, tuple(flags), _SPOOL)
         for key, flags in limits.items()
     ]
     result = run_campaign(
@@ -837,31 +828,29 @@ def lint_campaign_jobs(
     reported: set[str] = set()
     for task, outcome in zip(tasks, result.outcomes):
         checked = outcome.payload
-        if lint:
-            if not outcome.ok:
-                raise RuntimeError(
-                    f"pre-dispatch check of workload {task.label()} "
-                    f"failed: {outcome.error}"
-                )
-            if checked is None:
-                checked = _check_workload(task)
-            if isinstance(checked, BaseException):
-                raise checked
-            if checked.diagnostics:
-                raise WorkloadLintError(checked.name, checked.diagnostics)
-            if checked.diagnostics == []:  # also a check repeated above
-                linted.add(checked.digest)
-            if checked.digest in linted and checked.digest not in reported:
-                reported.add(checked.digest)
-                emit(f"lint {checked.name}: ok")
-            else:
-                emit(f"lint {checked.name}: cached ok")
-        if isinstance(checked, WorkloadChecked):
-            for limit, report in checked.reports.items():
-                _ORACLE_MEMO[(checked.digest, checked.nctx, limit)] = report
-            if _HANDOFF is not None and checked.build_path is not None:
-                _HANDOFF[(task.app, task.threads, task.scale,
-                          task.seed)] = checked.build_path
+        if not outcome.ok:
+            raise RuntimeError(
+                f"pre-dispatch check of workload {task.label()} "
+                f"failed: {outcome.error}"
+            )
+        if checked is None:
+            checked = _check_workload(task)
+        if isinstance(checked, BaseException):
+            raise checked
+        if checked.diagnostics:
+            raise WorkloadLintError(checked.name, checked.diagnostics)
+        if checked.diagnostics == []:  # also a check repeated above
+            linted.add(checked.digest)
+        if checked.digest in linted and checked.digest not in reported:
+            reported.add(checked.digest)
+            emit(f"lint {checked.name}: ok")
+        else:
+            emit(f"lint {checked.name}: cached ok")
+        for limit, report in checked.reports.items():
+            _ORACLE_MEMO[(checked.digest, checked.nctx, limit)] = report
+        if _HANDOFF is not None and checked.build_path is not None:
+            _HANDOFF[(task.app, task.threads, task.scale,
+                      task.seed)] = checked.build_path
     return len(reported)
 
 
@@ -876,26 +865,24 @@ def run_points(
     campaign_seed: int = 0,
     progress=None,
     failure_dump_dir=None,
-    lint: bool = True,
     validate: bool = True,
 ) -> CampaignResult:
     """Run the :class:`CampaignJob` *points* as one campaign and seed the
     in-memory memo.
 
     This is the one code path that sequences a simulation campaign:
-    ``repro campaign``, the figure prefetches and the benchmarks all come
-    through here, with :func:`simulate_job` as the runner, so a point has
-    one cache key whichever command ran it.  After this returns, a serial
-    :func:`run_app` call for any successful point is a memo hit — which
-    is how the figure regenerators and the benchmark drivers get their
+    ``repro campaign``, ``repro reproduce`` and the figure prefetches all
+    come through here, with :func:`simulate_job` as the runner, so a
+    point has one cache key whichever command ran it.  After this
+    returns, a serial :func:`run_app` call for any successful point is a
+    memo hit — which is how the figure regenerators get their
     parallelism without restructuring.
 
-    Unless *lint* is disabled, every distinct workload is statically
-    linted (content-addressed, so effectively free after the first run)
-    before any job dispatches.  Unless *validate* is disabled, every
-    successful result — fresh or served from the on-disk cache — is
-    cross-checked against the static redundancy oracle at aggregation
-    time; disagreements land in ``result.validation_failures`` (see
+    Every distinct workload is statically linted (content-addressed, so
+    effectively free after the first run) before any job dispatches.
+    Unless *validate* is disabled, every successful result — fresh or
+    served from the on-disk cache — is cross-checked against the static
+    redundancy oracle at aggregation time; disagreements land in ``result.validation_failures`` (see
     :func:`validate_campaign_result`).  The lint and the oracle reports
     both come from one pre-dispatch pass on the worker pool (see
     :func:`lint_campaign_jobs`), which stores its verdicts and reports in
@@ -905,22 +892,19 @@ def run_points(
     simulation campaign's alone.
     """
     jobs = list(points)
-    pass_wall_time = 0.0
     with build_handoff():
-        if lint or validate:
-            # Resolve *cache* exactly as run_campaign does, so the stored
-            # verdicts and reports land beside the results whatever form
-            # *cache* takes.
-            cache_root = (
-                cache if isinstance(cache, ResultCache)
-                else ResultCache(cache)
-            ).root
-            started = time.perf_counter()
-            lint_campaign_jobs(
-                jobs, cache_dir=cache_root, progress=progress,
-                workers=workers, timeout=timeout, lint=lint, oracle=validate,
-            )
-            pass_wall_time = time.perf_counter() - started
+        # Resolve *cache* exactly as run_campaign does, so the stored
+        # verdicts and reports land beside the results whatever form
+        # *cache* takes.
+        cache_root = (
+            cache if isinstance(cache, ResultCache) else ResultCache(cache)
+        ).root
+        started = time.perf_counter()
+        lint_campaign_jobs(
+            jobs, cache_dir=cache_root, progress=progress,
+            workers=workers, timeout=timeout, oracle=validate,
+        )
+        pass_wall_time = time.perf_counter() - started
         result = run_campaign(
             jobs,
             simulate_job,

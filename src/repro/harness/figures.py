@@ -1,10 +1,12 @@
 """Regenerators for every table and figure of the paper's evaluation.
 
 Each function returns plain data structures (lists of dicts) so callers —
-the benchmark harness, the examples, tests — can print, assert, or plot
-them.  :data:`FIGURES` declares every figure and table once, as one
-``repro`` target: its ``list`` line, its title, its simulated point set,
-its rows and its paper layout (rendered by ``repro.harness.report``).
+the CLI, the examples, tests — can print, assert, or plot them.
+:data:`FIGURES` declares every figure and table once, as one ``repro``
+target: its ``list`` line, its title, its simulated point set, its rows
+and its paper layout (rendered by ``repro.harness.report``).
+:func:`paper_claims` checks the paper's shape claims on the rows of all
+of them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ from repro.harness.experiment import (
 )
 from repro.harness.report import format_pairs, format_stacked_bars, format_table
 from repro.pipeline.config import MachineConfig
-from repro.power.budget import hardware_budget
+from repro.power.budget import (
+    hardware_budget,
+    storage_overhead_fraction,
+    total_storage_bits,
+)
 from repro.profiling.divergence import FIG2_BUCKETS, divergence_histogram
 from repro.profiling.sharing import analyze_job
 from repro.profiling.tracing import capture_job_traces
@@ -536,6 +542,175 @@ FIGURES: dict[str, Figure] = {
         format_pairs,
     ),
 }
+
+
+# ----------------------------------------------------------- paper claims
+#: Table 4's machine values, as the paper lists them.
+_TABLE4_VALUES = {
+    "Threads": "4", "Issue/Commit Width": "8/8", "ROB Size": "256",
+    "LSQ Size": "64", "ALU/FPU units": "6/3", "BTB/RAS Size": "2048/16",
+    "DRAM Latency": "200",
+}
+
+
+def paper_claims(rows) -> list[tuple[str, str, bool]]:
+    """The paper's shape claims, checked on *rows*: every :data:`FIGURES`
+    target mapped to its rows over the sixteen paper apps.
+
+    Returns one ``(figure, claim, holds)`` per claim; the claim's text
+    carries the values it compared.  Two claims read another figure's
+    rows: Fig 5(b) bounds what MMT identifies by Fig 1's profile, and Fig
+    5(c) compares its geomean with Fig 5(a)'s.  The thresholds are set
+    for scale 1.0, the calibrated size.
+    """
+    claims = []
+
+    def claim(figure: str, text: str, holds) -> None:
+        claims.append((figure, text, bool(holds)))
+
+    average = rows["fig1"][-1]
+    exe, fetch = average["execute_identical"], average["fetch_identical_only"]
+    claim("fig1", f"average execute-identical {exe:.3f} > 0.25 (paper 0.35)",
+          exe > 0.25)
+    claim("fig1", f"average not-identical {average['not_identical']:.3f} "
+          "< 0.25", average["not_identical"] < 0.25)
+    claim("fig1", f"average fetch-identical {exe + fetch:.3f} > 0.70 "
+          "(paper 0.88)", exe + fetch > 0.70)
+
+    within16 = {row["app"]: row["<=16"] for row in rows["fig2"]}
+    easy = [app for app in within16 if app not in ("equake", "vortex")]
+    good = sum(within16[app] >= 0.85 for app in easy)
+    claim("fig2", f"{good} of {len(easy)} apps besides equake and vortex "
+          "have >= 85% of divergences within 16 taken branches (70% must)",
+          good >= len(easy) * 0.7)
+    claim("fig2", f"equake ({within16['equake']:.2f}) or vortex "
+          f"({within16['vortex']:.2f}) has < 85% within 16",
+          within16["equake"] < 0.85 or within16["vortex"] < 0.85)
+
+    geo2 = rows["fig5a"][-1]
+    fxr2 = geo2["MMT-FXR"]
+    fxr = {row["app"]: row["MMT-FXR"] for row in rows["fig5a"]}
+    # The paper's strongest and weakest two-thread gainers.
+    strong_apps = ("ammp", "mcf", "water-sp")
+    weak_apps = ("twolf", "vortex", "vpr")
+    strong = sum(fxr[a] for a in strong_apps) / len(strong_apps)
+    weak = sum(fxr[a] for a in weak_apps) / len(weak_apps)
+    limits = [row["Limit"] for row in rows["fig5a"]]
+    claim("fig5a", f"geomean MMT-FXR {fxr2:.3f} >= MMT-FX "
+          f"{geo2['MMT-FX']:.3f} - 0.02", fxr2 >= geo2["MMT-FX"] - 0.02)
+    claim("fig5a", f"geomean Limit {geo2['Limit']:.3f} > MMT-FXR",
+          geo2["Limit"] > fxr2)
+    claim("fig5a", f"geomean MMT-FXR {fxr2:.3f} > 1.0 (paper 1.15)",
+          fxr2 > 1.0)
+    claim("fig5a", f"MMT-FXR mean of {', '.join(strong_apps)} {strong:.3f} "
+          f"> {', '.join(weak_apps)} {weak:.3f}", strong > weak)
+    claim("fig5a", f"Limit > 1.0 on every row (min {min(limits):.3f})",
+          all(limit > 1.0 for limit in limits))
+
+    regmerge = {row["app"]: row["exec_identical_regmerge"]
+                for row in rows["fig5b"]}
+    merged = ("equake", "mcf", "water-ns")
+    potential = {row["app"]: row["execute_identical"] for row in rows["fig1"]}
+    identified = {row["app"]: row["exec_identical"] + regmerge[row["app"]]
+                  for row in rows["fig5b"]}
+    excess = max(identified[app] - potential[app] for app in identified)
+    claim("fig5b", f"register merging > 5% for {', '.join(merged)} "
+          f"(max {max(regmerge[a] for a in merged):.3f})",
+          any(regmerge[a] > 0.05 for a in merged))
+    claim("fig5b", "identified execute-identical <= Fig 1's profile + 0.15 "
+          f"on every app (max excess {excess:+.3f})",
+          all(identified[a] <= potential[a] + 0.15 for a in identified))
+
+    geo4 = rows["fig5c"][-1]
+    fxr4 = geo4["MMT-FXR"]
+    claim("fig5c", f"geomean MMT-FXR {fxr4:.3f} > 1.10 (paper 1.25)",
+          fxr4 > 1.10)
+    claim("fig5c", f"geomean Limit {geo4['Limit']:.3f} > MMT-FXR",
+          geo4["Limit"] > fxr4)
+    claim("fig5c", f"4T MMT-FXR {fxr4:.3f} > 2T {fxr2:.3f} "
+          "(paper 1.25 and 1.15)", fxr4 > fxr2)
+
+    merge = {row["app"]: max(row["merge"], 1e-6) for row in rows["fig5d"]}
+    # Irregular control merges the least (§6.3).
+    regular_apps = ("ammp", "water-sp", "fft")
+    irregular_apps = ("twolf", "vpr", "vortex")
+    regular = geomean(merge[a] for a in regular_apps)
+    irregular = geomean(merge[a] for a in irregular_apps)
+    remerge = [row["remerge_within_512"] for row in rows["fig5d"]]
+    remerge_mean = sum(remerge) / len(remerge)
+    claim("fig5d", f"MERGE share of {', '.join(regular_apps)} {regular:.3f} "
+          f"> {', '.join(irregular_apps)} {irregular:.3f}", regular > irregular)
+    claim("fig5d", "mean share of remerges within 512 fetched branches "
+          f"{remerge_mean:.2f} > 0.75 (paper ~0.90)", remerge_mean > 0.75)
+
+    energy = rows["fig6"][-1]
+    ratio2 = energy["MMT-2T"]["total"] / energy["SMT-2T"]["total"]
+    ratio4 = energy["MMT-4T"]["total"] / energy["SMT-4T"]["total"]
+    overheads = [row[bar]["mmt_overhead"] / max(row[bar]["total"], 1e-9)
+                 for row in rows["fig6"][:-1] for bar in ("MMT-2T", "MMT-4T")]
+    claim("fig6", f"MMT-2T energy per job below SMT-2T (ratio {ratio2:.2f})",
+          energy["MMT-2T"]["total"] < energy["SMT-2T"]["total"])
+    claim("fig6", f"MMT-4T energy per job below SMT-4T (ratio {ratio4:.2f})",
+          energy["MMT-4T"]["total"] < energy["SMT-4T"]["total"])
+    claim("fig6", f"MMT-4T / SMT-4T energy per job {ratio4:.2f} < 0.95 "
+          "(paper ~0.66)", ratio4 < 0.95)
+    claim("fig6", "MMT overhead < 6% of every MMT bar "
+          f"(max {max(overheads):.3f})", all(o < 0.06 for o in overheads))
+
+    fhb = rows["fig7a"][-1]
+    speedups = [row[size] for row in rows["fig7a"] for size in FHB_SIZES]
+    claim("fig7a", f"geomean at FHB 32 {fhb[32]:.3f} >= FHB 8 "
+          f"{fhb[8]:.3f} - 0.02", fhb[32] >= fhb[8] - 0.02)
+    claim("fig7a", f"every speedup in (0.5, 3.0) ({min(speedups):.3f} to "
+          f"{max(speedups):.3f})", all(0.5 < s < 3.0 for s in speedups))
+
+    ports = [row["ldst_ports"] for row in rows["fig7b"]]
+    by_ports = [row["geomean_speedup"] for row in rows["fig7b"]]
+    claim("fig7b", f"load/store ports swept: {ports}",
+          ports == list(LDST_PORT_COUNTS))
+    claim("fig7b", f"geomean > 0.9 at every port count (min "
+          f"{min(by_ports):.3f})", all(s > 0.9 for s in by_ports))
+    claim("fig7b", f"geomean at {ports[-1]} ports {by_ports[-1]:.3f} >= "
+          f"{ports[0]} ports {by_ports[0]:.3f} - 0.05",
+          by_ports[-1] >= by_ports[0] - 0.05)
+
+    totals = [row["merge"] + row["detect"] + row["catchup"]
+              for row in rows["fig7c"]]
+    apps = len(rows["fig2"])
+    claim("fig7c", "fetch-mode shares sum to 1 on every row (max error "
+          f"{max(abs(t - 1.0) for t in totals):.1e})",
+          all(abs(t - 1.0) < 1e-9 for t in totals))
+    claim("fig7c", f"{len(totals)} rows: {apps} apps x {len(FHB_SIZES)} "
+          "FHB sizes", len(totals) == apps * len(FHB_SIZES))
+
+    widths = [row["fetch_width"] for row in rows["fig7d"]]
+    by_width = {row["fetch_width"]: row["geomean_speedup"]
+                for row in rows["fig7d"]}
+    claim("fig7d", f"fetch widths swept: {widths}",
+          widths == list(FETCH_WIDTHS))
+    claim("fig7d", f"geomean at width 32 {by_width[32]:.3f} > 1.0 "
+          "(paper ~1.11)", by_width[32] > 1.0)
+    claim("fig7d", f"geomean at width 4 {by_width[4]:.3f} >= width 32 "
+          f"{by_width[32]:.3f} - 0.05", by_width[4] >= by_width[32] - 0.05)
+
+    budget = hardware_budget()
+    bits, overhead = total_storage_bits(budget), storage_overhead_fraction(budget)
+    claim("table3", f"MMT storage {bits} bits ({bits / 8 / 1024:.1f} KiB) "
+          f"is {overhead * 100:.2f}% < 2% of on-chip cache storage",
+          overhead < 0.02)
+
+    machine = dict(rows["table4"])
+    differ = [key for key, value in _TABLE4_VALUES.items()
+              if machine.get(key) != value]
+    if "1024" not in machine.get("Branch Predictor", ""):
+        differ.append("Branch Predictor")
+    claim("table4", f"{8 - len(differ)} of 8 machine values as the paper's"
+          + (f" (differ: {', '.join(differ)})" if differ else ""), not differ)
+
+    names = [name for name, _ in rows["table5"]]
+    claim("table5", f"configurations {', '.join(names)}",
+          names == ["Base", "MMT-F", "MMT-FX", "MMT-FXR", "Limit"])
+    return claims
 
 
 # ------------------------------------------------- campaign prefetching

@@ -40,8 +40,7 @@ from repro.pipeline.config import MachineConfig
 from repro.pipeline.smt import SMTCore
 from repro.workloads.dsl import ProgramBuilder
 from repro.workloads.engine import Workload
-from repro.workloads.generator import WorkloadBuild, build_workload
-from repro.workloads.profiles import get_profile
+from repro.workloads.generator import WorkloadBuild
 
 #: Recording format version (bump on incompatible schema changes).
 FORMAT_VERSION = 1
@@ -169,14 +168,18 @@ def record_trace(
 ) -> RecordedTrace:
     """Run *app* on the reference core and record per-thread commits.
 
+    *app* is a paper application or a registry workload, built as every
+    harness path builds it (``repro.harness.experiment.build_point``).
     The recording engine is pinned to the reference :class:`SMTCore` —
     the proven oracle — so replay fixtures never inherit a fast-engine
     bug.  *max_tokens* bounds each context's token stream (the replay
     program's data segment grows linearly with it).
     """
+    from repro.harness.experiment import build_point
+
     if window < 1:
         raise ValueError("window must be at least 1 PC")
-    build = build_workload(get_profile(app), threads, scale=scale, seed=seed)
+    build = build_point(app, threads, scale=scale, seed=seed)
     obs = Observer(sink=MemorySink())
     core = SMTCore(
         MachineConfig(num_threads=max(2, threads)),

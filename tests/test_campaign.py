@@ -282,6 +282,37 @@ def test_progress_lines_streamed(cache):
     assert all("add(" in line for line in lines)
 
 
+def test_a_result_sent_just_before_the_worker_exits_is_kept(cache,
+                                                            monkeypatch):
+    """A worker that sends its result and exits between the driver's
+    poll of its pipe and its liveness check has finished, not died."""
+    import multiprocessing
+    from multiprocessing.connection import Connection
+
+    real_poll = Connection.poll
+    polled = set()
+
+    def late_poll(self, timeout=0.0):
+        if id(self) in polled:
+            return real_poll(self, timeout)
+        polled.add(id(self))
+        # The worker sends and exits while the driver is between calls.
+        deadline = time.monotonic() + 30
+        while multiprocessing.active_children():
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        return False
+
+    monkeypatch.setattr(Connection, "poll", late_poll)
+    lines = []
+    result = run_campaign([AddJob(1, 2)], add_runner, workers=1, retries=0,
+                          cache=cache, progress=lines.append)
+    outcome = result.outcomes[0]
+    assert outcome.ok, outcome.error
+    assert outcome.payload["sum"] == 3
+    assert len(lines) == 1 and "worker died" not in lines[0]
+
+
 # ------------------------------------------------- simulation integration
 def test_run_points_seeds_the_run_app_memo(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
@@ -740,6 +771,8 @@ def test_pre_pass_seeds_the_oracle_memo(tmp_path, monkeypatch):
 
 
 def test_pre_pass_honours_lint_and_validate_flags(tmp_path):
+    """Without validation the pass still lints and stores the verdict,
+    but computes no oracle report."""
     from repro.harness import experiment
 
     experiment.clear_oracle_memo()
@@ -750,11 +783,6 @@ def test_pre_pass_honours_lint_and_validate_flags(tmp_path):
     run_points(jobs, workers=1, cache=tmp_path / "a", validate=False)
     assert experiment._ORACLE_MEMO == {}
     assert verdict in ResultCache(tmp_path / "a")
-
-    result = run_points(jobs, workers=1, cache=tmp_path / "b", lint=False)
-    assert result.validation_failures == []
-    assert len(experiment._ORACLE_MEMO) == 1
-    assert verdict not in ResultCache(tmp_path / "b")
     experiment.clear_oracle_memo()
     clear_cache()
 
@@ -897,8 +925,8 @@ def test_validation_rebuilds_workloads_without_the_pass():
 # ------------------------------------------------------ one campaign path
 def test_pass_wall_time_is_recorded_beside_the_dispatch(tmp_path):
     """``wall_time`` is the dispatch alone; the pre-dispatch pass has its
-    own figure, in the result and in its summary, and 0.0 when no pass
-    ran."""
+    own figure, in the result and in its summary, also when every point
+    is a cache hit and nothing is validated."""
     clear_cache()
     jobs = [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)]
     result = run_points(jobs, workers=1, cache=tmp_path)
@@ -907,11 +935,10 @@ def test_pass_wall_time_is_recorded_beside_the_dispatch(tmp_path):
     assert summarize_campaign(result)["pass_wall_time"] == (
         result.pass_wall_time
     )
-    bare = run_points(jobs, workers=1, cache=tmp_path, lint=False,
-                      validate=False)
+    bare = run_points(jobs, workers=1, cache=tmp_path, validate=False)
     assert bare.outcomes[0].from_cache
-    assert bare.pass_wall_time == 0.0
-    assert summarize_campaign(bare)["pass_wall_time"] == 0.0
+    assert bare.pass_wall_time > 0
+    assert summarize_campaign(bare)["pass_wall_time"] == bare.pass_wall_time
     clear_cache()
 
 

@@ -297,6 +297,30 @@ def test_record_rejects_limit_config(capsys):
     assert "Limit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["trace", "profile", "record"])
+@pytest.mark.parametrize("app", ["nosuchapp", "truncated-trace"])
+def test_one_point_commands_reject_an_unresolvable_app(capsys, tmp_path,
+                                                       command, app):
+    """trace, profile and record resolve their point once: a name that
+    resolves to no workload is an error message and exit 2."""
+    if app == "truncated-trace":
+        app = _truncated_trace(tmp_path)
+    assert main([command, "--apps", app, "--scale", "0.05",
+                 "--out", str(tmp_path / "out.trace.json")]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and "Traceback" not in out
+
+
+def test_record_builds_a_registry_workload(capsys, tmp_path):
+    """record builds its point as every harness path does, so registry
+    workloads record too."""
+    out_path = tmp_path / "bursty.trace.json"
+    assert main(["record", "--apps", "dyn-bursty", "--threads", "2",
+                 "--scale", "0.05", "--out", str(out_path)]) == 0
+    assert "recorded dyn-bursty/MMT-FXR/2t" in capsys.readouterr().out
+    assert out_path.exists()
+
+
 def test_campaign_suite_smoke(capsys, tmp_path, monkeypatch):
     """campaign --suite expands and runs a scenario suite end-to-end."""
     monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "clitest3")
@@ -407,3 +431,123 @@ def test_unknown_engine_is_exit_2_with_registry_listing(capsys):
     out = capsys.readouterr().out
     assert "unknown engine 'warp9'" in out
     assert "'fast'" in out and "'reference'" in out
+
+
+# --------------------------------------------------------------- reproduce
+def _spy(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_reproduce_prints_every_figure_from_one_campaign(capsys, tmp_path,
+                                                         monkeypatch):
+    """reproduce runs the union of every figure's points once, as one
+    campaign, then prints each figure and table from the memo without a
+    serial simulation; its JSON holds each target's rows as
+    ``repro <target> --json`` writes them.  Over two apps no claim is
+    checked."""
+    from repro.harness import experiment, figures, results
+
+    apps, scale = ["ammp", "lu"], 0.05
+    experiment.clear_cache()
+    campaigns, simulations = [], []
+    _spy(monkeypatch, experiment, "run_points", campaigns)
+    _spy(monkeypatch, figures, "run_points", campaigns)
+    _spy(monkeypatch, experiment, "_simulate", simulations)
+    document = tmp_path / "reproduce.json"
+    assert main(["reproduce", "--apps", *apps, "--scale", str(scale),
+                 "--workers", "2", "--cache-dir", str(tmp_path / "cache"),
+                 "--json", str(document)]) == 0
+    out = capsys.readouterr().out
+    union = dict.fromkeys(point for target in FIGURES
+                          for point in figures.figure_points(target, apps,
+                                                             scale))
+    assert [list(points) for points, in campaigns] == [list(union)]
+    assert len(union) == 56
+    assert simulations == []
+    assert all(out.count(figure.title) == 1 for figure in FIGURES.values())
+    assert "paper claims not checked" in out
+    dumped = results.load_figure(document)
+    assert dumped["claims"] is None
+    for target, figure in FIGURES.items():
+        path = results.dump_figure(target, figure.compute(apps, scale),
+                                   tmp_path / f"{target}.json", scale=scale)
+        assert dumped["rows"][target] == results.load_figure(path)["rows"]
+        assert figure.render(figure.compute(apps, scale)) in out
+    experiment.clear_cache()
+
+
+def test_reproduce_fails_when_a_paper_claim_fails(capsys, tmp_path,
+                                                  monkeypatch):
+    """Over all the paper's apps (here, the one app the paper is made
+    of) reproduce checks the claims; one that does not hold is a NO in
+    its table and exit 1."""
+    from repro.harness import experiment, figures
+
+    monkeypatch.setattr(experiment, "default_apps", lambda: ["ammp"])
+    monkeypatch.setattr(figures, "paper_claims", lambda rows: [
+        ("fig5a", f"geomean MMT-FXR {rows['fig5a'][-1]['MMT-FXR']:.3f} "
+         "> 9.0", False),
+        ("table5", "five configurations", True),
+    ])
+    assert main(["reproduce", "--apps", "ammp", "--scale", "0.05",
+                 "--workers", "2", "--cache-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    claims = out[out.index("Paper claims"):].splitlines()
+    assert [line.split()[-1] for line in claims[4:6]] == ["NO", "yes"]
+    experiment.clear_cache()
+
+
+@pytest.mark.parametrize("app", ["nosuchapp", "truncated-trace"])
+def test_reproduce_with_an_unresolvable_app_aborts(capsys, tmp_path, app):
+    """As in campaign: a name that resolves to no workload aborts before
+    any simulation, with a message and exit 2."""
+    if app == "truncated-trace":
+        app = _truncated_trace(tmp_path)
+    assert main(["reproduce", "--apps", app, "--scale", "0.05",
+                 "--workers", "1", "--cache-dir", str(tmp_path / "c")]) == 2
+    out = capsys.readouterr().out
+    assert "reproduce aborted: " in out and "Traceback" not in out
+
+
+def test_a_closed_pipe_ends_the_run_quietly(tmp_path):
+    """A reader that stops early (``| head``) ends the run without a
+    traceback, and neither a worker nor the spool outlives it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1",
+           "TMPDIR": str(tmp_path)}
+    cache = str(tmp_path / "cache")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "fig6", "--apps", "ammp", "--scale",
+         "0.05", "--workers", "2", "--no-cache", "--cache-dir", cache],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for line in proc.stdout:  # hang up once the first point is done
+        if line.startswith(b"["):
+            break
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr, stderr
+    assert not list(tmp_path.glob("repro-spool-*"))
+    proc_root = Path("/proc")
+    if proc_root.is_dir():  # the workers are forks: they share our argv
+        left = []
+        for entry in proc_root.iterdir():
+            try:
+                if cache in (entry / "cmdline").read_bytes().decode():
+                    left.append(entry.name)
+            except (OSError, UnicodeDecodeError):
+                continue
+        assert left == []

@@ -11,10 +11,15 @@ from repro.harness.experiment import (
     speedup_over_base,
 )
 from repro.harness.figures import (
+    FETCH_WIDTHS,
+    FHB_SIZES,
+    FIGURES,
+    LDST_PORT_COUNTS,
     fig5_speedups,
     fig5b_identified,
     fig5d_modes,
     fig6_energy,
+    paper_claims,
     table3_hardware,
     table4_configuration,
     table5_configurations,
@@ -92,6 +97,77 @@ def test_tables():
     pairs = table4_configuration()
     assert ("ROB Size", "256") in pairs
     assert ("Base", "Traditional SMT") in table5_configurations()
+
+
+# -------------------------------------------------------------- paper claims
+def _paper_shaped_rows() -> dict:
+    """Rows of every target over the sixteen apps, shaped as the paper
+    reports them (the tables are the real ones)."""
+    apps = default_apps()
+    rows = {target: FIGURES[target].compute()
+            for target in ("table3", "table4", "table5")}
+    sharing = {"execute_identical": 0.4, "fetch_identical_only": 0.5,
+               "not_identical": 0.1}
+    rows["fig1"] = [{"app": app, **sharing} for app in apps + ["average"]]
+    rows["fig2"] = [{"app": app, "<=16": 0.5 if app in ("equake", "vortex")
+                     else 0.9} for app in apps]
+
+    def speedups(strong, other, limit):
+        body = [{"app": app, "MMT-F": 1.0, "Limit": limit,
+                 "MMT-FX": gain, "MMT-FXR": gain}
+                for app in apps
+                for gain in [strong if app in ("ammp", "mcf", "water-sp")
+                             else other]]
+        return body + [{"app": "geomean", **{
+            key: geomean(row[key] for row in body)
+            for key in ("MMT-F", "MMT-FX", "MMT-FXR", "Limit")}}]
+
+    rows["fig5a"] = speedups(1.3, 1.05, 1.5)
+    rows["fig5c"] = speedups(1.4, 1.2, 2.0)
+    rows["fig5b"] = [{"app": app, "exec_identical": 0.3,
+                      "exec_identical_regmerge": 0.1} for app in apps]
+    rows["fig5d"] = [{"app": app, "remerge_within_512": 0.9,
+                      "merge": 0.4 if app in ("twolf", "vpr", "vortex")
+                      else 0.9} for app in apps]
+    energy = {label: {"cache": 0.1, "mmt_overhead": 0.01,
+                      "other": total - 0.11, "total": total}
+              for label, total in (("SMT-2T", 1.0), ("MMT-2T", 0.85),
+                                   ("SMT-4T", 1.0), ("MMT-4T", 0.7))}
+    rows["fig6"] = [{"app": app, **energy} for app in apps + ["geomean"]]
+    rows["fig7a"] = [{"app": app, **dict.fromkeys(FHB_SIZES, 1.1)}
+                     for app in apps + ["geomean"]]
+    rows["fig7b"] = [{"ldst_ports": ports, "geomean_speedup": 1.2}
+                     for ports in LDST_PORT_COUNTS]
+    rows["fig7c"] = [{"app": app, "fhb_size": size, "merge": 0.5,
+                      "detect": 0.25, "catchup": 0.25}
+                     for app in apps for size in FHB_SIZES]
+    rows["fig7d"] = [{"fetch_width": width, "geomean_speedup": 1.2}
+                     for width in FETCH_WIDTHS]
+    return rows
+
+
+def test_paper_claims_hold_on_paper_shaped_rows():
+    claims = paper_claims(_paper_shaped_rows())
+    counts = {}
+    for figure, _, _ in claims:
+        counts[figure] = counts.get(figure, 0) + 1
+    assert counts == {"fig1": 3, "fig2": 2, "fig5a": 5, "fig5b": 2,
+                      "fig5c": 3, "fig5d": 2, "fig6": 4, "fig7a": 2,
+                      "fig7b": 3, "fig7c": 2, "fig7d": 3, "table3": 1,
+                      "table4": 1, "table5": 1}
+    assert [claim for claim in claims if not claim[2]] == []
+
+
+def test_a_flipped_paper_ordering_fails_its_claim():
+    """The paper's strong gainers falling behind its weak ones fails
+    that claim alone, and its text shows the values compared."""
+    rows = _paper_shaped_rows()
+    for row in rows["fig5a"]:
+        if row["app"] in ("ammp", "mcf", "water-sp"):
+            row["MMT-FXR"] = 1.0
+    failed = [claim for claim in paper_claims(rows) if not claim[2]]
+    assert failed == [("fig5a", "MMT-FXR mean of ammp, mcf, water-sp 1.000 "
+                       "> twolf, vortex, vpr 1.050", False)]
 
 
 # -------------------------------------------------------------------- report

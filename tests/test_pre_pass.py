@@ -41,7 +41,7 @@ def _isolated():
 def _task(root, *, limits=(False,), spool=None, app="ammp", scale=0.1):
     return experiment.WorkloadCheck(
         app=app, threads=2, scale=scale, seed=None, cache_root=str(root),
-        lint=True, limits=limits, spool=None if spool is None else str(spool),
+        limits=limits, spool=None if spool is None else str(spool),
     )
 
 

@@ -59,6 +59,35 @@ def test_full_split_when_nothing_shared():
     assert decision.split_count == 3
 
 
+def test_table2_split_logic():
+    """Paper Table 2: an execute-identical ALU op stays merged and a
+    fetch-identical one splits at decode; at the LSQ a multi-execution
+    store splits into one access per context, a multi-threaded store
+    makes one."""
+    from repro.core.config import WorkloadType
+    from repro.core.sync import FetchMode
+    from repro.func.executor import Executed
+    from repro.isa.instruction import Instruction
+    from repro.isa.opcodes import Opcode
+    from repro.pipeline.dyninst import DynInst
+    from repro.pipeline.lsq import LoadStoreQueue
+
+    rst = RegisterSharingTable.for_multi_execution()
+    assert split_itid(0b11, (1,), rst).itids == [0b11]
+    rst.set_pair(1, 0, 1, False)
+    assert len(split_itid(0b11, (1,), rst).itids) == 2
+
+    store = Instruction(Opcode.SW, rs1=9, rs2=1, imm=0)
+    execs = {
+        t: Executed(0, store, (0, 0), None, 0x100, 1, None, 1, t)
+        for t in (0, 1)
+    }
+    di = DynInst(1, 0, store, 0b11, execs, FetchMode.MERGE)
+    needed = LoadStoreQueue.store_accesses_needed
+    assert needed(di, WorkloadType.MULTI_EXECUTION) == 2
+    assert needed(di, WorkloadType.MULTI_THREADED) == 1
+
+
 def test_chooser_prefers_largest_group():
     rst = RegisterSharingTable()
     for t, u in ((0, 1), (0, 2), (1, 2)):
