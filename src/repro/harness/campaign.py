@@ -244,7 +244,9 @@ class CampaignResult:
     retries: int = 0
     #: Dispatch wall time, from the first cache lookup to the last result.
     wall_time: float = 0.0
-    #: Wall time of ``run_points``' pre-dispatch pass (0.0: no pass ran).
+    #: Wall time of ``run_points``' pre-dispatch phase, finding the
+    #: points with no cached result and the pass over their workloads
+    #: (0.0 for a bare :func:`run_campaign`).
     pass_wall_time: float = 0.0
     #: Path of the JSONL lifecycle run-log written for this campaign (see
     #: :mod:`repro.obs.runlog`), or None when logging was disabled.

@@ -6,7 +6,7 @@ Usage::
     python -m repro fig5a                # Figure 5(a), paper layout
     python -m repro fig6 --scale 0.5     # faster, smaller workloads
     python -m repro fig1 --apps ammp vpr
-    python -m repro fig5a --workers 8    # parallel prefetch of the runs
+    python -m repro fig5a --workers 8    # on eight worker processes
     python -m repro campaign --apps ammp mcf --configs Base MMT-FXR \
         --threads 2 4 --workers 8       # batch sweep with result caching
     python -m repro reproduce           # every figure + the paper's claims
@@ -15,13 +15,16 @@ Usage::
 
 Each figure and table target is one entry of ``figures.FIGURES`` and
 prints that figure in the paper's layout.  The tool commands are the
-entries of :data:`COMMANDS`.  ``campaign`` runs an arbitrary (apps ×
-configs × threads) sweep through ``experiment.run_points``, as a
-figure's ``--workers`` prefetch does: results are cached on disk (keyed
-by configuration and code version), hung jobs are timed out and
-retried, and a summary with cache hit/miss counts is printed at the end.
-``reproduce`` runs every figure's points as one such campaign, prints
-every figure and table, and checks the paper's claims on them.
+entries of :data:`COMMANDS`.  Every simulation of a figure or a sweep
+runs through ``experiment.run_points``: a figure target runs its points
+as one campaign, ``reproduce`` runs every figure's points as one
+campaign and checks the paper's claims on the figures, and ``campaign``
+runs an arbitrary (apps × configs × threads) sweep and prints a summary
+with cache hit/miss counts.  Results are cached on disk (keyed by
+configuration and code version), each workload a campaign simulates is
+linted first, hung jobs are timed out and retried, and every result,
+fresh or cached, is checked against its static redundancy oracle.  A
+figure is printed only when all its points ran and passed that check.
 """
 
 from __future__ import annotations
@@ -398,7 +401,6 @@ def _campaign(args) -> int:
     # A result that contradicts the static oracle fails below.
     result = _run_points(
         args, jobs, "campaign", failure_dump_dir=args.dump_dir or None,
-        validate=not args.no_validate,
     )
     if result is None:
         return 2
@@ -446,36 +448,52 @@ def _campaign(args) -> int:
     return 0 if (not jobs or result.completed) else 1
 
 
-# --------------------------------------------------------------- reproduce
-def _reproduce(args) -> int:
-    """The paper's evaluation in one command: every figure's points run
-    as one campaign, every figure and table printed from its results,
-    and, over all sixteen apps, the paper's claims checked on them."""
-    apps = _known_apps(args, "reproduce")
+# ----------------------------------------------------------------- figures
+def _figures(args) -> int:
+    """Regenerate figures and tables: one with ``repro <target>``, every
+    one of ``figures.FIGURES`` with ``repro reproduce``, which then checks
+    the paper's claims on them.  The targets' points run as one
+    campaign, and Figures 1 and 2's sharing profiles as another; a failed
+    point or an oracle violation exits 1 before any row is computed, so
+    every figure printed comes from results the gate accepted.  Rows come
+    from the memo the campaigns seed, so nothing simulates serially."""
+    command = args.target
+    reproduce = command == "reproduce"
+    targets = list(figures.FIGURES) if reproduce else [command]
+    apps = _known_apps(args, command)
     if apps is None:
         return 2
     points = dict.fromkeys(
-        point for target in figures.FIGURES
+        point for target in targets
         for point in figures.figure_points(target, apps, args.scale)
     )
-    result = _run_points(args, list(points), "reproduce")
-    if result is None:
-        return 2
-    # Figures 1 and 2 profile functional traces instead.
-    sharing = figures.prefetch_figure("fig1", apps, args.scale,
-                                      **_parallel(args))
-    print(f"\n{result.jobs} points ({result.cache_hits} from the cache): "
-          f"pass {result.pass_wall_time:.1f}s, campaign "
-          f"{result.wall_time:.1f}s; {sharing.jobs} sharing profiles")
-    failures, violations = _print_problems("Failed jobs", result, sharing)
-    if failures:
+    campaigns, summary = [], []
+    if points:
+        result = _run_points(args, list(points), command)
+        if result is None:
+            return 2
+        campaigns.append(result)
+        summary.append(
+            f"{result.jobs} points ({result.cache_hits} from the cache): "
+            f"pass {result.pass_wall_time:.1f}s, campaign "
+            f"{result.wall_time:.1f}s"
+        )
+    if any(figures.FIGURES[target].sharing for target in targets):
+        sharing = figures.run_sharing(apps, args.scale, **_parallel(args))
+        campaigns.append(sharing)
+        summary.append(f"{sharing.jobs} sharing profiles")
+    if summary:
+        print("\n" + "; ".join(summary))
+    failures, violations = _print_problems("Failed jobs", *campaigns)
+    if failures or violations:
         return 1
-    rows = {target: figure.compute(apps, args.scale)
-            for target, figure in figures.FIGURES.items()}
-    for target, figure in figures.FIGURES.items():
-        print(f"\n{figure.render(rows[target])}")
+    rows = {target: figures.FIGURES[target].compute(apps, args.scale)
+            for target in targets}
+    print(("\n" if campaigns else "") + "\n\n".join(
+        figures.FIGURES[target].render(rows[target]) for target in targets
+    ))
     claims = None
-    if set(experiment.default_apps()) <= set(apps):
+    if reproduce and set(experiment.default_apps()) <= set(apps):
         claims = [{"figure": figure, "claim": claim, "holds": holds}
                   for figure, claim, holds in figures.paper_claims(rows)]
         print("\n" + report.format_table(
@@ -483,15 +501,16 @@ def _reproduce(args) -> int:
              for claim in claims],
             columns=["figure", "claim", "holds"], title="Paper claims",
         ))
-    else:
+    elif reproduce:
         print("\npaper claims not checked: they are stated over all "
               "sixteen paper apps")
     if args.json:
-        results.dump_figure("reproduce", rows, args.json, scale=args.scale,
-                            extra={"claims": claims})
+        results.dump_figure(
+            command, rows if reproduce else rows[command], args.json,
+            scale=args.scale, extra={"claims": claims} if reproduce else None,
+        )
         print(f"\n[rows written to {args.json}]")
-    held = all(claim["holds"] for claim in claims or ())
-    return 0 if held and not violations else 1
+    return 0 if all(claim["holds"] for claim in claims or ()) else 1
 
 
 # ----------------------------------------------------------------- profile
@@ -555,9 +574,7 @@ def _replay(args) -> int:
         print("replay requires --dump PATH (a flight-recorder dump)")
         return 2
     try:
-        replay = experiment.replay_dump(
-            args.dump, validate=not args.no_validate, interval=args.interval
-        )
+        replay = experiment.replay_dump(args.dump, interval=args.interval)
     except (OSError, ValueError) as exc:
         print(f"replay failed: {exc}")
         return 2
@@ -575,9 +592,8 @@ def _replay(args) -> int:
         for line in replay.problems:
             print(f"  {line}")
         return 1
-    if not args.no_validate:
-        print("replay clean — oracle bounds hold and interval sums "
-              "reconcile exactly")
+    print("replay clean — oracle bounds hold and interval sums reconcile "
+          "exactly")
     return 0
 
 
@@ -617,7 +633,7 @@ def _record(args) -> int:
 #: figures and tables are the targets of ``figures.FIGURES``.
 COMMANDS = {
     "campaign": (_campaign, "parallel batch sweep with result caching"),
-    "reproduce": (_reproduce, "every figure's points as one campaign, then "
+    "reproduce": (_figures, "every figure's points as one campaign, then "
                   "every figure and the paper's claims"),
     "trace": (_trace, "one observed run: events, interval metrics, Perfetto "
               "export"),
@@ -629,21 +645,6 @@ COMMANDS = {
     "selfcheck": (_selfcheck, "host self-analysis: drift check + determinism "
                   "lint"),
 }
-
-
-def _figure(args) -> int:
-    """Regenerate one figure or table: compute its rows once, print them
-    in the paper's layout and, with ``--json``, dump them."""
-    figure = figures.FIGURES[args.target]
-    if args.workers:
-        figures.prefetch_figure(args.target, args.apps, args.scale,
-                                **_parallel(args))
-    rows = figure.compute(args.apps, args.scale)
-    print(figure.render(rows))
-    if args.json:
-        results.dump_figure(args.target, rows, args.json, scale=args.scale)
-        print(f"\n[rows written to {args.json}]")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -688,9 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="run simulations as a parallel campaign with this many "
-        "worker processes (default for figures: serial; for campaign "
-        "and reproduce: every CPU this process may run on)",
+        help="worker processes of the campaigns that run the simulations "
+        "(default: every CPU this process may run on)",
     )
     parallel.add_argument(
         "--timeout",
@@ -719,14 +719,14 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = parser.add_argument_group("campaign target")
     campaign.add_argument(
         "--configs",
-        nargs="*",
+        nargs="+",
         default=["Base", "MMT-FXR"],
         help=f"configurations to sweep ({', '.join(CONFIG_FACTORIES)})",
     )
     campaign.add_argument(
         "--threads",
         type=int,
-        nargs="*",
+        nargs="+",
         default=[2],
         help="hardware thread counts to sweep (default: 2)",
     )
@@ -739,11 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-livelock",
         action="store_true",
         help="append one livelocked job (watchdog + flight-dump demo)",
-    )
-    campaign.add_argument(
-        "--no-validate",
-        action="store_true",
-        help="skip the static-oracle validation gate at aggregation time",
     )
     campaign.add_argument(
         "--dump-dir",
@@ -867,7 +862,7 @@ def main(argv=None) -> int:
         return 0
     if args.target in COMMANDS:
         return COMMANDS[args.target][0](args)
-    return _figure(args)
+    return _figures(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,9 +9,9 @@ Batches of points go through :func:`run_points`, which fans them out
 across worker processes via :mod:`repro.harness.campaign` (with on-disk
 result caching and per-job timeout/retry) and then seeds the in-memory
 memo, so the serial figure code downstream gets every simulation for
-free.  A campaign builds each distinct workload once, in its
-pre-dispatch pass, and its results name that workload by content digest
-(:class:`WorkloadRef`) instead of carrying a copy.
+free.  A campaign builds each distinct workload it simulates once, in
+its pre-dispatch pass, and its results name that workload by content
+digest (:class:`WorkloadRef`) instead of carrying a copy.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.core.config import MMTConfig
 from repro.harness.campaign import (
     CampaignResult,
     ResultCache,
+    _unwrap_cache_entry,
     code_fingerprint,
     job_key,
     job_label,
@@ -50,7 +51,12 @@ from repro.pipeline.fast import resolve_engine
 from repro.pipeline.stats import SimStats
 from repro.power.model import energy_of_run
 from repro.power.params import EnergyBreakdown, EnergyParams
-from repro.workloads.engine import build_engine_workload, is_engine_workload
+from repro.workloads.engine import (
+    WorkloadRegistryError,
+    build_engine_workload,
+    get_workload,
+    is_engine_workload,
+)
 from repro.workloads.generator import WorkloadBuild, build_workload
 from repro.workloads.profiles import APP_ORDER, get_profile
 
@@ -73,7 +79,8 @@ class WorkloadRef:
 
     *digest* (:meth:`~repro.isa.program.Program.digest`) and *nctx* key
     the run's oracle report; ``(app, threads, scale, seed)`` rebuilds the
-    workload through :func:`build_point` when no report is memoised.
+    workload through :func:`build_point` when no report is memoised or
+    stored.
     """
 
     name: str
@@ -123,7 +130,11 @@ class CampaignJob:
     see :mod:`repro.pipeline.fast`); it is part of the cache key even
     though both engines are cycle-exact, so a fast-engine bug can never
     poison reference results (and the oracle gate cross-checks both
-    populations independently).
+    populations independently).  ``token`` is derived from the named
+    workload, never set by a caller: the
+    :meth:`~repro.workloads.engine.Workload.cache_token` of a registry
+    workload (a trace replay's digest), so whichever command builds the
+    job, re-recording a trace at the same path changes its cache key.
     """
 
     app: str
@@ -138,6 +149,7 @@ class CampaignJob:
     #: into their phase schedules and request streams, so it is part of
     #: both the memo key and the on-disk cache key.
     seed: int | None = None
+    token: str = field(init=False, default="")
 
     def __post_init__(self) -> None:
         if self.machine is not None:
@@ -145,6 +157,7 @@ class CampaignJob:
             if machine == MachineConfig(num_threads=self.threads):
                 machine = None
             object.__setattr__(self, "machine", machine)
+        object.__setattr__(self, "token", workload_token(self.app))
 
     def label(self) -> str:
         return f"{self.app}/{self.config.name}/{self.threads}t" + (
@@ -156,6 +169,19 @@ class CampaignJob:
         machine = _normalize_machine(self.machine, self.threads)
         return (self.app, self.config, self.threads, machine, self.scale,
                 self.engine, self.seed)
+
+
+def workload_token(app: str) -> str:
+    """The cache token of the workload *app* names: a registry workload's
+    :meth:`~repro.workloads.engine.Workload.cache_token` (a trace
+    replay's digest); empty for a paper app, and for a name that does not
+    load, whose build then fails with the reason."""
+    if not is_engine_workload(app):
+        return ""
+    try:
+        return get_workload(app).cache_token()
+    except WorkloadRegistryError:
+        return ""
 
 
 _CACHE: dict[tuple, RunResult] = {}
@@ -474,15 +500,13 @@ class ReplayResult:
         return not self.problems
 
 
-def replay_dump(
-    path, *, validate: bool = True, interval: int = 1000
-) -> ReplayResult:
+def replay_dump(path, *, interval: int = 1000) -> ReplayResult:
     """Re-run the simulation point recorded in a flight dump.
 
     Loads the dump, rebuilds the point from its embedded ``job`` spec,
-    and re-runs it under full observability (:func:`trace_run`).  Unless
-    *validate* is disabled, the replay is held to the same gates as a
-    campaign result: the static redundancy/value oracle
+    and re-runs it under full observability (:func:`trace_run`).  The
+    replay is held to the same gates as a campaign result: the static
+    redundancy/value oracle
     (:func:`oracle_for_run` → ``validate_against``, which includes the
     per-site LVIP bounds) plus exact interval reconciliation — so a
     post-mortem replay that contradicts a proven bound is reported, not
@@ -518,17 +542,13 @@ def replay_dump(
         seed=None if seed is None else int(seed),
     )
     problems: list[str] = []
-    if validate:
-        try:
-            report = oracle_for_run(run)
-            problems.extend(report.validate_against(run.stats))
-        except Exception as exc:  # noqa: BLE001 - reported as a problem
-            problems.append(
-                f"oracle analysis failed: {type(exc).__name__}: {exc}"
-            )
-        problems.extend(
-            f"interval {line}" for line in obs.interval.reconcile(run.stats)
-        )
+    try:
+        problems.extend(oracle_for_run(run).validate_against(run.stats))
+    except Exception as exc:  # noqa: BLE001 - reported as a problem
+        problems.append(f"oracle analysis failed: {type(exc).__name__}: {exc}")
+    problems.extend(
+        f"interval {line}" for line in obs.interval.reconcile(run.stats)
+    )
     return ReplayResult(
         dump_path=str(path), spec=spec, dump=document, run=run, obs=obs,
         problems=problems,
@@ -566,7 +586,7 @@ def clear_oracle_memo() -> None:
     _ORACLE_MEMO.clear()
 
 
-def oracle_for_run(run: RunResult):
+def oracle_for_run(run: RunResult, cache: ResultCache | None = None):
     """The static :class:`~repro.analysis.redundancy.OracleReport`
     governing one completed run.
 
@@ -574,20 +594,26 @@ def oracle_for_run(run: RunResult):
     so a campaign over many configurations analyses each distinct
     workload once; a campaign's pre-dispatch pass
     (:func:`lint_campaign_jobs`) seeds the memo from its workers.  On a
-    miss the workload is rebuilt from the run's :class:`WorkloadRef`;
-    a rebuild whose digest differs from the one the run simulated (the
-    registry changed, say) raises ``ValueError`` rather than validate the
-    run against another program.  Limit-study runs
+    memo miss the report stored in *cache* (a result cache, see
+    :func:`_oracle_key`) is used.  Failing both, the workload is rebuilt
+    from the run's :class:`WorkloadRef`, analysed, and the report stored
+    in *cache*; a rebuild whose digest differs from the one the run
+    simulated (the registry changed, say) raises ``ValueError`` rather
+    than validate the run against another program.  Limit-study runs
     (``config.limit_identical``) execute identical clones with soft tid 0
     and therefore get the Limit analysis.
     """
+    from repro.analysis.redundancy import OracleReport, analyze_build
+
     ref = run.workload
     limit = run.config.limit_identical
     key = (ref.digest, ref.nctx, limit)
     report = _ORACLE_MEMO.get(key)
+    if report is None and cache is not None:
+        report = cache.load(_oracle_key(*key))
+        if not isinstance(report, OracleReport):
+            report = None
     if report is None:
-        from repro.analysis.redundancy import analyze_build
-
         build = build_point(ref.app, ref.threads, scale=ref.scale,
                             seed=ref.seed)
         digest = build.program.digest()
@@ -596,17 +622,23 @@ def oracle_for_run(run: RunResult):
                 f"workload {ref.name!r} rebuilds as program {digest[:12]}, "
                 f"not the {ref.digest[:12]} the run simulated"
             )
-        report = _ORACLE_MEMO[key] = analyze_build(build, limit)
+        report = analyze_build(build, limit)
+        if cache is not None:
+            cache.store(_oracle_key(*key), report)
+    _ORACLE_MEMO[key] = report
     return report
 
 
-def validate_campaign_result(result, progress=None) -> list[OracleViolation]:
+def validate_campaign_result(
+    result, progress=None, cache: ResultCache | None = None
+) -> list[OracleViolation]:
     """Check every successful simulation against its static oracle.
 
     This is the campaign aggregation gate: each OK outcome whose payload
     is a :class:`RunResult` (including cache hits — stale cached results
     from a buggy simulator version are exactly what this catches) is
-    cross-checked with :meth:`OracleReport.validate_against`.  Violations
+    cross-checked with :meth:`OracleReport.validate_against`, its report
+    found by :func:`oracle_for_run` in the memo, then in *cache*.  Violations
     are appended to ``result.validation_failures`` and returned; a
     payload whose analysis itself fails (e.g. fixpoint divergence) is
     reported as a violation rather than skipped.
@@ -622,7 +654,7 @@ def validate_campaign_result(result, progress=None) -> list[OracleViolation]:
             continue
         job = job_label(outcome.job)
         try:
-            report = oracle_for_run(payload)
+            report = oracle_for_run(payload, cache)
             problems = report.validate_against(payload.stats)
         except Exception as exc:  # noqa: BLE001 - reported as a violation
             problems = [f"oracle analysis failed: {type(exc).__name__}: {exc}"]
@@ -764,10 +796,9 @@ def lint_campaign_jobs(
     *,
     workers: int | None = None,
     timeout: float | None = None,
-    oracle: bool = False,
 ) -> int:
-    """The pre-dispatch pass: lint every distinct workload a campaign will
-    run and, with *oracle*, compute its oracle reports.
+    """The pre-dispatch pass: lint every distinct workload of *jobs* and
+    compute its oracle reports.
 
     Each distinct ``(app, threads, scale, seed)`` tuple becomes one
     :class:`WorkloadCheck` task on the worker pool (*workers* processes,
@@ -806,7 +837,7 @@ def lint_campaign_jobs(
         flags = limits.setdefault(
             (job.app, job.threads, job.scale, job.seed), []
         )
-        if oracle and job.config.limit_identical not in flags:
+        if job.config.limit_identical not in flags:
             flags.append(job.config.limit_identical)
     tasks = [
         WorkloadCheck(*key, root, tuple(flags), _SPOOL)
@@ -865,45 +896,46 @@ def run_points(
     campaign_seed: int = 0,
     progress=None,
     failure_dump_dir=None,
-    validate: bool = True,
 ) -> CampaignResult:
     """Run the :class:`CampaignJob` *points* as one campaign and seed the
     in-memory memo.
 
     This is the one code path that sequences a simulation campaign:
-    ``repro campaign``, ``repro reproduce`` and the figure prefetches all
-    come through here, with :func:`simulate_job` as the runner, so a
-    point has one cache key whichever command ran it.  After this
-    returns, a serial :func:`run_app` call for any successful point is a
-    memo hit — which is how the figure regenerators get their
-    parallelism without restructuring.
+    ``repro campaign``, ``repro reproduce`` and every figure target come
+    through here, with :func:`simulate_job` as the runner, so a point
+    has one cache key whichever command ran it.  After this returns, a
+    serial :func:`run_app` call for any successful point is a memo hit,
+    which is how a figure's rows read the campaign's results.
 
-    Every distinct workload is statically linted (content-addressed, so
-    effectively free after the first run) before any job dispatches.
-    Unless *validate* is disabled, every successful result — fresh or
-    served from the on-disk cache — is cross-checked against the static
-    redundancy oracle at aggregation time; disagreements land in ``result.validation_failures`` (see
-    :func:`validate_campaign_result`).  The lint and the oracle reports
-    both come from one pre-dispatch pass on the worker pool (see
-    :func:`lint_campaign_jobs`), which stores its verdicts and reports in
-    the result cache, whatever *use_cache* says, and whose builds the
-    simulation workers reuse (see :func:`build_handoff`).  The pass's
-    wall time is ``result.pass_wall_time``; ``result.wall_time`` is the
-    simulation campaign's alone.
+    Before any job dispatches, one pre-dispatch pass on the worker pool
+    (:func:`lint_campaign_jobs`) lints and oracle-analyses every distinct
+    workload of the points that have no usable cached result; it stores
+    its verdicts and reports in the result cache, whatever *use_cache*
+    says, and the simulation workers reuse its builds (see
+    :func:`build_handoff`).  After the campaign, every successful result,
+    fresh or served from the cache, is cross-checked against the static
+    redundancy oracle, whose report for a cache hit is the stored one
+    (see :func:`oracle_for_run`), so a campaign of hits builds nothing.
+    Disagreements land in ``result.validation_failures`` (see
+    :func:`validate_campaign_result`).  ``result.pass_wall_time`` times
+    finding the misses and the pass over them; ``result.wall_time`` is
+    the simulation campaign's alone.
     """
     jobs = list(points)
+    # Resolved as run_campaign resolves it, so the stored verdicts and
+    # reports land beside the results whatever form *cache* takes.
+    store = cache if isinstance(cache, ResultCache) else ResultCache(cache)
     with build_handoff():
-        # Resolve *cache* exactly as run_campaign does, so the stored
-        # verdicts and reports land beside the results whatever form
-        # *cache* takes.
-        cache_root = (
-            cache if isinstance(cache, ResultCache) else ResultCache(cache)
-        ).root
         started = time.perf_counter()
-        lint_campaign_jobs(
-            jobs, cache_dir=cache_root, progress=progress,
-            workers=workers, timeout=timeout, oracle=validate,
-        )
+        misses = [
+            job for job in jobs if not use_cache or _unwrap_cache_entry(
+                store.load(job_key(job, simulate_job))) is None
+        ]
+        if misses:
+            lint_campaign_jobs(
+                misses, cache_dir=store.root, progress=progress,
+                workers=workers, timeout=timeout,
+            )
         pass_wall_time = time.perf_counter() - started
         result = run_campaign(
             jobs,
@@ -911,7 +943,7 @@ def run_points(
             workers=workers,
             timeout=timeout,
             retries=retries,
-            cache=cache,
+            cache=store,
             use_cache=use_cache,
             campaign_seed=campaign_seed,
             progress=progress,
@@ -921,8 +953,7 @@ def run_points(
     for outcome in result.outcomes:
         if outcome.ok:
             _CACHE[outcome.job.memo_key()] = outcome.payload
-    if validate:
-        validate_campaign_result(result, progress=progress)
+    validate_campaign_result(result, progress=progress, cache=store)
     return result
 
 

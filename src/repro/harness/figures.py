@@ -12,20 +12,20 @@ of them.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
 from repro.core.config import MMTConfig
 from repro.core.sync import FetchMode
-from repro.harness.campaign import run_campaign
+from repro.harness.campaign import CampaignResult, run_campaign
 from repro.harness.experiment import (
     CampaignJob,
     default_apps,
     default_engine,
     geomean,
     run_app,
-    run_points,
+    workload_token,
 )
 from repro.harness.report import format_pairs, format_stacked_bars, format_table
 from repro.pipeline.config import MachineConfig
@@ -46,18 +46,24 @@ PROFILE_CONTEXTS = 2
 # ------------------------------------------------------------------ Figure 1
 @dataclass(frozen=True)
 class SharingPoint:
-    """One profiling point of the Figure 1/2 motivation study."""
+    """One profiling point of the Figure 1/2 motivation study; *token*
+    keys it by the trace it replays, as for a :class:`CampaignJob`."""
 
     app: str
     scale: float = 1.0
+    token: str = field(init=False, default="")
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "token", workload_token(self.app))
 
     def label(self) -> str:
         return f"{self.app}/sharing"
 
 
 #: Memo of computed sharing rows, keyed by (app, scale).  Deterministic
-#: (traces are seeded by app name), so campaign prefetch and the serial
-#: path below fill it interchangeably.
+#: (traces are seeded by app name), so the sharing campaign
+#: (:func:`run_sharing`) and the serial path below fill it
+#: interchangeably.
 _SHARING_ROWS: dict[tuple[str, float], dict] = {}
 
 
@@ -713,7 +719,7 @@ def paper_claims(rows) -> list[tuple[str, str, bool]]:
     return claims
 
 
-# ------------------------------------------------- campaign prefetching
+# ----------------------------------------------------- campaign points
 def figure_points(
     fig_id: str, apps=None, scale: float = 1.0
 ) -> list[CampaignJob]:
@@ -740,47 +746,17 @@ def figure_points(
     ]
 
 
-def prefetch_figure(
-    fig_id: str,
-    apps=None,
-    scale: float = 1.0,
-    *,
-    workers: int | None = None,
-    cache=None,
-    use_cache: bool = True,
-    timeout: float | None = None,
-    retries: int = 1,
-    progress=None,
-):
-    """Run all of *fig_id*'s simulations as a parallel campaign.
-
-    Successful results are seeded into the serial memo caches, so the
-    figure regenerators afterwards reuse them without re-simulating.
-    Returns the :class:`~repro.harness.campaign.CampaignResult` (or None
-    for figures with nothing to prefetch).  Failed points are simply left
-    to the serial path — prefetching is an accelerator, never a gate.
-    """
-    figure = FIGURES.get(fig_id)
-    if figure is not None and figure.sharing:
-        jobs = [
-            SharingPoint(app, scale) for app in (apps or default_apps())
-            if (app, scale) not in _SHARING_ROWS
-        ]
-        result = run_campaign(
-            jobs, sharing_row, workers=workers, cache=cache,
-            use_cache=use_cache, timeout=timeout, retries=retries,
-            progress=progress,
-        )
-        for outcome in result.outcomes:
-            if outcome.ok:
-                _SHARING_ROWS[(outcome.job.app, outcome.job.scale)] = (
-                    outcome.payload
-                )
-        return result
-    points = figure_points(fig_id, apps=apps, scale=scale)
-    if not points:
-        return None
-    return run_points(
-        points, workers=workers, cache=cache, use_cache=use_cache,
-        timeout=timeout, retries=retries, progress=progress,
-    )
+def run_sharing(apps=None, scale: float = 1.0, **options) -> CampaignResult:
+    """Profile the sharing rows of Figures 1 and 2 for *apps* as one
+    campaign (:func:`run_campaign` with *options*: workers, cache,
+    timeout, ...), skipping rows already memoised.  Each successful row
+    is memoised, so :func:`fig1_sharing` then profiles nothing."""
+    jobs = [SharingPoint(app, scale) for app in (apps or default_apps())
+            if (app, scale) not in _SHARING_ROWS]
+    result = run_campaign(jobs, sharing_row, **options)
+    for outcome in result.outcomes:
+        if outcome.ok:
+            _SHARING_ROWS[(outcome.job.app, outcome.job.scale)] = (
+                outcome.payload
+            )
+    return result

@@ -100,8 +100,9 @@ class Workload(ABC):
         return nctx >= 1
 
     def cache_token(self) -> str:
-        """Content token mixed into campaign job tags (trace digests);
-        empty when (name, nctx, scale, seed) already pin the build."""
+        """Content token in the cache key of every campaign job naming
+        this workload (trace digests); empty when (name, nctx, scale,
+        seed) already pin the build."""
         return ""
 
     def _rng(self, seed: int | None) -> random.Random:

@@ -24,10 +24,11 @@ refuses, a Limit config over a message-passing workload — raises
 :class:`SuiteError` carrying the file path and scenario index, so the
 CLI reports a one-line diagnosis instead of a traceback.
 
-Expansion content-addresses recorded traces: a replay scenario's jobs
-carry the trace digest in their ``tag``, which is part of the campaign
-cache key, so regenerating a trace file invalidates exactly the cached
-results built from the old recording.
+Recorded traces are content-addressed by the jobs themselves: a
+:class:`~repro.harness.experiment.CampaignJob` carries its trace's
+digest (``token``) in its campaign cache key, so regenerating a trace
+file invalidates exactly the cached results built from the old
+recording.
 """
 
 from __future__ import annotations
@@ -265,20 +266,12 @@ def expand_suite_jobs(suite: Suite, default_engine: str = "reference"):
     """Expand *suite* to the flat :class:`CampaignJob` list it declares.
 
     Scenario ``engine`` keys win over *default_engine* (the CLI's
-    ``--engine`` flag).  Registry workloads contribute their
-    :meth:`~repro.workloads.engine.Workload.cache_token` — the trace
-    digest for replays — to each job's ``tag``, making suite results
-    content-addressed in the campaign cache.
+    ``--engine`` flag).
     """
     from repro.harness.experiment import CONFIG_FACTORIES, CampaignJob
-    from repro.workloads.engine import get_workload, is_engine_workload
 
     jobs = []
     for scenario in suite.scenarios:
-        token = ""
-        if is_engine_workload(scenario.workload):
-            token = get_workload(scenario.workload).cache_token()
-        tag = "+".join(part for part in (token, scenario.tag) if part)
         for config in scenario.configs:
             for count in scenario.threads:
                 jobs.append(CampaignJob(
@@ -287,7 +280,7 @@ def expand_suite_jobs(suite: Suite, default_engine: str = "reference"):
                     threads=count,
                     scale=scenario.scale,
                     seed=scenario.seed,
-                    tag=tag,
+                    tag=scenario.tag,
                     engine=scenario.engine or default_engine,
                 ))
     return jobs

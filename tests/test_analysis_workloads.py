@@ -169,7 +169,6 @@ def test_run_points_lint_markers_follow_a_path_cache(
         [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)],
         workers=1,
         cache=as_type(chosen),
-        validate=False,
     )
     assert result.completed
     digest = build_point("ammp", 2, scale=0.1).program.digest()

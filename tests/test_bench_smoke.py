@@ -2,8 +2,8 @@
 
 Imports every ``benchmarks/bench_*.py`` module (so a broken import fails
 fast, not only under the benchmark runner) and exercises each figure
-driver at tiny scale — one or two apps per figure — through the campaign
-prefetch that ``repro <figure> --workers`` runs.
+driver at tiny scale — one or two apps per figure — after the campaign
+that ``repro <figure>`` runs.
 """
 
 import importlib
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import clear_cache, figures
+from repro.harness import clear_cache, figures, run_points
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 BENCH_MODULES = sorted(p.stem for p in BENCH_DIR.glob("bench_*.py"))
@@ -46,6 +46,11 @@ def test_bench_module_imports_and_defines_tests(name):
 
 
 # ------------------------------------------------- tiny figure regeneration
+def _campaign(fig, apps, scale=SCALE):
+    """The campaign ``repro <fig>`` runs: its points, through run_points."""
+    return run_points(figures.figure_points(fig, apps, scale), workers=2)
+
+
 def _tiny(fig_fn, *args, **kwargs):
     rows = fig_fn(*args, **kwargs)
     assert isinstance(rows, list) and rows
@@ -55,7 +60,7 @@ def _tiny(fig_fn, *args, **kwargs):
 
 def test_fig1_and_fig2_tiny(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    result = figures.prefetch_figure("fig1", apps=APPS, scale=SCALE, workers=2)
+    result = figures.run_sharing(APPS, SCALE, workers=2)
     assert all(o.ok for o in result.outcomes)
     rows = _tiny(figures.fig1_sharing, apps=APPS, scale=SCALE)
     assert [row["app"] for row in rows] == APPS + ["average"]
@@ -66,7 +71,7 @@ def test_fig1_and_fig2_tiny(tmp_path, monkeypatch):
 def test_fig5_family_tiny(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_cache()
-    result = figures.prefetch_figure("fig5a", apps=APPS, scale=SCALE, workers=2)
+    result = _campaign("fig5a", APPS)
     assert result.jobs == 10  # 2 apps x 5 paper configurations
     assert all(o.ok for o in result.outcomes)
     rows = _tiny(figures.fig5_speedups, 2, apps=APPS, scale=SCALE)
@@ -79,7 +84,7 @@ def test_fig5_family_tiny(tmp_path, monkeypatch):
 def test_fig6_energy_tiny(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_cache()
-    figures.prefetch_figure("fig6", apps=APPS, scale=SCALE, workers=2)
+    _campaign("fig6", APPS)
     rows = _tiny(figures.fig6_energy, apps=APPS, scale=SCALE)
     assert [row["app"] for row in rows] == APPS + ["geomean"]
 
@@ -88,14 +93,14 @@ def test_fig7_sweeps_tiny(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_cache()
     one = ["ammp"]
-    figures.prefetch_figure("fig7a", apps=one, scale=SCALE, workers=2)
+    _campaign("fig7a", one)
     rows = _tiny(figures.fig7a_fhb_speedup, apps=one, scale=SCALE)
     assert [row["app"] for row in rows] == one + ["geomean"]
     _tiny(figures.fig7c_fhb_modes, apps=one, scale=SCALE)
-    figures.prefetch_figure("fig7b", apps=one, scale=SCALE, workers=2)
+    _campaign("fig7b", one)
     rows = _tiny(figures.fig7b_ports, apps=one, scale=SCALE)
     assert [row["ldst_ports"] for row in rows] == list(figures.LDST_PORT_COUNTS)
-    figures.prefetch_figure("fig7d", apps=one, scale=SCALE, workers=2)
+    _campaign("fig7d", one)
     rows = _tiny(figures.fig7d_fetch_width, apps=one, scale=SCALE)
     assert [row["fetch_width"] for row in rows] == list(figures.FETCH_WIDTHS)
 
@@ -106,20 +111,19 @@ def test_tables_need_no_simulation():
     assert any("FHB" in row["component"] for row in rows)
     assert figures.table4_configuration()
     assert figures.table5_configurations()
-    assert figures.prefetch_figure("table3") is None
 
 
 @pytest.mark.parametrize(
     "fig", [name for name, figure in figures.FIGURES.items() if figure.series()]
 )
 def test_prefetch_covers_the_rows(fig, tmp_path, monkeypatch):
-    """A figure's prefetch runs every point its rows read: computing the
+    """A figure's campaign runs every point its rows read: computing the
     rows afterwards simulates nothing."""
     from repro.harness import experiment
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_cache()
-    figures.prefetch_figure(fig, apps=["ammp"], scale=0.05, workers=2)
+    _campaign(fig, ["ammp"], 0.05)
     simulate = experiment._simulate
     calls = []
 
@@ -135,9 +139,9 @@ def test_prefetch_covers_the_rows(fig, tmp_path, monkeypatch):
 def test_prefetch_second_pass_is_all_cache_hits(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_cache()
-    first = figures.prefetch_figure("fig5b", apps=APPS, scale=SCALE, workers=2)
+    first = _campaign("fig5b", APPS)
     assert first.cache_misses == first.jobs > 0
     clear_cache()  # drop the in-memory memo; the disk cache must carry it
-    second = figures.prefetch_figure("fig5b", apps=APPS, scale=SCALE, workers=2)
+    second = _campaign("fig5b", APPS)
     assert second.cache_hits == second.jobs
     assert second.cache_misses == 0

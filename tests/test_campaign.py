@@ -502,17 +502,6 @@ def test_validation_flags_a_corrupted_result(tmp_path, monkeypatch):
     clear_cache()
 
 
-def test_validation_can_be_disabled(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
-    clear_cache()
-    result = run_points(
-        [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)],
-        workers=1, validate=False,
-    )
-    assert result.validation_failures == []
-    clear_cache()
-
-
 def test_validation_skips_non_simulation_payloads(cache):
     """Custom runners' payloads pass through the gate untouched."""
     from repro.harness import experiment
@@ -770,23 +759,6 @@ def test_pre_pass_seeds_the_oracle_memo(tmp_path, monkeypatch):
     clear_cache()
 
 
-def test_pre_pass_honours_lint_and_validate_flags(tmp_path):
-    """Without validation the pass still lints and stores the verdict,
-    but computes no oracle report."""
-    from repro.harness import experiment
-
-    experiment.clear_oracle_memo()
-    jobs = [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)]
-    verdict = experiment._lint_key(
-        experiment.build_point("ammp", 2, scale=0.1).program.digest()
-    )
-    run_points(jobs, workers=1, cache=tmp_path / "a", validate=False)
-    assert experiment._ORACLE_MEMO == {}
-    assert verdict in ResultCache(tmp_path / "a")
-    experiment.clear_oracle_memo()
-    clear_cache()
-
-
 # ------------------------------------- workload hand-off and references
 def _no_generator(*args, **kwargs):
     raise RuntimeError("workload generator called")
@@ -924,9 +896,9 @@ def test_validation_rebuilds_workloads_without_the_pass():
 
 # ------------------------------------------------------ one campaign path
 def test_pass_wall_time_is_recorded_beside_the_dispatch(tmp_path):
-    """``wall_time`` is the dispatch alone; the pre-dispatch pass has its
+    """``wall_time`` is the dispatch alone; the pre-dispatch phase has its
     own figure, in the result and in its summary, also when every point
-    is a cache hit and nothing is validated."""
+    is a cache hit and so no workload needs the pass."""
     clear_cache()
     jobs = [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)]
     result = run_points(jobs, workers=1, cache=tmp_path)
@@ -935,7 +907,7 @@ def test_pass_wall_time_is_recorded_beside_the_dispatch(tmp_path):
     assert summarize_campaign(result)["pass_wall_time"] == (
         result.pass_wall_time
     )
-    bare = run_points(jobs, workers=1, cache=tmp_path, validate=False)
+    bare = run_points(jobs, workers=1, cache=tmp_path)
     assert bare.outcomes[0].from_cache
     assert bare.pass_wall_time > 0
     assert summarize_campaign(bare)["pass_wall_time"] == bare.pass_wall_time

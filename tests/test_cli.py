@@ -60,15 +60,17 @@ def test_tables_render(capsys):
     assert "Traditional SMT" in out
 
 
-def test_fig1_with_app_subset(capsys):
-    assert main(["fig1", "--apps", "ammp", "lu", "--scale", "0.25"]) == 0
+def test_fig1_with_app_subset(capsys, tmp_path):
+    assert main(["fig1", "--apps", "ammp", "lu", "--scale", "0.25",
+                 "--workers", "2", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "ammp" in out and "lu" in out and "average" in out
     assert "twolf" not in out
 
 
-def test_fig5a_with_app_subset(capsys):
-    assert main(["fig5a", "--apps", "ammp", "--scale", "0.25"]) == 0
+def test_fig5a_with_app_subset(capsys, tmp_path):
+    assert main(["fig5a", "--apps", "ammp", "--scale", "0.25",
+                 "--workers", "2", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "MMT-FXR" in out and "geomean" in out
 
@@ -233,10 +235,13 @@ def test_inject_hang_times_out_and_the_sweep_goes_on(capsys, tmp_path):
     ]
 
 
-def test_campaign_and_figure_prefetch_share_cache_entries(capsys, tmp_path):
-    """`repro campaign` and a figure's prefetch run one path with one
-    runner, so a point has one cache key whichever command ran it."""
-    from repro.harness.figures import prefetch_figure
+def test_campaign_and_figure_prefetch_share_cache_entries(capsys, tmp_path,
+                                                        monkeypatch):
+    """`repro campaign` and a figure target run one path with one
+    runner, so a point has one cache key whichever command ran it: the
+    sweep's 8 points are Fig 6's for these apps, all served and
+    validated from the cache."""
+    from repro.harness import experiment
 
     cache = tmp_path / "cache"
     assert main(["campaign", "--apps", "ammp", "lu", "--configs", "Base",
@@ -244,11 +249,18 @@ def test_campaign_and_figure_prefetch_share_cache_entries(capsys, tmp_path):
                  "--workers", "2", "--cache-dir", str(cache),
                  "--dump-dir", ""]) == 0
     capsys.readouterr()
-    result = prefetch_figure("fig6", apps=["ammp", "lu"], scale=0.1,
-                             workers=2, cache=cache)
-    assert len(result.outcomes) == 8
+    experiment.clear_cache()
+    campaigns = []
+    _spy(monkeypatch, experiment, "validate_campaign_result", campaigns)
+    assert main(["fig6", "--apps", "ammp", "lu", "--scale", "0.1",
+                 "--workers", "2", "--cache-dir", str(cache)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("] hit ") == 8
+    assert "8 points (8 from the cache)" in out
+    ((result,),) = campaigns
     assert all(o.ok and o.from_cache for o in result.outcomes)
     assert result.validation_failures == []
+    experiment.clear_cache()
 
 
 def test_replay_without_dump_is_usage_error(capsys):
@@ -457,7 +469,6 @@ def test_reproduce_prints_every_figure_from_one_campaign(capsys, tmp_path,
     experiment.clear_cache()
     campaigns, simulations = [], []
     _spy(monkeypatch, experiment, "run_points", campaigns)
-    _spy(monkeypatch, figures, "run_points", campaigns)
     _spy(monkeypatch, experiment, "_simulate", simulations)
     document = tmp_path / "reproduce.json"
     assert main(["reproduce", "--apps", *apps, "--scale", str(scale),
@@ -513,6 +524,98 @@ def test_reproduce_with_an_unresolvable_app_aborts(capsys, tmp_path, app):
                  "--workers", "1", "--cache-dir", str(tmp_path / "c")]) == 2
     out = capsys.readouterr().out
     assert "reproduce aborted: " in out and "Traceback" not in out
+
+
+# ------------------------------------------------------ one figure path
+def _fig5a(tmp_path, *extra):
+    return main(["fig5a", "--apps", "ammp", "lu", "--scale", "0.05",
+                 "--workers", "2", "--cache-dir", str(tmp_path / "cache"),
+                 *extra])
+
+
+def test_a_figure_target_runs_as_a_validated_campaign(capsys, tmp_path):
+    """`repro <figure>` runs its points as one campaign; run again on
+    the same cache, every point is served from it and still validated,
+    and the figure is the same."""
+    from repro.harness import experiment
+
+    experiment.clear_cache()
+    assert _fig5a(tmp_path) == 0
+    first = capsys.readouterr().out
+    assert "10 points (0 from the cache)" in first
+    experiment.clear_cache()
+    assert _fig5a(tmp_path) == 0
+    second = capsys.readouterr().out
+    assert "10 points (10 from the cache)" in second
+    assert second.count("] hit ") == 10
+    title = FIGURES["fig5a"].title
+    assert first[first.index(title):] == second[second.index(title):]
+    experiment.clear_cache()
+
+
+def test_a_figure_with_a_failed_point_exits_1_and_prints_no_figure(
+    capsys, tmp_path, monkeypatch
+):
+    import functools
+
+    from repro.harness import experiment
+
+    real = experiment.simulate_job
+
+    @functools.wraps(real)  # the same runner id, so the same cache keys
+    def fail_lu(job, seed):
+        if job.app == "lu":
+            raise RuntimeError("injected failure")
+        return real(job, seed)
+
+    experiment.clear_cache()
+    monkeypatch.setattr(experiment, "simulate_job", fail_lu)
+    assert _fig5a(tmp_path, "--retries", "0") == 1
+    out = capsys.readouterr().out
+    assert "Failed jobs" in out and "injected failure" in out
+    assert FIGURES["fig5a"].title not in out
+    experiment.clear_cache()
+
+
+def test_a_figure_with_an_oracle_violation_exits_1(capsys, tmp_path,
+                                                   monkeypatch):
+    from repro.analysis.redundancy import OracleReport
+    from repro.harness import experiment
+
+    validate = OracleReport.validate_against
+
+    def contradicted(report, stats):
+        return validate(report, stats) + ["injected contradiction"]
+
+    experiment.clear_cache()
+    monkeypatch.setattr(OracleReport, "validate_against", contradicted)
+    assert _fig5a(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "Oracle violations" in out and "injected contradiction" in out
+    assert FIGURES["fig5a"].title not in out
+    experiment.clear_cache()
+
+
+@pytest.mark.parametrize("target", ["fig1", "fig5a", "fig7b"])
+def test_a_figure_with_an_unknown_app_aborts(capsys, tmp_path, target):
+    assert main([target, "--apps", "nosuch", "--cache-dir",
+                 str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"{target} aborted: unknown app(s) ['nosuch']")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--threads"], ["profile", "--threads"], ["record", "--threads"],
+    ["campaign", "--threads"], ["campaign", "--configs"],
+])
+def test_a_sweep_flag_without_a_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected at least one argument" in err
+    assert "Traceback" not in err
 
 
 def test_a_closed_pipe_ends_the_run_quietly(tmp_path):

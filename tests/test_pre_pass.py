@@ -58,6 +58,10 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("called on a warm campaign")
+
+
 def _use_fingerprint(monkeypatch, value):
     import repro.harness.campaign as campaign_mod
 
@@ -214,6 +218,50 @@ def test_a_later_campaign_reuses_the_stored_reports_and_verdicts(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_warm_campaign_builds_nothing_and_validates_every_hit(
+    tmp_path, monkeypatch
+):
+    """When every point is a cache hit no pass runs: nothing is built,
+    linted or analysed, and each hit is validated against the report
+    its first campaign stored."""
+    first = run_points(JOBS, workers=2, cache=tmp_path)
+    assert first.validation_failures == []
+    experiment.clear_cache()
+    experiment.clear_oracle_memo()
+    passes = _count_calls(monkeypatch, experiment, "lint_campaign_jobs")
+    monkeypatch.setattr(experiment, "build_point", _refuse)
+    monkeypatch.setattr(redundancy, "analyze_build", _refuse)
+    checked = _count_calls(monkeypatch, redundancy.OracleReport,
+                           "validate_against")
+    again = run_points(JOBS, workers=2, cache=tmp_path)
+    assert again.cache_hits == len(JOBS)
+    assert passes == []
+    assert len(checked) == len(JOBS)
+    assert again.validation_failures == []
+    assert len(experiment._ORACLE_MEMO) == 2
+
+
+def test_a_deleted_stored_report_is_recomputed_and_stored_again(tmp_path,
+                                                               monkeypatch):
+    """A hit whose stored report is gone is still validated: the report
+    is rebuilt, analysed and stored again."""
+    first = run_points(JOBS[:1], workers=1, cache=tmp_path)
+    assert first.validation_failures == []
+    ref = first.outcomes[0].payload.workload
+    key = experiment._oracle_key(ref.digest, ref.nctx, False)
+    cache = ResultCache(tmp_path)
+    report = cache.load(key)
+    cache.path_for(key).unlink()
+    experiment.clear_cache()
+    experiment.clear_oracle_memo()
+    analyses = _count_calls(monkeypatch, redundancy, "analyze_build")
+    again = run_points(JOBS[:1], workers=1, cache=tmp_path)
+    assert again.outcomes[0].from_cache
+    assert again.validation_failures == []
+    assert len(analyses) == 1
+    assert cache.load(key) == report
+
+
 def test_reports_and_verdicts_live_under_the_code_fingerprint(tmp_path,
                                                             monkeypatch):
     from repro.analysis import lint
@@ -289,7 +337,7 @@ def test_more_workers_than_cores_store_shared_entries_once(tmp_path):
     lines = []
     fresh = experiment.lint_campaign_jobs(
         jobs, cache_dir=tmp_path, progress=lines.append, workers=6,
-        timeout=120, oracle=True,
+        timeout=120,
     )
     assert fresh == 2
     assert lines == [f"lint {app}: {verdict}" for app in apps

@@ -22,6 +22,8 @@ Regenerate after an *intentional* recorder/model change with::
 
 from pathlib import Path
 
+import pytest
+
 from repro.core.config import MMTConfig
 from repro.workloads.record import (
     RecordedTrace,
@@ -131,3 +133,37 @@ def regenerate() -> None:  # pragma: no cover - maintenance entry point
 
 if __name__ == "__main__":  # pragma: no cover
     regenerate()
+
+
+
+@pytest.mark.parametrize("command", [
+    ["campaign", "--configs", "MMT-FXR", "--dump-dir", ""], ["fig5b"],
+    ["fig1"],
+])
+def test_a_trace_re_recorded_at_its_path_is_simulated_afresh(tmp_path,
+                                                             command):
+    """Every command keys a trace job by the recording it replays: after
+    another recording replaces the file, a run in a fresh interpreter
+    simulates (or profiles) the new program rather than serve the old
+    one's cached result, and every result passes the oracle check."""
+    import os
+    import subprocess
+    import sys
+
+    trace = tmp_path / "t.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "repro", *command,
+            "--apps", f"trace:{trace}", "--threads", "2", "--workers", "1",
+            "--cache-dir", str(tmp_path / "cache")]
+    sources = []
+    for app in ("canneal", "water-sp"):
+        record_trace(app, MMTConfig.base(), 2, scale=0.2, window=16).save(
+            trace
+        )
+        proc = subprocess.run(argv, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        sources += [line.split()[1] for line in proc.stdout.splitlines()
+                    if line.startswith("[1/1]")]
+    assert sources == ["ok", "ok"]

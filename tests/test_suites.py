@@ -162,10 +162,12 @@ def test_app_profiles_are_valid_suite_workloads(tmp_path):
     ))
     jobs = expand_suite_jobs(suite)
     assert len(jobs) == 4
-    assert all(job.tag == "" for job in jobs)  # profiles carry no token
+    assert all(job.tag == job.token == "" for job in jobs)  # no token
 
 
-def test_trace_workload_tag_is_content_addressed(tmp_path):
+def test_trace_workload_job_is_content_addressed(tmp_path):
+    """A trace scenario's job carries the trace digest as its token, not
+    in its tag, which holds what the scenario declared."""
     from repro.harness.experiment import CONFIG_FACTORIES
     from repro.workloads.record import record_trace
 
@@ -175,12 +177,16 @@ def test_trace_workload_tag_is_content_addressed(tmp_path):
     path = trace.save(tmp_path / "mcf.trace.json")
     suite = load_suite(_write(
         tmp_path,
-        f"[[scenario]]\nworkload = 'trace:{path}'\nthreads = [2]\n",
+        f"[[scenario]]\nworkload = 'trace:{path}'\nthreads = [2]\n"
+        f"[[scenario]]\nworkload = 'trace:{path}'\nthreads = [2]\n"
+        "tag = 'livelock'\n",
     ))
     jobs = expand_suite_jobs(suite)
-    assert len(jobs) == 1
-    assert jobs[0].tag == f"trace@{trace.digest()[:12]}"
-    # The digest tag feeds the campaign cache key: two identical
+    assert len(jobs) == 2
+    assert {job.token for job in jobs} == {f"trace@{trace.digest()[:12]}"}
+    # simulate_job's fault injections read the tag as declared.
+    assert [job.tag for job in jobs] == ["", "livelock"]
+    # The token feeds the campaign cache key: two identical
     # expansions produce identical keys.
     again = expand_suite_jobs(load_suite(suite.path))
     assert job_key(jobs[0]) == job_key(again[0])
