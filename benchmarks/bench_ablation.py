@@ -3,7 +3,14 @@
 * post-remerge drain (off / capped / full) — the §4.2.7 repair-window
   trade-off;
 * trace cache on/off — the paper reports it made a negligible difference;
-* catchup budget — the false-positive exit cap.
+* catchup budget — the false-positive exit cap;
+* scheduling skew — what §4.4's gang-scheduling assumption is worth;
+* register-merge read ports — the §4.2.7 repair bandwidth.
+
+Each sweep but the skew one runs its points as one validated campaign
+(``run_points``: lint, result cache, oracle gate) and reads its speedups
+from the results.  The skew sweep delays one context's start, which no
+campaign job carries, so it runs its cores directly.
 """
 
 import dataclasses
@@ -11,28 +18,47 @@ import dataclasses
 from conftest import emit
 
 from repro.core.config import MMTConfig
-from repro.harness import format_table, geomean, run_app
+from repro.harness import CampaignJob, format_table, geomean, run_points
 
 APPS = ["ammp", "equake", "vpr", "water-sp"]
 THREADS = 2
 
 
-def _speedup(app, config, scale, machine=None):
-    base = run_app(app, MMTConfig.base(), THREADS, machine=machine, scale=scale)
-    other = run_app(app, config, THREADS, machine=machine, scale=scale)
-    return base.cycles / other.cycles
+def _speedups(variants, scale):
+    """Speedup over Base of each ``(config, machine)`` variant on every
+    app, from one validated campaign: one ``{app: speedup}`` per
+    variant, Base run on the variant's machine."""
+    def job(app, config, machine):
+        return CampaignJob(app, config, THREADS, machine=machine, scale=scale)
+
+    jobs = [job(app, each, machine)
+            for config, machine in variants
+            for app in APPS
+            for each in (MMTConfig.base(), config)]
+    result = run_points(list(dict.fromkeys(jobs)))
+    assert not result.failures, [o.error for o in result.failures]
+    assert result.validation_failures == []
+    runs = {outcome.job: outcome.payload for outcome in result.outcomes}
+    return [
+        {app: runs[job(app, MMTConfig.base(), machine)].cycles
+         / runs[job(app, config, machine)].cycles for app in APPS}
+        for config, machine in variants
+    ]
 
 
 def test_ablation_remerge_drain(benchmark, scale):
+    drains = (("off", 0), ("capped-12", 12), ("full", 10_000))
+
     def sweep():
-        rows = []
-        for label, drain in (("off", 0), ("capped-12", 12), ("full", 10_000)):
-            config = dataclasses.replace(MMTConfig.mmt_fxr(), remerge_drain=drain)
-            speeds = {app: _speedup(app, config, scale) for app in APPS}
-            rows.append(
-                {"drain": label, **speeds, "geomean": geomean(speeds.values())}
-            )
-        return rows
+        speeds = _speedups(
+            [(dataclasses.replace(MMTConfig.mmt_fxr(), remerge_drain=drain),
+              None) for _, drain in drains],
+            scale,
+        )
+        return [
+            {"drain": label, **each, "geomean": geomean(each.values())}
+            for (label, _), each in zip(drains, speeds)
+        ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     emit(
@@ -47,18 +73,19 @@ def test_ablation_remerge_drain(benchmark, scale):
 def test_ablation_trace_cache(benchmark, scale):
     from repro.pipeline.config import MachineConfig
 
+    fetches = (("trace-cache", True), ("plain-L1I", False))
+
     def sweep():
-        rows = []
-        for label, enabled in (("trace-cache", True), ("plain-L1I", False)):
-            machine = MachineConfig(num_threads=THREADS, trace_cache_enabled=enabled)
-            speeds = {
-                app: _speedup(app, MMTConfig.mmt_fxr(), scale, machine)
-                for app in APPS
-            }
-            rows.append(
-                {"fetch": label, **speeds, "geomean": geomean(speeds.values())}
-            )
-        return rows
+        speeds = _speedups(
+            [(MMTConfig.mmt_fxr(),
+              MachineConfig(num_threads=THREADS, trace_cache_enabled=enabled))
+             for _, enabled in fetches],
+            scale,
+        )
+        return [
+            {"fetch": label, **each, "geomean": geomean(each.values())}
+            for (label, _), each in zip(fetches, speeds)
+        ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     emit(
@@ -70,17 +97,19 @@ def test_ablation_trace_cache(benchmark, scale):
 
 
 def test_ablation_catchup_budget(benchmark, scale):
+    budgets = (8, 64, 512)
+
     def sweep():
-        rows = []
-        for budget in (8, 64, 512):
-            config = dataclasses.replace(
-                MMTConfig.mmt_fxr(), max_catchup_branches=budget
-            )
-            speeds = {app: _speedup(app, config, scale) for app in APPS}
-            rows.append(
-                {"budget": budget, **speeds, "geomean": geomean(speeds.values())}
-            )
-        return rows
+        speeds = _speedups(
+            [(dataclasses.replace(MMTConfig.mmt_fxr(),
+                                  max_catchup_branches=budget), None)
+             for budget in budgets],
+            scale,
+        )
+        return [
+            {"budget": budget, **each, "geomean": geomean(each.values())}
+            for budget, each in zip(budgets, speeds)
+        ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     emit(
@@ -143,18 +172,18 @@ def test_ablation_gang_scheduling(benchmark, scale):
 def test_ablation_merge_read_ports(benchmark, scale):
     """§4.2.7 bounds register merging by spare register-file read ports;
     sweep the budget to see how port-starved the repairs are."""
+    port_counts = (1, 2, 4, 8)
+
     def sweep():
-        rows = []
-        for ports in (1, 2, 4, 8):
-            config = dataclasses.replace(
-                MMTConfig.mmt_fxr(), merge_read_ports=ports
-            )
-            speeds = {app: _speedup(app, config, scale) for app in APPS}
-            rows.append(
-                {"read_ports": ports, **speeds,
-                 "geomean": geomean(speeds.values())}
-            )
-        return rows
+        speeds = _speedups(
+            [(dataclasses.replace(MMTConfig.mmt_fxr(), merge_read_ports=ports),
+              None) for ports in port_counts],
+            scale,
+        )
+        return [
+            {"read_ports": ports, **each, "geomean": geomean(each.values())}
+            for ports, each in zip(port_counts, speeds)
+        ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     emit(

@@ -5,21 +5,26 @@ Energy per job for SMT vs MMT at two and four threads, normalised to the
 two-thread SMT, with the cache / MMT-overhead / other split.  Shows the
 paper's two observations: the MMT structures' overhead is negligible, and
 total energy drops because merged instructions mean fewer cache accesses,
-register file ports, and executed operations.
+register file ports, and executed operations.  The points run as one
+validated campaign, as ``python -m repro fig6`` runs them, with their
+results cached in ``.repro-cache``.
 
 Run:  python examples/energy_report.py [app ...]
 """
 
 import sys
 
-from repro.harness import fig6_energy, format_table
+from repro.harness import format_table, run_figures
 
 DEFAULT_APPS = ["ammp", "mcf", "water-sp", "vpr"]
 
 
 def main() -> None:
     apps = sys.argv[1:] or DEFAULT_APPS
-    rows = fig6_energy(apps=apps)
+    run = run_figures(["fig6"], apps)
+    if run.rows is None:
+        sys.exit("a Figure 6 point failed or contradicted its static oracle")
+    rows = run.rows["fig6"]
 
     flat = []
     for row in rows:

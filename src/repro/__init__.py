@@ -20,7 +20,7 @@ Quick start::
 """
 
 from repro.core.config import MMTConfig, WorkloadType
-from repro.harness.experiment import geomean, run_app, speedup_over_base
+from repro.harness.experiment import geomean
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
 from repro.pipeline.config import MachineConfig
@@ -35,8 +35,6 @@ __all__ = [
     "MMTConfig",
     "WorkloadType",
     "geomean",
-    "run_app",
-    "speedup_over_base",
     "assemble",
     "Program",
     "MachineConfig",

@@ -17,10 +17,11 @@ Each figure and table target is one entry of ``figures.FIGURES`` and
 prints that figure in the paper's layout.  The tool commands are the
 entries of :data:`COMMANDS`.  Every simulation of a figure or a sweep
 runs through ``experiment.run_points``: a figure target runs its points
-as one campaign, ``reproduce`` runs every figure's points as one
-campaign and checks the paper's claims on the figures, and ``campaign``
-runs an arbitrary (apps × configs × threads) sweep and prints a summary
-with cache hit/miss counts.  Results are cached on disk (keyed by
+as one campaign (``figures.run_figures``) and prints rows computed from
+that campaign's results, ``reproduce`` does so for every figure and
+checks the paper's claims on them, and ``campaign`` runs an arbitrary
+(apps × configs × threads) sweep and prints a summary with cache
+hit/miss counts.  Results are cached on disk (keyed by
 configuration and code version), each workload a campaign simulates is
 linted first, hung jobs are timed out and retried, and every result,
 fresh or cached, is checked against its static redundancy oracle.  A
@@ -38,6 +39,8 @@ from repro.analysis.host.selfcheck import JSON_SCHEMA_VERSION
 from repro.core.config import MMTConfig
 from repro.harness import experiment, figures, report, results
 from repro.harness.experiment import CONFIG_FACTORIES
+from repro.pipeline.fast import resolve_engine
+from repro.workloads.suites import check_scale, check_threads
 
 #: The ``src/`` root the host self-analysis reads; located from the
 #: package itself so ``repro selfcheck`` works from any cwd.
@@ -317,16 +320,16 @@ def _parallel(args) -> dict:
             "use_cache": not args.no_cache, "progress": print}
 
 
-def _run_points(args, jobs, command, **options):
-    """``experiment.run_points`` over *jobs* with the campaign options of
-    *args*.  Returns its result, or None after printing why *command*
-    aborted: a workload that fails the static lint, or does not
-    resolve, aborts before any simulation starts."""
+def _run_campaigns(command, run, *args, **kwargs):
+    """``run(*args, **kwargs)``, a call that runs campaigns.  Returns its
+    result, or None after printing why *command* aborted: a workload
+    that fails its pre-dispatch check (lint, a timed-out or dead pass
+    task), or does not resolve, aborts before any simulation starts."""
     from repro.workloads.engine import WorkloadRegistryError
 
     try:
-        return experiment.run_points(jobs, **_parallel(args), **options)
-    except (experiment.WorkloadLintError, WorkloadRegistryError) as exc:
+        return run(*args, **kwargs)
+    except (experiment.WorkloadCheckError, WorkloadRegistryError) as exc:
         print(f"{command} aborted: {exc}")
         return None
 
@@ -399,8 +402,9 @@ def _campaign(args) -> int:
                                    tag="livelock", engine=args.engine)
         )
     # A result that contradicts the static oracle fails below.
-    result = _run_points(
-        args, jobs, "campaign", failure_dump_dir=args.dump_dir or None,
+    result = _run_campaigns(
+        "campaign", experiment.run_points, jobs, **_parallel(args),
+        failure_dump_dir=args.dump_dir or None,
     )
     if result is None:
         return 2
@@ -452,44 +456,39 @@ def _campaign(args) -> int:
 def _figures(args) -> int:
     """Regenerate figures and tables: one with ``repro <target>``, every
     one of ``figures.FIGURES`` with ``repro reproduce``, which then checks
-    the paper's claims on them.  The targets' points run as one
-    campaign, and Figures 1 and 2's sharing profiles as another; a failed
-    point or an oracle violation exits 1 before any row is computed, so
-    every figure printed comes from results the gate accepted.  Rows come
-    from the memo the campaigns seed, so nothing simulates serially."""
+    the paper's claims on them.  ``figures.run_figures`` runs the
+    targets' points as one campaign, and Figures 1 and 2's sharing
+    profiles as another, and computes the rows from their results; a
+    failed point or an oracle violation exits 1 with no figure printed,
+    so every figure printed comes from results the gate accepted."""
     command = args.target
     reproduce = command == "reproduce"
     targets = list(figures.FIGURES) if reproduce else [command]
     apps = _known_apps(args, command)
     if apps is None:
         return 2
-    points = dict.fromkeys(
-        point for target in targets
-        for point in figures.figure_points(target, apps, args.scale)
+    run = _run_campaigns(
+        command, figures.run_figures, targets, apps, args.scale,
+        engine=args.engine, **_parallel(args),
     )
-    campaigns, summary = [], []
-    if points:
-        result = _run_points(args, list(points), command)
-        if result is None:
-            return 2
-        campaigns.append(result)
+    if run is None:
+        return 2
+    summary = []
+    if run.points is not None:
         summary.append(
-            f"{result.jobs} points ({result.cache_hits} from the cache): "
-            f"pass {result.pass_wall_time:.1f}s, campaign "
-            f"{result.wall_time:.1f}s"
+            f"{run.points.jobs} points ({run.points.cache_hits} from the "
+            f"cache): pass {run.points.pass_wall_time:.1f}s, campaign "
+            f"{run.points.wall_time:.1f}s"
         )
-    if any(figures.FIGURES[target].sharing for target in targets):
-        sharing = figures.run_sharing(apps, args.scale, **_parallel(args))
-        campaigns.append(sharing)
-        summary.append(f"{sharing.jobs} sharing profiles")
+    if run.sharing is not None:
+        summary.append(f"{run.sharing.jobs} sharing profiles")
     if summary:
         print("\n" + "; ".join(summary))
-    failures, violations = _print_problems("Failed jobs", *campaigns)
-    if failures or violations:
+    _print_problems("Failed jobs", *run.campaigns)
+    if run.rows is None:
         return 1
-    rows = {target: figures.FIGURES[target].compute(apps, args.scale)
-            for target in targets}
-    print(("\n" if campaigns else "") + "\n\n".join(
+    rows = run.rows
+    print(("\n" if run.campaigns else "") + "\n\n".join(
         figures.FIGURES[target].render(rows[target]) for target in targets
     ))
     claims = None
@@ -647,6 +646,21 @@ COMMANDS = {
 }
 
 
+def _argtype(check, parse):
+    """An argparse ``type``: the flag's text parsed by *parse*, then held
+    to *check*, the check a scenario suite makes of the same value, so a
+    value out of range is a usage error (exit 2)."""
+    def convert(text: str):
+        value = parse(text)  # a ValueError here: argparse's "invalid int"
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    convert.__name__ = parse.__name__
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -660,13 +674,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_argtype(check_scale, float),
         default=1.0,
         help="workload scale factor (default 1.0 = calibrated size)",
     )
     parser.add_argument(
         "--apps",
-        nargs="*",
+        nargs="+",
         default=None,
         help="restrict to these applications (default: all sixteen)",
     )
@@ -725,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--threads",
-        type=int,
+        type=_argtype(check_threads, int),
         nargs="+",
         default=[2],
         help="hardware thread counts to sweep (default: 2)",
@@ -846,7 +860,7 @@ def main(argv=None) -> int:
     if args.engine is None:
         args.engine = "fast" if args.target == "profile" else "reference"
     try:
-        experiment.set_default_engine(args.engine)
+        resolve_engine(args.engine)
     except ValueError as exc:
         # resolve_engine's message already lists the registry keys.
         print(f"error: {exc}")

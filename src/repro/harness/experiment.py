@@ -1,17 +1,17 @@
-"""Experiment runner: build workloads, run configurations, cache results.
+"""Experiment runner: build workloads, simulate points, validate results.
 
-Every figure regenerator goes through :func:`run_app`, which memoises
-completed runs per (application, configuration, thread count, machine) so
-that e.g. Figures 5(a), 5(b), 5(d) and 6 — which all need the same MMT-FXR
-runs — simulate each point once per session.
-
-Batches of points go through :func:`run_points`, which fans them out
-across worker processes via :mod:`repro.harness.campaign` (with on-disk
-result caching and per-job timeout/retry) and then seeds the in-memory
-memo, so the serial figure code downstream gets every simulation for
-free.  A campaign builds each distinct workload it simulates once, in
+A simulation point is a :class:`CampaignJob`, which carries everything
+that picks its result, the engine and the workload seed included.
+Batches of points go through :func:`run_points`, the one code path that
+sequences a simulation campaign: it lints and oracle-analyses each
+distinct workload, fans the points out across worker processes via
+:mod:`repro.harness.campaign` (with on-disk result caching and per-job
+timeout/retry) and checks every result against its static redundancy
+oracle.  A campaign builds each distinct workload it simulates once, in
 its pre-dispatch pass, and its results name that workload by content
-digest (:class:`WorkloadRef`) instead of carrying a copy.
+digest (:class:`WorkloadRef`) instead of carrying a copy.  No result is
+kept between calls: a figure reads the results its campaign returned
+(:mod:`repro.harness.figures`).
 """
 
 from __future__ import annotations
@@ -120,10 +120,11 @@ class RunResult:
 class CampaignJob:
     """One simulation point, as a picklable, hashable campaign job.
 
-    ``machine=None`` means the default machine for the thread count, as
-    in :func:`run_app`.  A job stores the machine it simulates (widened
-    to the thread count), and ``None`` when that is the default, so one
-    point has one cache key however it was spelled.  ``tag``
+    A job carries everything that picks its result, so two equal jobs
+    are one point with one result.  ``machine=None`` means the default
+    machine for the thread count.  A job stores the machine it simulates
+    (widened to the thread count), and ``None`` when that is the default,
+    so one point has one cache key however it was spelled.  ``tag``
     distinguishes otherwise-identical jobs (and is part of the cache
     key); :func:`simulate_job` keys its two fault injections off it.
     ``engine`` picks the simulation core (``"reference"`` or ``"fast"``,
@@ -145,9 +146,9 @@ class CampaignJob:
     tag: str = ""
     engine: str = "reference"
     #: Workload-generation seed (``None`` = the workload's default).
-    #: Paper profiles ignore it today; registry/engine workloads fold it
-    #: into their phase schedules and request streams, so it is part of
-    #: both the memo key and the on-disk cache key.
+    #: Paper profiles reseed their program generator with it;
+    #: registry/engine workloads fold it into their phase schedules and
+    #: request streams.  It is part of the job, and so of its cache key.
     seed: int | None = None
     token: str = field(init=False, default="")
 
@@ -164,12 +165,6 @@ class CampaignJob:
             f"[{self.tag}]" if self.tag else ""
         )
 
-    def memo_key(self) -> tuple:
-        """The in-memory memo key :func:`run_app` would use."""
-        machine = _normalize_machine(self.machine, self.threads)
-        return (self.app, self.config, self.threads, machine, self.scale,
-                self.engine, self.seed)
-
 
 def workload_token(app: str) -> str:
     """The cache token of the workload *app* names: a registry workload's
@@ -182,38 +177,6 @@ def workload_token(app: str) -> str:
         return get_workload(app).cache_token()
     except WorkloadRegistryError:
         return ""
-
-
-_CACHE: dict[tuple, RunResult] = {}
-
-_DEFAULT_ENGINE = "reference"
-
-
-def clear_cache() -> None:
-    """Drop all memoised runs (tests use this for isolation)."""
-    _CACHE.clear()
-
-
-def set_default_engine(name: str) -> str:
-    """Select the engine used when a caller doesn't pass one explicitly.
-
-    Validates *name* against the engine registry (raising on unknown
-    names) and returns the previous default so callers can restore it.
-    The CLI's ``--engine`` flag routes every serial figure regenerator
-    through here; campaign jobs carry their engine explicitly, because
-    they execute in worker processes that never see this module-level
-    state.
-    """
-    global _DEFAULT_ENGINE
-    resolve_engine(name)
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = name
-    return previous
-
-
-def default_engine() -> str:
-    """The engine used when a caller doesn't pass one explicitly."""
-    return _DEFAULT_ENGINE
 
 
 def _normalize_machine(
@@ -299,7 +262,7 @@ def _simulate(
     obs: Observer | None = None,
     failure_dump: str | None = None,
     prepare=None,
-    engine: str | None = None,
+    engine: str = "reference",
     seed: int | None = None,
 ) -> RunResult:
     """Run one simulation point (no caching at this level), with the
@@ -316,7 +279,7 @@ def _simulate(
     workload = WorkloadRef(build.program.name, build.program.digest(),
                            build.nctx, app, threads, scale, seed)
     job = build.limit_job() if config.limit_identical else build.job()
-    core_cls = resolve_engine(engine or _DEFAULT_ENGINE)
+    core_cls = resolve_engine(engine)
     core = core_cls(machine, config, job, obs=obs)
     if prepare is not None:
         prepare(core)
@@ -340,7 +303,7 @@ def _simulate(
                 "config": config.name,
                 "threads": threads,
                 "scale": scale,
-                "engine": engine or _DEFAULT_ENGINE,
+                "engine": engine,
                 "seed": seed,
             }
             try:
@@ -358,29 +321,6 @@ def _simulate(
         workload=workload,
         outputs=build.output_region(job),
     )
-
-
-def run_app(
-    app: str,
-    config: MMTConfig,
-    threads: int,
-    machine: MachineConfig | None = None,
-    scale: float = 1.0,
-    use_cache: bool = True,
-    engine: str | None = None,
-    seed: int | None = None,
-) -> RunResult:
-    """Simulate *app* under *config* with *threads* hardware contexts."""
-    machine = _normalize_machine(machine, threads)
-    engine = engine or _DEFAULT_ENGINE
-    key = (app, config, threads, machine, scale, engine, seed)
-    if use_cache and key in _CACHE:
-        return _CACHE[key]
-    result = _simulate(app, config, threads, machine, scale, engine=engine,
-                       seed=seed)
-    if use_cache:
-        _CACHE[key] = result
-    return result
 
 
 def simulate_job(job: CampaignJob, seed: int) -> RunResult:
@@ -431,7 +371,7 @@ def trace_run(
     scale: float = 1.0,
     interval: int = 1000,
     sink_capacity: int | None = None,
-    engine: str | None = None,
+    engine: str = "reference",
     seed: int | None = None,
 ) -> tuple[RunResult, Observer]:
     """Run one point with full observability attached (``repro trace``).
@@ -458,7 +398,7 @@ def profile_run(
     threads: int,
     machine: MachineConfig | None = None,
     scale: float = 1.0,
-    engine: str | None = None,
+    engine: str = "reference",
     record_slices: bool = False,
     seed: int | None = None,
 ):
@@ -474,7 +414,7 @@ def profile_run(
     machine = _normalize_machine(machine, threads)
     build = build_point(app, threads, scale=scale, seed=seed)
     job = build.limit_job() if config.limit_identical else build.job()
-    core = resolve_engine(engine or _DEFAULT_ENGINE)(machine, config, job)
+    core = resolve_engine(engine)(machine, config, job)
     prof = HostProfiler(record_slices=record_slices)
     stats = prof.run(core)
     return stats, prof
@@ -537,7 +477,7 @@ def replay_dump(path, *, interval: int = 1000) -> ReplayResult:
         factory(),
         int(spec["threads"]),
         scale=float(spec.get("scale", 1.0)),
-        engine=spec.get("engine"),
+        engine=spec.get("engine") or "reference",
         interval=interval,
         seed=None if seed is None else int(seed),
     )
@@ -671,7 +611,12 @@ def validate_campaign_result(
     return violations
 
 
-class WorkloadLintError(RuntimeError):
+class WorkloadCheckError(RuntimeError):
+    """A campaign workload failed its pre-dispatch check: its task in the
+    pass timed out, or its worker died.  Nothing has simulated yet."""
+
+
+class WorkloadLintError(WorkloadCheckError):
     """A campaign workload failed the pre-dispatch static lint."""
 
     def __init__(self, name: str, diagnostics: list) -> None:
@@ -821,8 +766,8 @@ def lint_campaign_jobs(
     :class:`WorkloadLintError` — a workload-generator bug should fail in
     milliseconds here, not wedge a fleet of simulations.
     An exception from building or linting is re-raised as it was raised;
-    a task whose worker died or timed out raises ``RuntimeError`` naming
-    the workload.
+    a task whose worker died or timed out raises
+    :class:`WorkloadCheckError` naming the workload.
 
     Returns the number of programs actually linted (cache misses).
     Non-:class:`CampaignJob` entries (custom test jobs) are skipped.
@@ -860,7 +805,7 @@ def lint_campaign_jobs(
     for task, outcome in zip(tasks, result.outcomes):
         checked = outcome.payload
         if not outcome.ok:
-            raise RuntimeError(
+            raise WorkloadCheckError(
                 f"pre-dispatch check of workload {task.label()} "
                 f"failed: {outcome.error}"
             )
@@ -897,15 +842,14 @@ def run_points(
     progress=None,
     failure_dump_dir=None,
 ) -> CampaignResult:
-    """Run the :class:`CampaignJob` *points* as one campaign and seed the
-    in-memory memo.
+    """Run the :class:`CampaignJob` *points* as one validated campaign.
 
     This is the one code path that sequences a simulation campaign:
-    ``repro campaign``, ``repro reproduce`` and every figure target come
-    through here, with :func:`simulate_job` as the runner, so a point
-    has one cache key whichever command ran it.  After this returns, a
-    serial :func:`run_app` call for any successful point is a memo hit,
-    which is how a figure's rows read the campaign's results.
+    ``repro campaign``, ``repro reproduce``, every figure target and the
+    ablation benchmarks come through here, with :func:`simulate_job` as
+    the runner, so a point has one cache key whichever command ran it.
+    The returned result holds every point's outcome; a figure's rows
+    read them (:func:`repro.harness.figures.run_figures`).
 
     Before any job dispatches, one pre-dispatch pass on the worker pool
     (:func:`lint_campaign_jobs`) lints and oracle-analyses every distinct
@@ -950,24 +894,8 @@ def run_points(
             failure_dump_dir=failure_dump_dir,
         )
     result.pass_wall_time = pass_wall_time
-    for outcome in result.outcomes:
-        if outcome.ok:
-            _CACHE[outcome.job.memo_key()] = outcome.payload
     validate_campaign_result(result, progress=progress, cache=store)
     return result
-
-
-def speedup_over_base(
-    app: str,
-    config: MMTConfig,
-    threads: int,
-    machine: MachineConfig | None = None,
-    scale: float = 1.0,
-) -> float:
-    """Cycles(Base) / cycles(*config*) at the same thread count."""
-    base = run_app(app, MMTConfig.base(), threads, machine, scale)
-    other = run_app(app, config, threads, machine, scale)
-    return base.cycles / other.cycles
 
 
 def geomean(values) -> float:

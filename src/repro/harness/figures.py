@@ -1,30 +1,31 @@
 """Regenerators for every table and figure of the paper's evaluation.
 
-Each function returns plain data structures (lists of dicts) so callers —
-the CLI, the examples, tests — can print, assert, or plot them.
 :data:`FIGURES` declares every figure and table once, as one ``repro``
 target: its ``list`` line, its title, its simulated point set, its rows
-and its paper layout (rendered by ``repro.harness.report``).
-:func:`paper_claims` checks the paper's shape claims on the rows of all
-of them.
+and its paper layout (rendered by ``repro.harness.report``).  A figure's
+rows are a function of the results its campaigns returned and nothing
+else: :func:`run_figures` runs a set of targets' points as one validated
+campaign (and Figures 1 and 2's sharing profiles as another) and
+computes each target's rows, plain lists of dicts that callers — the
+CLI, the examples, tests — print, assert or plot.  :func:`paper_claims`
+checks the paper's shape claims on the rows of all of them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
 from repro.core.config import MMTConfig
 from repro.core.sync import FetchMode
+from repro.harness import experiment
 from repro.harness.campaign import CampaignResult, run_campaign
 from repro.harness.experiment import (
     CampaignJob,
     default_apps,
-    default_engine,
     geomean,
-    run_app,
     workload_token,
 )
 from repro.harness.report import format_pairs, format_stacked_bars, format_table
@@ -43,7 +44,7 @@ from repro.workloads.profiles import get_profile
 PROFILE_CONTEXTS = 2
 
 
-# ------------------------------------------------------------------ Figure 1
+# ------------------------------------------------------------ Figures 1/2
 @dataclass(frozen=True)
 class SharingPoint:
     """One profiling point of the Figure 1/2 motivation study; *token*
@@ -58,13 +59,6 @@ class SharingPoint:
 
     def label(self) -> str:
         return f"{self.app}/sharing"
-
-
-#: Memo of computed sharing rows, keyed by (app, scale).  Deterministic
-#: (traces are seeded by app name), so the sharing campaign
-#: (:func:`run_sharing`) and the serial path below fill it
-#: interchangeably.
-_SHARING_ROWS: dict[tuple[str, float], dict] = {}
 
 
 def sharing_row(point: SharingPoint, seed: int = 0) -> dict:
@@ -97,40 +91,6 @@ def sharing_row(point: SharingPoint, seed: int = 0) -> dict:
     }
 
 
-def fig1_sharing(apps=None, scale: float = 1.0) -> list[dict]:
-    """Instruction-sharing breakdown per application (paper Figure 1)."""
-    rows = []
-    for app in apps or default_apps():
-        memo = (app, scale)
-        if memo not in _SHARING_ROWS:
-            _SHARING_ROWS[memo] = sharing_row(SharingPoint(app, scale))
-        rows.append(dict(_SHARING_ROWS[memo]))
-    avg = {
-        "app": "average",
-        "execute_identical": sum(r["execute_identical"] for r in rows) / len(rows),
-        "fetch_identical_only": sum(r["fetch_identical_only"] for r in rows)
-        / len(rows),
-        "not_identical": sum(r["not_identical"] for r in rows) / len(rows),
-        "paper_execute_identical": 0.35,
-        "paper_fetch_identical": 0.88,
-        "_gaps": [],
-    }
-    rows.append(avg)
-    return rows
-
-
-# ------------------------------------------------------------------ Figure 2
-def fig2_divergence(apps=None, scale: float = 1.0) -> list[dict]:
-    """Divergent-path length-difference histogram (paper Figure 2)."""
-    rows = []
-    for row in fig1_sharing(apps, scale=scale):
-        if row["app"] == "average":
-            continue
-        histogram = divergence_histogram(row["_gaps"])
-        rows.append({"app": row["app"], **{f"<={b}": v for b, v in histogram.items()}})
-    return rows
-
-
 # ------------------------------------------------- simulated point sets
 class Series(NamedTuple):
     """One simulated configuration of a figure, run once per application.
@@ -144,9 +104,6 @@ class Series(NamedTuple):
     config: MMTConfig
     threads: int
     machine: MachineConfig | None = None
-
-    def run(self, app: str, scale: float):
-        return run_app(app, self.config, self.threads, self.machine, scale)
 
 
 def _paper_series(threads: int, machine: MachineConfig | None = None) -> list[Series]:
@@ -201,16 +158,103 @@ def _width_series(widths, threads: int) -> list[Series]:
     return _sweep_series(widths, threads, MachineConfig.with_fetch_width)
 
 
+FHB_SIZES = (8, 16, 32, 64, 128)
+LDST_PORT_COUNTS = (2, 4, 6, 8, 12)
+FETCH_WIDTHS = (4, 8, 16, 32)
+
+
+# --------------------------------------------------- what the rows read
+def results_of(*campaigns: CampaignResult) -> dict:
+    """The payload of every successful outcome of *campaigns*, by job:
+    the results :meth:`Figure.compute` reads."""
+    return {outcome.job: outcome.payload
+            for campaign in campaigns
+            for outcome in campaign.outcomes if outcome.ok}
+
+
+class Results:
+    """A figure's view of its campaigns' results at one *scale*.
+
+    *results* maps jobs to payloads (:func:`results_of`).  A simulated
+    point is looked up by its job up to the engine and the workload seed,
+    which are the campaign's to choose, so rows read whichever engine and
+    seed ran; results that hold one point twice under different ones
+    raise ``ValueError``.  A point the results lack raises ``KeyError``:
+    nothing is simulated here.
+    """
+
+    def __init__(self, results: Mapping, scale: float) -> None:
+        self.scale = scale
+        self._runs: dict[CampaignJob, object] = {}
+        self._profiles: dict[SharingPoint, dict] = {}
+        for job, payload in results.items():
+            if isinstance(job, SharingPoint):
+                self._profiles[job] = payload
+                continue
+            point = replace(job, engine="reference", seed=None)
+            if self._runs.setdefault(point, payload) is not payload:
+                raise ValueError(
+                    f"the results hold {job.label()} under two engines or "
+                    "seeds; compute a figure over one of them"
+                )
+
+    def run(self, series: Series, app: str):
+        """The run of *series* on *app*."""
+        return self._lookup(self._runs, CampaignJob(
+            app, series.config, series.threads, machine=series.machine,
+            scale=self.scale,
+        ))
+
+    def profile(self, app: str) -> dict:
+        """The Figure 1 sharing row of *app*."""
+        return self._lookup(self._profiles, SharingPoint(app, self.scale))
+
+    @staticmethod
+    def _lookup(results: dict, point):
+        try:
+            return results[point]
+        except KeyError:
+            raise KeyError(f"no result for {point.label()} at scale "
+                           f"{point.scale}: no campaign returned it") from None
+
+
 # ------------------------------------------------------- rows from runs
-def _speedup_rows(series, apps, scale) -> list[dict]:
+def _sharing_rows(results: Results, series, apps) -> list[dict]:
+    """Instruction-sharing breakdown per application, then the average
+    (Fig 1)."""
+    rows = [dict(results.profile(app)) for app in apps]
+    rows.append({
+        "app": "average",
+        "execute_identical": sum(r["execute_identical"] for r in rows) / len(rows),
+        "fetch_identical_only": sum(r["fetch_identical_only"] for r in rows)
+        / len(rows),
+        "not_identical": sum(r["not_identical"] for r in rows) / len(rows),
+        "paper_execute_identical": 0.35,
+        "paper_fetch_identical": 0.88,
+        "_gaps": [],
+    })
+    return rows
+
+
+def _divergence_rows(results: Results, series, apps) -> list[dict]:
+    """Divergent-path length-difference histogram per application
+    (Fig 2)."""
+    rows = []
+    for app in apps:
+        histogram = divergence_histogram(results.profile(app)["_gaps"])
+        rows.append({"app": app, **{f"<={b}": v for b, v in histogram.items()}})
+    return rows
+
+
+def _speedup_rows(results: Results, series, apps) -> list[dict]:
     """Per-application speedup of each series over the first, Base, at
-    the same thread count; then the geomean row."""
+    the same thread count; then the geomean row (Fig 5(a)/(c), 7(a))."""
     base, *others = series
     rows = []
-    for app in apps or default_apps():
-        cycles = base.run(app, scale).cycles
+    for app in apps:
+        cycles = results.run(base, app).cycles
         rows.append({"app": app, **{
-            s.key: cycles / s.run(app, scale).cycles for s in others
+            s.key: cycles / results.run(s, app).cycles for s in others
         }})
     rows.append({"app": "geomean", **{
         s.key: geomean(row[s.key] for row in rows) for s in others
@@ -218,14 +262,13 @@ def _speedup_rows(series, apps, scale) -> list[dict]:
     return rows
 
 
-def _sweep_rows(column: str, series, apps, scale) -> list[dict]:
+def _sweep_rows(column: str, results: Results, series, apps) -> list[dict]:
     """Geomean speedup of MMT-FXR over Base per swept value; *series*
-    alternates Base and MMT-FXR."""
-    apps = apps or default_apps()
+    alternates Base and MMT-FXR (Fig 7(b)/(d))."""
     return [
         {column: fxr.key,
          "geomean_speedup": geomean(
-             base.run(app, scale).cycles / fxr.run(app, scale).cycles
+             results.run(base, app).cycles / results.run(fxr, app).cycles
              for app in apps)}
         for base, fxr in zip(series[::2], series[1::2])
     ]
@@ -241,40 +284,50 @@ def _modes(result) -> dict:
     }
 
 
-def _identified_rows(series, apps, scale) -> list[dict]:
+def _identified_rows(results: Results, series, apps) -> list[dict]:
+    """Identified fetch/execute-identical fractions under MMT-FXR
+    (Fig 5(b))."""
     (fxr,) = series
     return [
-        {"app": app, **fxr.run(app, scale).stats.identified_breakdown()}
-        for app in apps or default_apps()
+        {"app": app, **results.run(fxr, app).stats.identified_breakdown()}
+        for app in apps
     ]
 
 
-def _fetch_mode_rows(series, apps, scale) -> list[dict]:
+def _fetch_mode_rows(results: Results, series, apps) -> list[dict]:
+    """Fetched-instruction breakdown by fetch mode under MMT-FXR
+    (Fig 5(d))."""
     (fxr,) = series
     rows = []
-    for app in apps or default_apps():
-        result = fxr.run(app, scale)
+    for app in apps:
+        result = results.run(fxr, app)
         rows.append({"app": app, **_modes(result),
                      "remerge_within_512": result.sync_stats.remerge_within(512)})
     return rows
 
 
-def _fhb_mode_rows(series, apps, scale) -> list[dict]:
+def _fhb_mode_rows(results: Results, series, apps) -> list[dict]:
+    """Fetch-mode breakdown as the FHB size varies (Fig 7(c))."""
     return [
-        {"app": app, "fhb_size": s.key, **_modes(s.run(app, scale))}
-        for app in apps or default_apps()
+        {"app": app, "fhb_size": s.key, **_modes(results.run(s, app))}
+        for app in apps
         for s in series
     ]
 
 
-def _energy_rows(series, apps, scale) -> list[dict]:
-    """One bar per series and application, each split into cache /
-    MMT-overhead / other energy per job and normalised to the first."""
+def _energy_rows(results: Results, series, apps) -> list[dict]:
+    """Energy per job, normalised to the first series (Fig 6).
+
+    One bar per series and application, each split into cache /
+    MMT-overhead / other energy.  Multi-execution doubles the work when
+    doubling threads, multi-threaded splits the same work, so energy is
+    normalised *per job* (per committed thread-instruction).
+    """
     rows = []
-    for app in apps or default_apps():
+    for app in apps:
         bars = {}
         for s in series:
-            result = s.run(app, scale)
+            result = results.run(s, app)
             work = max(1, result.stats.committed_thread_insts)
             per_job = {
                 "cache": result.energy.cache / work,
@@ -294,78 +347,6 @@ def _energy_rows(series, apps, scale) -> list[dict]:
         for s in series
     }})
     return rows
-
-
-# ----------------------------------------------------------- Figures 5(a)/(c)
-def fig5_speedups(
-    threads: int, apps=None, scale: float = 1.0, machine: MachineConfig | None = None
-) -> list[dict]:
-    """Per-application speedups over same-thread-count Base (Fig 5(a)/(c))."""
-    return _speedup_rows(_paper_series(threads, machine), apps, scale)
-
-
-# ------------------------------------------------------------- Figure 5(b)
-def fig5b_identified(threads: int = 2, apps=None, scale: float = 1.0) -> list[dict]:
-    """Identified fetch/execute-identical fractions under MMT-FXR."""
-    return _identified_rows(_fxr_series(threads), apps, scale)
-
-
-# ------------------------------------------------------------- Figure 5(d)
-def fig5d_modes(threads: int = 2, apps=None, scale: float = 1.0) -> list[dict]:
-    """Fetched-instruction breakdown by fetch mode under MMT-FXR."""
-    return _fetch_mode_rows(_fxr_series(threads), apps, scale)
-
-
-# ------------------------------------------------------------------ Figure 6
-def fig6_energy(apps=None, scale: float = 1.0) -> list[dict]:
-    """Energy per job, normalised to SMT with 2 threads (paper Figure 6).
-
-    Four bars per application: SMT-2T, MMT-2T, SMT-4T, MMT-4T, each split
-    into cache / MMT-overhead / other.  Multi-execution doubles the work
-    when doubling threads, multi-threaded splits the same work, so energy
-    is normalised *per job* (per committed thread-instruction).
-    """
-    return _energy_rows(_energy_series(), apps, scale)
-
-
-# ------------------------------------------------------- Figures 7(a)/(c)
-FHB_SIZES = (8, 16, 32, 64, 128)
-
-
-def fig7a_fhb_speedup(
-    sizes=FHB_SIZES, threads: int = 2, apps=None, scale: float = 1.0
-) -> list[dict]:
-    """Speedup (MMT-FXR over Base) as the FHB size varies (Fig 7(a))."""
-    return _speedup_rows(_fhb_series(sizes, threads, base=True), apps, scale)
-
-
-def fig7c_fhb_modes(
-    sizes=FHB_SIZES, threads: int = 2, apps=None, scale: float = 1.0
-) -> list[dict]:
-    """Fetch-mode breakdown as the FHB size varies (Fig 7(c))."""
-    return _fhb_mode_rows(_fhb_series(sizes, threads, base=False), apps, scale)
-
-
-# ------------------------------------------------------------- Figure 7(b)
-LDST_PORT_COUNTS = (2, 4, 6, 8, 12)
-
-
-def fig7b_ports(
-    ports=LDST_PORT_COUNTS, threads: int = 4, apps=None, scale: float = 1.0
-) -> list[dict]:
-    """Geomean speedup as load/store ports (and MSHRs) vary (Fig 7(b))."""
-    return _sweep_rows("ldst_ports", _port_series(ports, threads), apps, scale)
-
-
-# ------------------------------------------------------------- Figure 7(d)
-FETCH_WIDTHS = (4, 8, 16, 32)
-
-
-def fig7d_fetch_width(
-    widths=FETCH_WIDTHS, threads: int = 4, apps=None, scale: float = 1.0
-) -> list[dict]:
-    """Geomean speedup as the fetch width varies (Fig 7(d))."""
-    return _sweep_rows("fetch_width", _width_series(widths, threads), apps, scale)
 
 
 # -------------------------------------------------------------------- Tables
@@ -416,10 +397,11 @@ class Figure(NamedTuple):
     *description* is its ``repro list`` line and *title* heads its report.
     *series* returns its simulated point set, each :class:`Series` run
     once per application (``[]``: it simulates nothing).  *rows*
-    ``(series, apps, scale)`` computes the data rows from those runs, and
-    *layout* ``(rows, title=None)`` renders them as the paper does.
-    *sharing* marks Figures 1 and 2, whose rows profile functional traces
-    (:class:`SharingPoint`) instead.
+    ``(results, series, apps)`` computes the data rows from those runs,
+    read through a :class:`Results`, and *layout* ``(rows, title=None)``
+    renders them as the paper does.  *sharing* marks Figures 1 and 2,
+    whose rows read functional-trace profiles (:class:`SharingPoint`)
+    instead.
     """
 
     description: str
@@ -429,9 +411,14 @@ class Figure(NamedTuple):
     series: Callable[[], list[Series]] = list
     sharing: bool = False
 
-    def compute(self, apps=None, scale: float = 1.0) -> list:
-        """The figure's data rows for *apps* (default: all sixteen)."""
-        return self.rows(self.series(), apps, scale)
+    def compute(self, results: Mapping | None = None, apps=None,
+                scale: float = 1.0) -> list:
+        """The figure's data rows for *apps* (default: all sixteen) at
+        *scale*, read from *results*, the payloads of its campaigns by
+        job (:func:`results_of`).  A point they lack raises ``KeyError``;
+        tables read none."""
+        return self.rows(Results(results or {}, scale), self.series(),
+                         list(apps or default_apps()))
 
     def render(self, rows) -> str:
         """*rows* in the paper's layout, under the title."""
@@ -447,7 +434,7 @@ FIGURES: dict[str, Figure] = {
     "fig1": Figure(
         "instruction-sharing breakdown",
         "Figure 1 — Instruction sharing characteristics",
-        lambda series, apps, scale: fig1_sharing(apps, scale),
+        _sharing_rows,
         partial(
             format_table,
             columns=["app", "execute_identical", "fetch_identical_only",
@@ -461,7 +448,7 @@ FIGURES: dict[str, Figure] = {
     "fig2": Figure(
         "divergent-path-length histogram",
         "Figure 2 — Divergent path length difference (cumulative)",
-        lambda series, apps, scale: fig2_divergence(apps, scale),
+        _divergence_rows,
         partial(format_table, columns=["app"] + [f"<={b}" for b in FIG2_BUCKETS],
                 float_format="{:.2f}"),
         sharing=True,
@@ -531,20 +518,20 @@ FIGURES: dict[str, Figure] = {
     "table3": Figure(
         "hardware budget",
         "Table 3 — Hardware requirements",
-        lambda series, apps, scale: table3_hardware(),
+        lambda results, series, apps: table3_hardware(),
         partial(format_table, columns=["component", "description", "area",
                                        "delay", "storage_bits"]),
     ),
     "table4": Figure(
         "simulator configuration",
         "Table 4 — Simulator configuration",
-        lambda series, apps, scale: table4_configuration(),
+        lambda results, series, apps: table4_configuration(),
         format_pairs,
     ),
     "table5": Figure(
         "evaluated configurations",
         "Table 5 — Configurations",
-        lambda series, apps, scale: table5_configurations(),
+        lambda results, series, apps: table5_configurations(),
         format_pairs,
     ),
 }
@@ -721,10 +708,10 @@ def paper_claims(rows) -> list[tuple[str, str, bool]]:
 
 # ----------------------------------------------------- campaign points
 def figure_points(
-    fig_id: str, apps=None, scale: float = 1.0
+    fig_id: str, apps=None, scale: float = 1.0, engine: str = "reference"
 ) -> list[CampaignJob]:
-    """Every simulation point *fig_id* needs, as campaign jobs: its
-    :data:`FIGURES` entry's series, each over *apps*.
+    """Every simulation point *fig_id* needs, as campaign jobs on
+    *engine*: its :data:`FIGURES` entry's series, each over *apps*.
 
     Speedup figures include the Base runs their numerators divide by.
     Returns [] for figures that do not run the cycle-level simulator
@@ -734,10 +721,6 @@ def figure_points(
     if figure is None:
         return []
     apps = list(apps or default_apps())
-    # Jobs ship to worker processes, so the session's default engine is
-    # pinned onto each one; the serial memo keys then line up with what
-    # the figure regenerators will ask for.
-    engine = default_engine()
     return [
         CampaignJob(app, s.config, s.threads, machine=s.machine, scale=scale,
                     engine=engine)
@@ -746,17 +729,51 @@ def figure_points(
     ]
 
 
-def run_sharing(apps=None, scale: float = 1.0, **options) -> CampaignResult:
-    """Profile the sharing rows of Figures 1 and 2 for *apps* as one
-    campaign (:func:`run_campaign` with *options*: workers, cache,
-    timeout, ...), skipping rows already memoised.  Each successful row
-    is memoised, so :func:`fig1_sharing` then profiles nothing."""
-    jobs = [SharingPoint(app, scale) for app in (apps or default_apps())
-            if (app, scale) not in _SHARING_ROWS]
-    result = run_campaign(jobs, sharing_row, **options)
-    for outcome in result.outcomes:
-        if outcome.ok:
-            _SHARING_ROWS[(outcome.job.app, outcome.job.scale)] = (
-                outcome.payload
-            )
-    return result
+@dataclass
+class FigureRun:
+    """The campaigns :func:`run_figures` ran, and the rows it computed."""
+
+    #: The targets' simulation points (``None``: no target simulates).
+    points: CampaignResult | None
+    #: Figures 1 and 2's sharing profiles (``None``: neither is a target).
+    sharing: CampaignResult | None
+    #: Each target's rows; ``None`` when a job failed or a result
+    #: contradicted its oracle, so no row reads a result the gate rejected.
+    rows: dict[str, list] | None = None
+
+    @property
+    def campaigns(self) -> list[CampaignResult]:
+        return [c for c in (self.points, self.sharing) if c is not None]
+
+
+def run_figures(
+    targets, apps=None, scale: float = 1.0, *, engine: str = "reference",
+    **options,
+) -> FigureRun:
+    """Run the campaigns of the :data:`FIGURES` *targets* over *apps*
+    (default: all sixteen), then compute each target's rows from their
+    results.
+
+    The targets' de-duplicated points run on *engine* as one
+    :func:`~repro.harness.experiment.run_points` campaign (lint, result
+    cache, oracle gate), and Figures 1 and 2's sharing profiles as one
+    more (:func:`sharing_row`); *options* (workers, cache, timeout,
+    progress, ...) go to both.  A workload that fails its pre-dispatch
+    check raises before anything simulates.
+    """
+    apps = list(apps or default_apps())
+    points = list(dict.fromkeys(
+        point for target in targets
+        for point in figure_points(target, apps, scale, engine)
+    ))
+    profiles = ([SharingPoint(app, scale) for app in apps]
+                if any(FIGURES[target].sharing for target in targets) else [])
+    run = FigureRun(
+        experiment.run_points(points, **options) if points else None,
+        run_campaign(profiles, sharing_row, **options) if profiles else None,
+    )
+    if not any(c.failures or c.validation_failures for c in run.campaigns):
+        results = results_of(*run.campaigns)
+        run.rows = {target: FIGURES[target].compute(results, apps, scale)
+                    for target in targets}
+    return run

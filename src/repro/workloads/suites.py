@@ -91,6 +91,46 @@ def _require(condition: bool, path, reason: str, scenario=None) -> None:
         raise SuiteError(path, reason, scenario=scenario)
 
 
+def check_threads(count) -> int:
+    """*count* as a hardware thread count: an int in 1..``MAX_THREADS``.
+
+    Raises ``ValueError`` naming the range otherwise.  Scenario suites
+    and the CLI's ``--threads`` share this check.
+    """
+    from repro.core.itid import MAX_THREADS
+
+    if (isinstance(count, bool) or not isinstance(count, int)
+            or not 1 <= count <= MAX_THREADS):
+        raise ValueError(
+            f"a thread count must be an int in 1..{MAX_THREADS}, "
+            f"not {count!r}"
+        )
+    return count
+
+
+def check_scale(scale) -> float:
+    """*scale* as a workload scale factor: a positive number.
+
+    Raises ``ValueError`` otherwise.  Scenario suites and the CLI's
+    ``--scale`` share this check.
+    """
+    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+            or not scale > 0):
+        raise ValueError(
+            f"a workload scale must be a positive number, not {scale!r}"
+        )
+    return float(scale)
+
+
+def _checked(check, value, path, key: str, scenario: int):
+    """``check(value)``, raising a :class:`SuiteError` that names *key*
+    where the check fails."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise SuiteError(path, f"'{key}': {exc}", scenario=scenario) from None
+
+
 def _resolve_workload(name: str, path, index: int):
     """Workload object for registry names, ``None`` for app profiles."""
     from repro.workloads.engine import (
@@ -205,18 +245,14 @@ def load_suite(path: str | Path) -> Suite:
                     scenario=index,
                 )
 
-        from repro.core.itid import MAX_THREADS
-
         threads = entry.get("threads", [2])
         _require(
-            isinstance(threads, list) and threads
-            and all(isinstance(t, int) and not isinstance(t, bool)
-                    and 1 <= t <= MAX_THREADS for t in threads),
-            path,
-            f"'threads' must be a non-empty list of ints in "
-            f"1..{MAX_THREADS}",
+            isinstance(threads, list) and threads, path,
+            "'threads' must be a non-empty list of thread counts",
             scenario=index,
         )
+        for count in threads:
+            _checked(check_threads, count, path, "threads", index)
         if workload is not None:
             for count in threads:
                 _require(
@@ -226,12 +262,8 @@ def load_suite(path: str | Path) -> Suite:
                     scenario=index,
                 )
 
-        scale = entry.get("scale", 1.0)
-        _require(
-            isinstance(scale, (int, float)) and not isinstance(scale, bool)
-            and scale > 0,
-            path, "'scale' must be a positive number", scenario=index,
-        )
+        scale = _checked(check_scale, entry.get("scale", 1.0), path, "scale",
+                         index)
         seed = entry.get("seed")
         _require(
             seed is None
@@ -254,7 +286,7 @@ def load_suite(path: str | Path) -> Suite:
             workload=workload_name,
             configs=tuple(configs),
             threads=tuple(threads),
-            scale=float(scale),
+            scale=scale,
             seed=seed,
             engine=engine,
             tag=tag,

@@ -1,8 +1,8 @@
 """Smoke coverage of the benchmark modules and the figure drivers.
 
 Imports every ``benchmarks/bench_*.py`` module (so a broken import fails
-fast, not only under the benchmark runner) and exercises each figure
-driver at tiny scale — one or two apps per figure — after the campaign
+fast, not only under the benchmark runner) and computes each figure's
+rows at tiny scale — one or two apps per figure — from the campaign
 that ``repro <figure>`` runs.
 """
 
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import clear_cache, figures, run_points
+from repro.harness import figures, run_points
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 BENCH_MODULES = sorted(p.stem for p in BENCH_DIR.glob("bench_*.py"))
@@ -24,9 +24,7 @@ SCALE = 0.12
 @pytest.fixture(autouse=True, scope="module")
 def _bench_dir_on_path():
     sys.path.insert(0, str(BENCH_DIR))
-    clear_cache()
     yield
-    clear_cache()
     sys.path.remove(str(BENCH_DIR))
 
 
@@ -51,8 +49,7 @@ def _campaign(fig, apps, scale=SCALE):
     return run_points(figures.figure_points(fig, apps, scale), workers=2)
 
 
-def _tiny(fig_fn, *args, **kwargs):
-    rows = fig_fn(*args, **kwargs)
+def _tiny(rows):
     assert isinstance(rows, list) and rows
     assert all(isinstance(row, dict) for row in rows)
     return rows
@@ -60,49 +57,47 @@ def _tiny(fig_fn, *args, **kwargs):
 
 def test_fig1_and_fig2_tiny(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    result = figures.run_sharing(APPS, SCALE, workers=2)
-    assert all(o.ok for o in result.outcomes)
-    rows = _tiny(figures.fig1_sharing, apps=APPS, scale=SCALE)
+    run = figures.run_figures(["fig1", "fig2"], APPS, SCALE, workers=2)
+    assert run.points is None
+    assert all(o.ok for o in run.sharing.outcomes)
+    rows = _tiny(run.rows["fig1"])
     assert [row["app"] for row in rows] == APPS + ["average"]
-    rows2 = _tiny(figures.fig2_divergence, apps=APPS, scale=SCALE)
+    rows2 = _tiny(run.rows["fig2"])
     assert [row["app"] for row in rows2] == APPS
 
 
 def test_fig5_family_tiny(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    clear_cache()
-    result = _campaign("fig5a", APPS)
+    run = figures.run_figures(["fig5a", "fig5b", "fig5d"], APPS, SCALE,
+                              workers=2)
+    result = run.points
     assert result.jobs == 10  # 2 apps x 5 paper configurations
     assert all(o.ok for o in result.outcomes)
-    rows = _tiny(figures.fig5_speedups, 2, apps=APPS, scale=SCALE)
+    rows = _tiny(run.rows["fig5a"])
     assert [row["app"] for row in rows] == APPS + ["geomean"]
     assert {"MMT-F", "MMT-FX", "MMT-FXR", "Limit"} <= rows[0].keys()
-    _tiny(figures.fig5b_identified, 2, apps=APPS, scale=SCALE)
-    _tiny(figures.fig5d_modes, 2, apps=APPS, scale=SCALE)
+    _tiny(run.rows["fig5b"])
+    _tiny(run.rows["fig5d"])
 
 
 def test_fig6_energy_tiny(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    clear_cache()
-    _campaign("fig6", APPS)
-    rows = _tiny(figures.fig6_energy, apps=APPS, scale=SCALE)
+    run = figures.run_figures(["fig6"], APPS, SCALE, workers=2)
+    rows = _tiny(run.rows["fig6"])
     assert [row["app"] for row in rows] == APPS + ["geomean"]
 
 
 def test_fig7_sweeps_tiny(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    clear_cache()
     one = ["ammp"]
-    _campaign("fig7a", one)
-    rows = _tiny(figures.fig7a_fhb_speedup, apps=one, scale=SCALE)
-    assert [row["app"] for row in rows] == one + ["geomean"]
-    _tiny(figures.fig7c_fhb_modes, apps=one, scale=SCALE)
-    _campaign("fig7b", one)
-    rows = _tiny(figures.fig7b_ports, apps=one, scale=SCALE)
-    assert [row["ldst_ports"] for row in rows] == list(figures.LDST_PORT_COUNTS)
-    _campaign("fig7d", one)
-    rows = _tiny(figures.fig7d_fetch_width, apps=one, scale=SCALE)
-    assert [row["fetch_width"] for row in rows] == list(figures.FETCH_WIDTHS)
+    rows = figures.run_figures(["fig7a", "fig7b", "fig7c", "fig7d"], one,
+                               SCALE, workers=2).rows
+    assert [row["app"] for row in _tiny(rows["fig7a"])] == one + ["geomean"]
+    _tiny(rows["fig7c"])
+    assert [row["ldst_ports"] for row in _tiny(rows["fig7b"])] == list(
+        figures.LDST_PORT_COUNTS)
+    assert [row["fetch_width"] for row in _tiny(rows["fig7d"])] == list(
+        figures.FETCH_WIDTHS)
 
 
 def test_tables_need_no_simulation():
@@ -122,8 +117,7 @@ def test_prefetch_covers_the_rows(fig, tmp_path, monkeypatch):
     from repro.harness import experiment
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    clear_cache()
-    _campaign(fig, ["ammp"], 0.05)
+    result = _campaign(fig, ["ammp"], 0.05)
     simulate = experiment._simulate
     calls = []
 
@@ -132,16 +126,15 @@ def test_prefetch_covers_the_rows(fig, tmp_path, monkeypatch):
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "_simulate", spy)
-    _tiny(figures.FIGURES[fig].compute, ["ammp"], 0.05)
+    _tiny(figures.FIGURES[fig].compute(figures.results_of(result), ["ammp"],
+                                       0.05))
     assert calls == []
 
 
 def test_prefetch_second_pass_is_all_cache_hits(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    clear_cache()
     first = _campaign("fig5b", APPS)
     assert first.cache_misses == first.jobs > 0
-    clear_cache()  # drop the in-memory memo; the disk cache must carry it
     second = _campaign("fig5b", APPS)
     assert second.cache_hits == second.jobs
     assert second.cache_misses == 0

@@ -14,7 +14,7 @@ from repro.harness.campaign import (
     job_key,
     run_campaign,
 )
-from repro.harness.experiment import CampaignJob, clear_cache, run_points
+from repro.harness.experiment import CampaignJob, run_points
 from repro.harness.results import (
     campaign_failure_rows,
     dump_campaign,
@@ -101,7 +101,7 @@ def test_fast_job_keys_need_no_workload_build():
 def test_each_figure_point_has_one_job_key():
     """fig7b and fig7d spell out the default 4-thread machine where fig5c
     and fig6 leave it ``None``; both spellings make one job, so the
-    figure union has as many job keys as memo keys."""
+    figure union has as many job keys as distinct jobs."""
     from repro.harness import experiment, figure_points
     from repro.pipeline.config import MachineConfig
 
@@ -110,7 +110,7 @@ def test_each_figure_point_has_one_job_key():
     jobs = [job for fig in figures for job in figure_points(fig)]
     assert len(jobs) == 720
     assert len({job_key(job, experiment.simulate_job) for job in jobs}) == 448
-    assert len({job.memo_key() for job in jobs}) == 448
+    assert len(set(jobs)) == 448
     assert all(job.machine is None for job in figure_points("fig6"))
 
     spelled = CampaignJob("ammp", MMTConfig.base(), 4,
@@ -314,27 +314,6 @@ def test_a_result_sent_just_before_the_worker_exits_is_kept(cache,
 
 
 # ------------------------------------------------- simulation integration
-def test_run_points_seeds_the_run_app_memo(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
-    clear_cache()
-    points = [
-        CampaignJob("ammp", MMTConfig.base(), 2, scale=0.15),
-        CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, scale=0.15),
-    ]
-    result = run_points(points, workers=2)
-    assert all(o.ok for o in result.outcomes)
-
-    from repro.harness import experiment
-
-    # run_app must now be served from the in-memory memo, not re-simulated.
-    for point, outcome in zip(points, result.outcomes):
-        assert point.memo_key() in experiment._CACHE
-        memoed = experiment.run_app(point.app, point.config, point.threads,
-                                    scale=point.scale)
-        assert memoed is outcome.payload
-    clear_cache()
-
-
 def test_code_fingerprint_env_override(monkeypatch):
     import repro.harness.campaign as campaign_mod
 
@@ -460,7 +439,6 @@ def test_successful_job_has_no_dump(cache, tmp_path):
 def test_run_points_validates_against_oracle(tmp_path, monkeypatch):
     """Every successful simulation is cross-checked at aggregation time."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
-    clear_cache()
     points = [
         CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1),
         CampaignJob("canneal", MMTConfig.base(), 2, scale=0.1),
@@ -469,7 +447,6 @@ def test_run_points_validates_against_oracle(tmp_path, monkeypatch):
     assert all(o.ok for o in result.outcomes)
     assert result.validation_failures == []
     assert summarize_campaign(result)["oracle_violations"] == 0
-    clear_cache()
 
 
 def test_validation_flags_a_corrupted_result(tmp_path, monkeypatch):
@@ -480,7 +457,6 @@ def test_validation_flags_a_corrupted_result(tmp_path, monkeypatch):
     from repro.harness.results import campaign_violation_rows
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
-    clear_cache()
     result = run_points(
         [CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1)], workers=1
     )
@@ -499,7 +475,6 @@ def test_validation_flags_a_corrupted_result(tmp_path, monkeypatch):
     rows = campaign_violation_rows(result)
     assert rows and rows[0]["config"] == "MMT-FXR"
     assert summarize_campaign(result)["oracle_violations"] == 1
-    clear_cache()
 
 
 def test_validation_skips_non_simulation_payloads(cache):
@@ -516,7 +491,6 @@ def test_oracle_memo_reuses_reports(tmp_path, monkeypatch):
     from repro.harness import experiment
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
-    clear_cache()
     experiment.clear_oracle_memo()
     result = run_points(
         [
@@ -530,7 +504,6 @@ def test_oracle_memo_reuses_reports(tmp_path, monkeypatch):
     report = experiment.oracle_for_run(result.outcomes[0].payload)
     assert report is experiment.oracle_for_run(result.outcomes[1].payload)
     experiment.clear_oracle_memo()
-    clear_cache()
 
 # --------------------------------------- fast-engine jobs through the gate
 def test_fast_engine_results_validated_including_cache_hits(
@@ -543,7 +516,6 @@ def test_fast_engine_results_validated_including_cache_hits(
     from repro.harness import experiment
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
-    clear_cache()
     points = [
         CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1, engine="fast"),
         CampaignJob("lu", MMTConfig.base(), 2, scale=0.1, engine="fast"),
@@ -552,7 +524,6 @@ def test_fast_engine_results_validated_including_cache_hits(
     assert all(o.ok and not o.from_cache for o in first.outcomes)
     assert first.validation_failures == []
 
-    clear_cache()
     second = run_points(points, workers=2)
     assert all(o.ok and o.from_cache for o in second.outcomes)
     assert second.validation_failures == []
@@ -565,19 +536,17 @@ def test_fast_engine_results_validated_including_cache_hits(
     violations = experiment.validate_campaign_result(second)
     assert len(violations) == 1
     assert any("999999" in p for p in violations[0].problems)
-    clear_cache()
 
 
 def test_engines_never_share_cache_entries_or_memo_keys(tmp_path, monkeypatch):
-    """The engine is part of both the on-disk cache key and the serial
-    memo key, so a fast-engine bug can never poison reference results."""
+    """The engine is part of both the on-disk cache key and the job's
+    identity, so a fast-engine bug can never poison reference results."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
     ref = CampaignJob("fft", MMTConfig.base(), 2, scale=0.1)
     fast = dataclasses.replace(ref, engine="fast")
     assert job_key(ref) != job_key(fast)
-    assert ref.memo_key() != fast.memo_key()
+    assert ref != fast
 
-    clear_cache()
     result = run_points([ref, fast], workers=2)
     assert all(o.ok for o in result.outcomes)
     assert result.validation_failures == []
@@ -586,7 +555,6 @@ def test_engines_never_share_cache_entries_or_memo_keys(tmp_path, monkeypatch):
     assert (
         by_engine["fast"].stats.__dict__ == by_engine["reference"].stats.__dict__
     )
-    clear_cache()
 
 
 # ------------------------------------------------------ dispatch and pool
@@ -739,7 +707,6 @@ def test_pre_pass_seeds_the_oracle_memo(tmp_path, monkeypatch):
 
     monkeypatch.setattr(redundancy, "analyze_build", counted)
     experiment.clear_oracle_memo()
-    clear_cache()
     jobs = [CampaignJob(app, config, 2, scale=0.1)
             for app in ("ammp", "lu")
             for config in (MMTConfig.base(), MMTConfig.mmt_fxr(),
@@ -756,7 +723,6 @@ def test_pre_pass_seeds_the_oracle_memo(tmp_path, monkeypatch):
         expected[(*key, True)] = analyze(build, limit=True)
     assert experiment._ORACLE_MEMO == expected
     experiment.clear_oracle_memo()
-    clear_cache()
 
 
 # ------------------------------------- workload hand-off and references
@@ -812,7 +778,6 @@ def test_run_points_keeps_no_build_after_return_or_raise(tmp_path,
     clean = CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)
     result = run_points([clean], workers=1, cache=tmp_path / "a")
     assert result.outcomes[0].ok and experiment._HANDOFF is None
-    clear_cache()
 
     generate = experiment.build_workload
 
@@ -865,7 +830,6 @@ def test_reregistered_workload_is_rebuilt_by_the_next_campaign(tmp_path,
     bare = run_campaign([job], experiment.simulate_job, workers=1,
                         use_cache=False)
     assert bare.outcomes[0].payload.workload.digest == digests[1]
-    clear_cache()
 
 
 def test_validation_rebuilds_workloads_without_the_pass():
@@ -899,7 +863,6 @@ def test_pass_wall_time_is_recorded_beside_the_dispatch(tmp_path):
     """``wall_time`` is the dispatch alone; the pre-dispatch phase has its
     own figure, in the result and in its summary, also when every point
     is a cache hit and so no workload needs the pass."""
-    clear_cache()
     jobs = [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)]
     result = run_points(jobs, workers=1, cache=tmp_path)
     assert result.outcomes[0].ok
@@ -911,7 +874,6 @@ def test_pass_wall_time_is_recorded_beside_the_dispatch(tmp_path):
     assert bare.outcomes[0].from_cache
     assert bare.pass_wall_time > 0
     assert summarize_campaign(bare)["pass_wall_time"] == bare.pass_wall_time
-    clear_cache()
 
 
 @pytest.mark.parametrize("foreign", [
@@ -924,10 +886,11 @@ def test_a_foreign_cache_entry_is_rerun_validated_and_replaced(tmp_path,
                                                               foreign):
     """Only an entry the campaign wrote is a result: any other object
     under a job's key is a miss, which is simulated, validated against
-    the oracle, served by run_app and overwritten."""
+    the oracle, read by the figures as the campaign's result and
+    overwritten."""
     from repro.harness import experiment
+    from repro.harness.figures import results_of
 
-    clear_cache()
     cache = ResultCache(tmp_path)
     job = CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)
     key = job_key(job, experiment.simulate_job)
@@ -938,11 +901,9 @@ def test_a_foreign_cache_entry_is_rerun_validated_and_replaced(tmp_path,
     assert isinstance(outcome.payload, experiment.RunResult)
     assert (result.cache_hits, result.cache_misses) == (0, 1)
     assert result.validation_failures == []
-    assert experiment.run_app("ammp", MMTConfig.base(), 2,
-                              scale=0.1) is outcome.payload
+    assert results_of(result)[job] is outcome.payload
     entry = cache.load(key)
     assert entry["__campaign__"] == 1
     assert isinstance(entry["payload"], experiment.RunResult)
     again = run_points([job], workers=1, cache=cache)
     assert again.outcomes[0].from_cache
-    clear_cache()

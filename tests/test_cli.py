@@ -37,9 +37,9 @@ def test_figure_rows_are_computed_once_for_report_and_json(
     table3 = FIGURES["table3"]
     calls = []
 
-    def rows(series, apps, scale):
+    def rows(results, series, apps):
         calls.append(apps)
-        return table3.rows(series, apps, scale)
+        return table3.rows(results, series, apps)
 
     monkeypatch.setitem(FIGURES, "table3", table3._replace(rows=rows))
     path = tmp_path / "table3.json"
@@ -176,17 +176,12 @@ def test_replay_target_roundtrip(capsys, tmp_path, monkeypatch):
 def test_injected_demo_jobs_run_on_the_chosen_engine(capsys, tmp_path):
     """--inject-livelock appends its job on the --engine engine, so the
     flight dump it leaves names that engine."""
-    from repro.harness import experiment
-
     dump_dir = tmp_path / "flight"
-    try:
-        code = main(["campaign", "--engine", "fast", "--apps", "ammp",
-                     "--configs", "Base", "--scale", "0.1", "--workers", "2",
-                     "--retries", "0", "--inject-livelock",
-                     "--dump-dir", str(dump_dir),
-                     "--cache-dir", str(tmp_path / "cache")])
-    finally:
-        experiment.set_default_engine("reference")
+    code = main(["campaign", "--engine", "fast", "--apps", "ammp",
+                 "--configs", "Base", "--scale", "0.1", "--workers", "2",
+                 "--retries", "0", "--inject-livelock",
+                 "--dump-dir", str(dump_dir),
+                 "--cache-dir", str(tmp_path / "cache")])
     assert code == 0  # partial failure reported, not fatal
     dumps = list(dump_dir.glob("*.flight.json"))
     assert len(dumps) == 1
@@ -249,7 +244,6 @@ def test_campaign_and_figure_prefetch_share_cache_entries(capsys, tmp_path,
                  "--workers", "2", "--cache-dir", str(cache),
                  "--dump-dir", ""]) == 0
     capsys.readouterr()
-    experiment.clear_cache()
     campaigns = []
     _spy(monkeypatch, experiment, "validate_campaign_result", campaigns)
     assert main(["fig6", "--apps", "ammp", "lu", "--scale", "0.1",
@@ -260,7 +254,6 @@ def test_campaign_and_figure_prefetch_share_cache_entries(capsys, tmp_path,
     ((result,),) = campaigns
     assert all(o.ok and o.from_cache for o in result.outcomes)
     assert result.validation_failures == []
-    experiment.clear_cache()
 
 
 def test_replay_without_dump_is_usage_error(capsys):
@@ -459,14 +452,13 @@ def _spy(monkeypatch, module, name, calls):
 def test_reproduce_prints_every_figure_from_one_campaign(capsys, tmp_path,
                                                          monkeypatch):
     """reproduce runs the union of every figure's points once, as one
-    campaign, then prints each figure and table from the memo without a
-    serial simulation; its JSON holds each target's rows as
+    campaign, then prints each figure and table from its results without
+    a serial simulation; its JSON holds each target's rows as
     ``repro <target> --json`` writes them.  Over two apps no claim is
     checked."""
     from repro.harness import experiment, figures, results
 
     apps, scale = ["ammp", "lu"], 0.05
-    experiment.clear_cache()
     campaigns, simulations = [], []
     _spy(monkeypatch, experiment, "run_points", campaigns)
     _spy(monkeypatch, experiment, "_simulate", simulations)
@@ -486,11 +478,13 @@ def test_reproduce_prints_every_figure_from_one_campaign(capsys, tmp_path,
     dumped = results.load_figure(document)
     assert dumped["claims"] is None
     for target, figure in FIGURES.items():
-        path = results.dump_figure(target, figure.compute(apps, scale),
+        (rows,) = figures.run_figures(
+            [target], apps, scale, workers=2, cache=tmp_path / "cache",
+        ).rows.values()
+        path = results.dump_figure(target, rows,
                                    tmp_path / f"{target}.json", scale=scale)
         assert dumped["rows"][target] == results.load_figure(path)["rows"]
-        assert figure.render(figure.compute(apps, scale)) in out
-    experiment.clear_cache()
+        assert figure.render(rows) in out
 
 
 def test_reproduce_fails_when_a_paper_claim_fails(capsys, tmp_path,
@@ -511,7 +505,6 @@ def test_reproduce_fails_when_a_paper_claim_fails(capsys, tmp_path,
     out = capsys.readouterr().out
     claims = out[out.index("Paper claims"):].splitlines()
     assert [line.split()[-1] for line in claims[4:6]] == ["NO", "yes"]
-    experiment.clear_cache()
 
 
 @pytest.mark.parametrize("app", ["nosuchapp", "truncated-trace"])
@@ -537,20 +530,15 @@ def test_a_figure_target_runs_as_a_validated_campaign(capsys, tmp_path):
     """`repro <figure>` runs its points as one campaign; run again on
     the same cache, every point is served from it and still validated,
     and the figure is the same."""
-    from repro.harness import experiment
-
-    experiment.clear_cache()
     assert _fig5a(tmp_path) == 0
     first = capsys.readouterr().out
     assert "10 points (0 from the cache)" in first
-    experiment.clear_cache()
     assert _fig5a(tmp_path) == 0
     second = capsys.readouterr().out
     assert "10 points (10 from the cache)" in second
     assert second.count("] hit ") == 10
     title = FIGURES["fig5a"].title
     assert first[first.index(title):] == second[second.index(title):]
-    experiment.clear_cache()
 
 
 def test_a_figure_with_a_failed_point_exits_1_and_prints_no_figure(
@@ -568,32 +556,27 @@ def test_a_figure_with_a_failed_point_exits_1_and_prints_no_figure(
             raise RuntimeError("injected failure")
         return real(job, seed)
 
-    experiment.clear_cache()
     monkeypatch.setattr(experiment, "simulate_job", fail_lu)
     assert _fig5a(tmp_path, "--retries", "0") == 1
     out = capsys.readouterr().out
     assert "Failed jobs" in out and "injected failure" in out
     assert FIGURES["fig5a"].title not in out
-    experiment.clear_cache()
 
 
 def test_a_figure_with_an_oracle_violation_exits_1(capsys, tmp_path,
                                                    monkeypatch):
     from repro.analysis.redundancy import OracleReport
-    from repro.harness import experiment
 
     validate = OracleReport.validate_against
 
     def contradicted(report, stats):
         return validate(report, stats) + ["injected contradiction"]
 
-    experiment.clear_cache()
     monkeypatch.setattr(OracleReport, "validate_against", contradicted)
     assert _fig5a(tmp_path) == 1
     out = capsys.readouterr().out
     assert "Oracle violations" in out and "injected contradiction" in out
     assert FIGURES["fig5a"].title not in out
-    experiment.clear_cache()
 
 
 @pytest.mark.parametrize("target", ["fig1", "fig5a", "fig7b"])
@@ -608,6 +591,8 @@ def test_a_figure_with_an_unknown_app_aborts(capsys, tmp_path, target):
 @pytest.mark.parametrize("argv", [
     ["trace", "--threads"], ["profile", "--threads"], ["record", "--threads"],
     ["campaign", "--threads"], ["campaign", "--configs"],
+    ["campaign", "--apps", "--configs", "Base", "--threads", "2"],
+    ["fig5a", "--apps"], ["reproduce", "--apps"], ["analyze", "--apps"],
 ])
 def test_a_sweep_flag_without_a_value_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -616,6 +601,61 @@ def test_a_sweep_flag_without_a_value_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "expected at least one argument" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["campaign", "--threads", "0"], "a thread count must be an int in 1..4"),
+    (["campaign", "--threads", "2", "9"], "a thread count must be an int"),
+    (["trace", "--threads", "5"], "a thread count must be an int"),
+    (["campaign", "--scale", "0"], "a workload scale must be a positive"),
+    (["campaign", "--scale", "-1"], "a workload scale must be a positive"),
+    (["fig5a", "--scale", "0"], "a workload scale must be a positive"),
+])
+def test_a_flag_outside_the_suite_range_is_a_usage_error(capsys, monkeypatch,
+                                                        argv, message):
+    """--threads and --scale are held to the checks a scenario suite
+    makes of the same values: a bad value is exit 2 before anything
+    builds."""
+    from repro.harness import experiment
+
+    monkeypatch.setattr(experiment, "build_point", _refuse_to_build)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("a workload was built")
+
+
+@pytest.mark.parametrize("command", ["campaign", "fig5a"])
+def test_a_pass_task_that_times_out_aborts_the_command(capsys, tmp_path,
+                                                      command):
+    """A pre-dispatch check that times out aborts the command with a
+    message and exit 2, as a lint failure does; nothing is simulated."""
+    assert main([command, "--apps", "ammp", "--scale", "1.0", "--timeout",
+                 "0.01", "--workers", "1", "--retries", "0",
+                 "--cache-dir", str(tmp_path / "cache"),
+                 "--dump-dir", ""]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"{command} aborted: pre-dispatch check of "
+                          "workload ammp/2t failed: timed out after 0.01s")
+    assert "Traceback" not in out
+
+
+def test_the_engine_flag_does_not_outlive_its_command(tmp_path):
+    """--engine picks the engine of the command it is given; a later
+    figure in the same process runs on the reference engine."""
+    from repro.harness import figures
+
+    assert main(["table3", "--engine", "fast"]) == 0
+    assert main(["fig6", "--apps", "ammp", "--scale", "0.05", "--engine",
+                 "fast", "--workers", "2", "--cache-dir",
+                 str(tmp_path)]) == 0
+    jobs = figures.figure_points("fig6")
+    assert jobs and {job.engine for job in jobs} == {"reference"}
 
 
 def test_a_closed_pipe_ends_the_run_quietly(tmp_path):

@@ -1,25 +1,28 @@
-"""Experiment harness: caching, figures plumbing, report rendering."""
+"""Experiment harness: figures plumbing, rows from results, report
+rendering."""
+
+import dataclasses
 
 import pytest
 
 from repro.core.config import MMTConfig
+from repro.harness import experiment
 from repro.harness.experiment import (
-    clear_cache,
+    CampaignJob,
     default_apps,
     geomean,
-    run_app,
-    speedup_over_base,
+    run_points,
 )
 from repro.harness.figures import (
     FETCH_WIDTHS,
     FHB_SIZES,
     FIGURES,
     LDST_PORT_COUNTS,
-    fig5_speedups,
-    fig5b_identified,
-    fig5d_modes,
-    fig6_energy,
+    Results,
+    figure_points,
     paper_claims,
+    results_of,
+    run_figures,
     table3_hardware,
     table4_configuration,
     table5_configurations,
@@ -30,11 +33,27 @@ SCALE = 0.25
 APPS = ["ammp", "lu"]
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
+@pytest.fixture(scope="module")
+def figure_run(tmp_path_factory):
+    """Figures 5(a), 5(b), 5(d) and 6 over APPS, as ``repro`` runs them:
+    one validated campaign, then rows from its results."""
+    run = run_figures(["fig5a", "fig5b", "fig5d", "fig6"], APPS, SCALE,
+                      workers=2, cache=tmp_path_factory.mktemp("cache"))
+    assert run.rows is not None
+    return run
+
+
+def _count_simulations(monkeypatch) -> list:
+    """Spy on the in-process simulation entry point; returns its calls."""
+    simulate = experiment._simulate
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[:3])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_simulate", spy)
+    return calls
 
 
 def test_geomean():
@@ -47,28 +66,16 @@ def test_default_apps_order():
     assert apps[0] == "ammp" and len(apps) == 16
 
 
-def test_run_app_caches():
-    first = run_app("ammp", MMTConfig.base(), 2, scale=SCALE)
-    second = run_app("ammp", MMTConfig.base(), 2, scale=SCALE)
-    assert first is second
-    third = run_app("ammp", MMTConfig.base(), 2, scale=SCALE, use_cache=False)
-    assert third is not first
-
-
-def test_speedup_over_base_self_is_one():
-    assert speedup_over_base("ammp", MMTConfig.base(), 2, scale=SCALE) == 1.0
-
-
-def test_fig5_rows_structure():
-    rows = fig5_speedups(2, apps=APPS, scale=SCALE)
+def test_fig5_rows_structure(figure_run):
+    rows = figure_run.rows["fig5a"]
     assert [row["app"] for row in rows] == APPS + ["geomean"]
     for row in rows:
         for key in ("MMT-F", "MMT-FX", "MMT-FXR", "Limit"):
             assert row[key] > 0
 
 
-def test_fig5b_fractions_sum_to_one():
-    rows = fig5b_identified(2, apps=APPS, scale=SCALE)
+def test_fig5b_fractions_sum_to_one(figure_run):
+    rows = figure_run.rows["fig5b"]
     for row in rows:
         total = (
             row["exec_identical"]
@@ -79,17 +86,69 @@ def test_fig5b_fractions_sum_to_one():
         assert abs(total - 1.0) < 1e-9
 
 
-def test_fig5d_modes_sum_to_one():
-    rows = fig5d_modes(2, apps=APPS, scale=SCALE)
+def test_fig5d_modes_sum_to_one(figure_run):
+    rows = figure_run.rows["fig5d"]
     for row in rows:
         assert abs(row["merge"] + row["detect"] + row["catchup"] - 1.0) < 1e-9
         assert 0.0 <= row["remerge_within_512"] <= 1.0
 
 
-def test_fig6_reference_bar_is_one():
-    rows = fig6_energy(apps=["ammp"], scale=SCALE)
+def test_fig6_reference_bar_is_one(figure_run):
+    rows = FIGURES["fig6"].compute(results_of(*figure_run.campaigns),
+                                   ["ammp"], SCALE)
     assert abs(rows[0]["SMT-2T"]["total"] - 1.0) < 1e-9
     assert rows[0]["MMT-2T"]["total"] > 0
+
+
+# ------------------------------------------------------ rows from results
+def _energy_per_job(run) -> float:
+    energy = run.energy
+    return ((energy.cache + energy.mmt_overhead + energy.other)
+            / max(1, run.stats.committed_thread_insts))
+
+
+@pytest.mark.parametrize("variant", [{"seed": 1}, {"engine": "fast"}])
+def test_rows_read_the_campaign_they_are_given(tmp_path, monkeypatch,
+                                               variant):
+    """Rows computed after a reseeded or a fast-engine Fig 6 campaign read
+    that campaign's results and simulate nothing."""
+    jobs = [dataclasses.replace(job, **variant)
+            for job in figure_points("fig6", ["ammp"], 0.1)]
+    result = run_points(jobs, workers=2, cache=tmp_path)
+    assert result.validation_failures == []
+    runs = {job.label(): outcome.payload
+            for job, outcome in zip(jobs, result.outcomes)}
+    simulations = _count_simulations(monkeypatch)
+    (row, _) = FIGURES["fig6"].compute(results_of(result), ["ammp"], 0.1)
+    assert simulations == []
+    for bar, label in (("MMT-2T", "ammp/MMT-FXR/2t"),
+                       ("SMT-4T", "ammp/Base/4t"),
+                       ("MMT-4T", "ammp/MMT-FXR/4t")):
+        assert row[bar]["total"] == pytest.approx(
+            _energy_per_job(runs[label])
+            / _energy_per_job(runs["ammp/Base/2t"]))
+
+
+def test_rows_over_a_point_the_results_lack_raise(tmp_path, monkeypatch):
+    """A figure asked for an app its campaign did not run raises; it does
+    not simulate the missing points."""
+    result = run_points(figure_points("fig5a", ["ammp"], 0.05), workers=2,
+                        cache=tmp_path)
+    simulations = _count_simulations(monkeypatch)
+    with pytest.raises(KeyError, match="lu/Base/2t"):
+        FIGURES["fig5a"].compute(results_of(result), ["ammp", "lu"], 0.05)
+    with pytest.raises(KeyError, match="ammp/sharing"):
+        FIGURES["fig1"].compute(results_of(result), ["ammp"], 0.05)
+    assert simulations == []
+
+
+def test_results_holding_a_point_twice_are_refused():
+    """One point under two engines is two answers to one row: refused,
+    not picked between."""
+    job = CampaignJob("ammp", MMTConfig.mmt_fxr(), 2)
+    twice = {job: object(), dataclasses.replace(job, engine="fast"): object()}
+    with pytest.raises(ValueError, match="two engines or seeds"):
+        Results(twice, 1.0)
 
 
 def test_tables():

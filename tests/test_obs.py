@@ -69,9 +69,9 @@ def test_bounded_sink_drops_oldest_but_counts():
 
 
 def test_observer_attachment_is_timing_invisible():
-    experiment.clear_cache()
-    plain = experiment.run_app("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1,
-                               use_cache=False)
+    plain = experiment.simulate_job(
+        experiment.CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1), 0
+    )
     traced_run, _ = trace_run("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1)
     assert plain.stats.cycles == traced_run.stats.cycles
     assert plain.stats.committed_entries == traced_run.stats.committed_entries

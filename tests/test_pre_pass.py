@@ -31,10 +31,8 @@ JOBS = [
 
 @pytest.fixture(autouse=True)
 def _isolated():
-    experiment.clear_cache()
     experiment.clear_oracle_memo()
     yield
-    experiment.clear_cache()
     experiment.clear_oracle_memo()
 
 
@@ -226,7 +224,6 @@ def test_a_warm_campaign_builds_nothing_and_validates_every_hit(
     its first campaign stored."""
     first = run_points(JOBS, workers=2, cache=tmp_path)
     assert first.validation_failures == []
-    experiment.clear_cache()
     experiment.clear_oracle_memo()
     passes = _count_calls(monkeypatch, experiment, "lint_campaign_jobs")
     monkeypatch.setattr(experiment, "build_point", _refuse)
@@ -252,7 +249,6 @@ def test_a_deleted_stored_report_is_recomputed_and_stored_again(tmp_path,
     cache = ResultCache(tmp_path)
     report = cache.load(key)
     cache.path_for(key).unlink()
-    experiment.clear_cache()
     experiment.clear_oracle_memo()
     analyses = _count_calls(monkeypatch, redundancy, "analyze_build")
     again = run_points(JOBS[:1], workers=1, cache=tmp_path)
