@@ -1,10 +1,9 @@
 """Shared benchmark configuration.
 
-The benchmarks here go beyond the paper's figures: the ablations, the
-extensions and the fast-engine gate.  The paper's figures and tables,
-and its claims, come from ``python -m repro reproduce``.  Set
-``REPRO_BENCH_SCALE`` to shrink or grow the workloads (default 1.0 —
-the calibrated size).
+The one benchmark here is the fast-engine gate.  The paper's figures and
+tables, the ablations and extensions beyond them, and their claims, come
+from ``python -m repro reproduce``.  Set ``REPRO_BENCH_SCALE`` to shrink
+or grow the workloads (default 1.0 — the calibrated size).
 """
 
 import os

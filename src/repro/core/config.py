@@ -45,9 +45,9 @@ class MMTConfig:
     #: cycles (0 = off) while its members' in-flight instructions commit,
     #: so §4.2.7 register merging sees valid mappings and quiescent writers
     #: and can repair the registers the divergence episode marked unshared.
-    #: Measurement (benchmarks/bench_ablation.py) shows the serialization
-    #: usually costs more than the extra repairs recover, so the default is
-    #: off; the knob remains for the ablation study.
+    #: Measurement (``repro abl-drain``) shows the serialization usually
+    #: costs more than the extra repairs recover, so the default is off;
+    #: the knob remains for the ablation study.
     remerge_drain: int = 0
     #: Honour software HINT instructions as explicit remerge rendezvous
     #: points (the Thread Fusion [36] approach the paper's related-work

@@ -249,7 +249,7 @@ class CampaignResult:
     #: (0.0 for a bare :func:`run_campaign`).
     pass_wall_time: float = 0.0
     #: Path of the JSONL lifecycle run-log written for this campaign (see
-    #: :mod:`repro.obs.runlog`), or None when logging was disabled.
+    #: :mod:`repro.obs.runlog`), or None when it ran without a cache.
     runlog_path: str | None = None
     #: Post-hoc validation failures attached at aggregation time (the
     #: campaign layer is validation-agnostic; see
@@ -405,7 +405,6 @@ def run_campaign(
     progress=None,
     poll_interval: float = 0.02,
     failure_dump_dir: str | Path | None = None,
-    runlog: RunLog | str | Path | bool | None = None,
 ) -> CampaignResult:
     """Execute *jobs* through *runner* across worker processes.
 
@@ -431,11 +430,10 @@ def run_campaign(
       worker gets a per-job dump path under the directory, and a failed
       or hung job whose runner left a dump behind has its
       :attr:`JobOutcome.dump_path` set to it.
-    * ``runlog`` selects the JSONL lifecycle log: a :class:`RunLog` or a
-      path to append to, ``None`` (the default) to write one next to the
-      result cache (``<cache-root>/runlog/``) when caching is enabled, or
-      ``False`` to disable logging outright.  The written path lands in
-      :attr:`CampaignResult.runlog_path`.
+    * A campaign with a result cache writes a JSONL lifecycle log next
+      to it (``<cache-root>/runlog/``, see :mod:`repro.obs.runlog`); its
+      path lands in :attr:`CampaignResult.runlog_path`.  A campaign
+      without one logs nothing.
     """
     jobs = list(jobs)
     result = CampaignResult(outcomes=[None] * len(jobs))
@@ -449,15 +447,7 @@ def run_campaign(
     emit = progress if callable(progress) else (lambda line: None)
 
     log: RunLog | None = None
-    close_log = False
-    if isinstance(runlog, RunLog):
-        log = runlog
-    elif runlog is False:
-        log = None
-    elif runlog is not None:
-        log = RunLog(runlog)
-        close_log = True
-    elif cache is not None:
+    if cache is not None:
         # Second-resolution stamps collide for back-to-back campaigns in
         # one process (tests, scripted sweeps); the per-process sequence
         # number keeps every campaign in its own file.
@@ -467,8 +457,6 @@ def run_campaign(
             cache.root / "runlog"
             / f"campaign-{stamp}-{os.getpid()}-{seq}.jsonl"
         )
-        close_log = True
-    if log is not None:
         result.runlog_path = str(log.path)
         log.emit("campaign_begin", jobs=len(jobs))
 
@@ -678,8 +666,7 @@ def run_campaign(
             ),
             driver_max_rss_bytes=result.driver_max_rss_bytes,
         )
-        if close_log:
-            log.close()
+        log.close()
     return result
 
 

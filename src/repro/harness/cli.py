@@ -1,4 +1,5 @@
-"""Command-line interface: regenerate any paper table or figure.
+"""Command-line interface: regenerate any paper table or figure, or any
+ablation or extension sweep.
 
 Usage::
 
@@ -9,12 +10,13 @@ Usage::
     python -m repro fig5a --workers 8    # on eight worker processes
     python -m repro campaign --apps ammp mcf --configs Base MMT-FXR \
         --threads 2 4 --workers 8       # batch sweep with result caching
-    python -m repro reproduce           # every figure + the paper's claims
+    python -m repro abl-skew            # one ablation sweep (its own apps)
+    python -m repro reproduce           # every target + the paper's claims
     python -m repro trace --apps ammp --config MMT-FXR --interval 1000 \
         --chrome trace.json             # traced run + Perfetto export
 
-Each figure and table target is one entry of ``figures.FIGURES`` and
-prints that figure in the paper's layout.  The tool commands are the
+Each figure, table and sweep target is one entry of ``figures.FIGURES``
+and prints it in its layout (a sweep runs its own applications).  The tool commands are the
 entries of :data:`COMMANDS`.  Every simulation of a figure or a sweep
 runs through ``experiment.run_points``: a figure target runs its points
 as one campaign (``figures.run_figures``) and prints rows computed from
@@ -142,11 +144,6 @@ def _analyze(args) -> int:
         is_engine_workload,
         workload_names,
     )
-    from repro.workloads.message_passing import (
-        PATTERNS,
-        build_mp_workload,
-        valid_nctx,
-    )
     from repro.workloads.profiles import APP_ORDER
 
     apps = list(APP_ORDER) if args.all_workloads else (
@@ -167,14 +164,6 @@ def _analyze(args) -> int:
     try:
         targets = list(points(apps))  # (label, build)
         if args.all_workloads:
-            targets += [
-                (f"mp-{pattern}/{threads}t",
-                 build_mp_workload(threads, pattern=pattern))
-                for pattern in PATTERNS
-                for threads in args.threads
-                if valid_nctx(pattern, threads)
-            ]
-            # Registry workloads (the engine-generated families).
             targets += points(workload_names())
     except (KeyError, WorkloadRegistryError) as exc:
         print(f"error: {exc.args[0]}")
@@ -454,9 +443,9 @@ def _campaign(args) -> int:
 
 # ----------------------------------------------------------------- figures
 def _figures(args) -> int:
-    """Regenerate figures and tables: one with ``repro <target>``, every
-    one of ``figures.FIGURES`` with ``repro reproduce``, which then checks
-    the paper's claims on them.  ``figures.run_figures`` runs the
+    """Regenerate figures, tables and sweeps: one with ``repro <target>``,
+    every one of ``figures.FIGURES`` with ``repro reproduce``, which then
+    checks the paper's claims on them.  ``figures.run_figures`` runs the
     targets' points as one campaign, and Figures 1 and 2's sharing
     profiles as another, and computes the rows from their results; a
     failed point or an oracle violation exits 1 with no figure printed,
@@ -632,8 +621,8 @@ def _record(args) -> int:
 #: figures and tables are the targets of ``figures.FIGURES``.
 COMMANDS = {
     "campaign": (_campaign, "parallel batch sweep with result caching"),
-    "reproduce": (_figures, "every figure's points as one campaign, then "
-                  "every figure and the paper's claims"),
+    "reproduce": (_figures, "every target's points as one campaign, then "
+                  "every target and the paper's claims"),
     "trace": (_trace, "one observed run: events, interval metrics, Perfetto "
               "export"),
     "profile": (_profile, "host self-profile: wall-clock by rare-path region"),
@@ -669,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "target",
         choices=[*figures.FIGURES, "list", *COMMANDS],
-        help="the figure or table to regenerate, or the tool command to "
+        help="the figure, table or sweep to regenerate, or the tool command to "
         "run ('list' describes each)",
     )
     parser.add_argument(
@@ -773,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--all-workloads",
         action="store_true",
-        help="analyze every built-in app plus the message-passing patterns",
+        help="analyze every built-in app plus every registry workload",
     )
     analyze.add_argument(
         "--values",

@@ -78,9 +78,9 @@ class WorkloadRef:
     """The workload one run simulated, named rather than carried.
 
     *digest* (:meth:`~repro.isa.program.Program.digest`) and *nctx* key
-    the run's oracle report; ``(app, threads, scale, seed)`` rebuilds the
-    workload through :func:`build_point` when no report is memoised or
-    stored.
+    the run's oracle report; ``(app, threads, scale, seed, hints)``
+    rebuilds the workload through :func:`build_point` when no report is
+    memoised or stored.
     """
 
     name: str
@@ -90,6 +90,7 @@ class WorkloadRef:
     threads: int
     scale: float
     seed: int | None
+    hints: bool
 
 
 @dataclass
@@ -189,10 +190,10 @@ def _normalize_machine(
 
 
 #: The spool directory of the current :func:`build_handoff` scope, and the
-#: spooled build of each ``(app, threads, scale, seed)`` the pass made;
-#: ``None`` outside a scope.  Module state because simulation workers are
-#: forked and inherit it: the runner and the job (and so the cache key)
-#: stay as they are.
+#: spooled build of each ``(app, threads, scale, seed, hints)`` the pass
+#: made; ``None`` outside a scope.  Module state because simulation
+#: workers are forked and inherit it: the runner and the job (and so the
+#: cache key) stay as they are.
 _SPOOL: str | None = None
 _HANDOFF: dict[tuple, str] | None = None
 
@@ -225,23 +226,26 @@ def build_handoff():
 
 
 def build_point(
-    app: str, threads: int, scale: float = 1.0, seed: int | None = None
+    app: str, threads: int, scale: float = 1.0, seed: int | None = None,
+    hints: bool = False,
 ) -> WorkloadBuild:
     """Build the workload for one simulation point, whatever its origin.
 
     *app* is either a paper application profile (``fft``, ``ocean``, …)
     or a registry workload name — an engine-generated workload
-    (``dyn-bursty``, ``reqstream-uniform``), a recorded-trace reference
-    (``trace:PATH``), or anything registered via
-    :func:`repro.workloads.engine.register_workload`.  Every harness path
-    that turns a name into a program (simulation, lint gate, oracle,
-    figures) resolves through here, so registry workloads are first-class
-    campaign citizens.  Inside a campaign's :func:`build_handoff`, a point
+    (``dyn-bursty``, ``reqstream-uniform``, ``mp-ring``), a recorded-trace
+    reference (``trace:PATH``), or anything registered via
+    :func:`repro.workloads.engine.register_workload`.  *hints* builds a
+    paper application with its software remerge hints (the program a
+    ``use_hints`` configuration runs); a registry workload builds as it
+    is.  Every harness path that turns a name into a program (simulation,
+    lint gate, oracle, figures) resolves through here, so registry
+    workloads are first-class campaign citizens.  Inside a campaign's :func:`build_handoff`, a point
     its pre-dispatch pass built is loaded from the pass's spooled copy; a
     missing or unreadable copy means a fresh build.
     """
     if _HANDOFF:
-        path = _HANDOFF.get((app, threads, scale, seed))
+        path = _HANDOFF.get((app, threads, scale, seed, hints))
         if path is not None:
             try:
                 with open(path, "rb") as handle:
@@ -250,7 +254,8 @@ def build_point(
                 pass
     if is_engine_workload(app):
         return build_engine_workload(app, threads, scale=scale, seed=seed)
-    return build_workload(get_profile(app), threads, scale=scale, seed=seed)
+    return build_workload(get_profile(app), threads, scale=scale, seed=seed,
+                          hints=hints)
 
 
 def _simulate(
@@ -265,8 +270,7 @@ def _simulate(
     engine: str = "reference",
     seed: int | None = None,
 ) -> RunResult:
-    """Run one simulation point (no caching at this level), with the
-    core's strict operand and writeback checks armed.
+    """Run one simulation point (no caching at this level).
 
     With *failure_dump* set (and an observer carrying a flight recorder),
     any exception escaping the run — watchdog, invariant violation, even
@@ -275,9 +279,11 @@ def _simulate(
     given, is called with the constructed core before it runs (fault
     injection for tests and demos).
     """
-    build = build_point(app, threads, scale=scale, seed=seed)
+    build = build_point(app, threads, scale=scale, seed=seed,
+                        hints=config.use_hints)
     workload = WorkloadRef(build.program.name, build.program.digest(),
-                           build.nctx, app, threads, scale, seed)
+                           build.nctx, app, threads, scale, seed,
+                           config.use_hints)
     job = build.limit_job() if config.limit_identical else build.job()
     core_cls = resolve_engine(engine)
     core = core_cls(machine, config, job, obs=obs)
@@ -412,7 +418,8 @@ def profile_run(
     from repro.obs.prof import HostProfiler
 
     machine = _normalize_machine(machine, threads)
-    build = build_point(app, threads, scale=scale, seed=seed)
+    build = build_point(app, threads, scale=scale, seed=seed,
+                        hints=config.use_hints)
     job = build.limit_job() if config.limit_identical else build.job()
     core = resolve_engine(engine)(machine, config, job)
     prof = HostProfiler(record_slices=record_slices)
@@ -555,7 +562,7 @@ def oracle_for_run(run: RunResult, cache: ResultCache | None = None):
             report = None
     if report is None:
         build = build_point(ref.app, ref.threads, scale=ref.scale,
-                            seed=ref.seed)
+                            seed=ref.seed, hints=ref.hints)
         digest = build.program.digest()
         if digest != ref.digest:
             raise ValueError(
@@ -655,12 +662,13 @@ class WorkloadCheck:
     threads: int
     scale: float
     seed: int | None
+    hints: bool
     cache_root: str
     limits: tuple[bool, ...]
     spool: str | None
 
     def label(self) -> str:
-        return f"{self.app}/{self.threads}t"
+        return f"{self.app}/{self.threads}t" + ("/hints" if self.hints else "")
 
 
 @dataclass
@@ -685,7 +693,7 @@ def _check_workload(task: WorkloadCheck) -> WorkloadChecked:
     from repro.analysis.redundancy import OracleReport, analyze_build
 
     build = build_point(task.app, task.threads, scale=task.scale,
-                        seed=task.seed)
+                        seed=task.seed, hints=task.hints)
     digest = build.program.digest()
     build_path = None
     if task.spool is not None:
@@ -745,7 +753,8 @@ def lint_campaign_jobs(
     """The pre-dispatch pass: lint every distinct workload of *jobs* and
     compute its oracle reports.
 
-    Each distinct ``(app, threads, scale, seed)`` tuple becomes one
+    Each distinct ``(app, threads, scale, seed, hints)`` tuple, *hints*
+    being the job's ``config.use_hints``, becomes one
     :class:`WorkloadCheck` task on the worker pool (*workers* processes,
     *timeout* seconds per task, no result cache and no run-log).  A task
     builds the workload (registry workloads included, via
@@ -775,12 +784,13 @@ def lint_campaign_jobs(
     root = str(ResultCache(cache_dir).root)
     code_fingerprint()  # once here, not in every forked pass worker
     emit = progress if callable(progress) else (lambda line: None)
-    limits: dict[tuple[str, int, float, int | None], list[bool]] = {}
+    limits: dict[tuple[str, int, float, int | None, bool], list[bool]] = {}
     for job in jobs:
         if not isinstance(job, CampaignJob):
             continue
         flags = limits.setdefault(
-            (job.app, job.threads, job.scale, job.seed), []
+            (job.app, job.threads, job.scale, job.seed, job.config.use_hints),
+            [],
         )
         if job.config.limit_identical not in flags:
             flags.append(job.config.limit_identical)
@@ -790,7 +800,7 @@ def lint_campaign_jobs(
     ]
     result = run_campaign(
         tasks, check_workload, workers=workers, timeout=timeout,
-        use_cache=False, runlog=False,
+        use_cache=False,
     )
     # Workloads can share a program.  Their workers run at once, so any
     # of them may be the one that linted it and stored the verdict the
@@ -825,8 +835,8 @@ def lint_campaign_jobs(
         for limit, report in checked.reports.items():
             _ORACLE_MEMO[(checked.digest, checked.nctx, limit)] = report
         if _HANDOFF is not None and checked.build_path is not None:
-            _HANDOFF[(task.app, task.threads, task.scale,
-                      task.seed)] = checked.build_path
+            _HANDOFF[(task.app, task.threads, task.scale, task.seed,
+                      task.hints)] = checked.build_path
     return len(reported)
 
 

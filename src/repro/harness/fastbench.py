@@ -57,7 +57,7 @@ def _measure_point(app: str, config: MMTConfig, threads: int, scale: float):
     results = {}
     for engine in ("reference", "fast"):
         job = build.limit_job() if config.limit_identical else build.job()
-        core = resolve_engine(engine)(machine, config, job, strict=True)
+        core = resolve_engine(engine)(machine, config, job)
         start = time.perf_counter()
         stats = core.run()
         wall = time.perf_counter() - start
@@ -163,7 +163,7 @@ def run_sampling_overhead_bench(
     plain_walls, sampled_walls = [], []
     for _ in range(repeats):
         job = build.limit_job() if config.limit_identical else build.job()
-        plain = fast_cls(machine, config, job, strict=True)
+        plain = fast_cls(machine, config, job)
         start = time.perf_counter()
         plain_stats = plain.run()
         plain_walls.append(time.perf_counter() - start)
@@ -171,7 +171,7 @@ def run_sampling_overhead_bench(
         job = build.limit_job() if config.limit_identical else build.job()
         metrics = IntervalMetrics(interval=interval)
         sampled = fast_cls(
-            machine, config, job, strict=True,
+            machine, config, job,
             obs=SampledObserver(interval=metrics),
         )
         start = time.perf_counter()

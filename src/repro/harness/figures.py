@@ -1,8 +1,9 @@
-"""Regenerators for every table and figure of the paper's evaluation.
+"""Regenerators for every table and figure of the paper's evaluation, and
+for the ablations and extensions beyond it.
 
-:data:`FIGURES` declares every figure and table once, as one ``repro``
-target: its ``list`` line, its title, its simulated point set, its rows
-and its paper layout (rendered by ``repro.harness.report``).  A figure's
+:data:`FIGURES` declares every figure, table and sweep once, as one
+``repro`` target: its ``list`` line, its title, its simulated point set,
+its rows and its layout (rendered by ``repro.harness.report``).  A figure's
 rows are a function of the results its campaigns returned and nothing
 else: :func:`run_figures` runs a set of targets' points as one validated
 campaign (and Figures 1 and 2's sharing profiles as another) and
@@ -130,6 +131,13 @@ def _energy_series() -> list[Series]:
     ]
 
 
+def _over_base(variants) -> list[Series]:
+    """Each variant series after Base on the variant's machine and thread
+    count (Fig 7(b)/(d), the ablations, message passing)."""
+    return [series for variant in variants
+            for series in (variant._replace(config=MMTConfig.base()), variant)]
+
+
 def _fhb_series(sizes, threads: int, base: bool) -> list[Series]:
     """MMT-FXR at each FHB size, after Base when *base* (Fig 7(a)/(c))."""
     series = [Series("Base", MMTConfig.base(), threads)] if base else []
@@ -142,12 +150,11 @@ def _fhb_series(sizes, threads: int, base: bool) -> list[Series]:
 def _sweep_series(values, threads: int, vary) -> list[Series]:
     """Base then MMT-FXR on the machine ``vary(machine, value)`` for each
     swept *value* (Fig 7(b)/(d))."""
-    series = []
-    for value in values:
-        machine = vary(MachineConfig(num_threads=threads), value)
-        series += [Series(value, MMTConfig.base(), threads, machine),
-                   Series(value, MMTConfig.mmt_fxr(), threads, machine)]
-    return series
+    return _over_base(
+        Series(value, MMTConfig.mmt_fxr(), threads,
+               vary(MachineConfig(num_threads=threads), value))
+        for value in values
+    )
 
 
 def _port_series(ports, threads: int) -> list[Series]:
@@ -161,6 +168,45 @@ def _width_series(widths, threads: int) -> list[Series]:
 FHB_SIZES = (8, 16, 32, 64, 128)
 LDST_PORT_COUNTS = (2, 4, 6, 8, 12)
 FETCH_WIDTHS = (4, 8, 16, 32)
+
+
+def _fxr(**knobs) -> MMTConfig:
+    """MMT-FXR with *knobs* changed (an ablation variant)."""
+    return replace(MMTConfig.mmt_fxr(), **knobs)
+
+
+#: The ablations' applications and swept values (two threads).
+ABLATION_APPS = ("ammp", "equake", "vpr", "water-sp")
+REMERGE_DRAINS = (("off", 0), ("capped-12", 12), ("full", 10_000))
+TRACE_CACHE = (("trace-cache", True), ("plain-L1I", False))
+CATCHUP_BUDGETS = (8, 64, 512)
+MERGE_READ_PORTS = (1, 2, 4, 8)
+SKEW_APPS = ("ammp", "water-sp")
+SKEW_CYCLES = (0, 50, 150, 400)
+#: The extensions' applications: the registry's message-passing patterns
+#: at two and four ranks, and the flag-divergence apps software hints
+#: target.
+MP_APPS = ("mp-ring", "mp-pairs")
+MP_RANKS = (2, 4)
+HINT_APPS = ("vpr", "twolf", "vortex", "water-ns")
+
+
+def _skew_series() -> list[Series]:
+    """Base, then MMT-FXR with the second context's start delayed by each
+    skew; no skew is the default machine (§4.4)."""
+    return [Series("Base", MMTConfig.base(), 2)] + [
+        Series(delay, MMTConfig.mmt_fxr(), 2, MachineConfig(
+            num_threads=2, start_delays=(0, delay) if delay else ()))
+        for delay in SKEW_CYCLES
+    ]
+
+
+def _hints_series() -> list[Series]:
+    """Base and MMT-FXR on the plain program, and MMT-FXR+H, which runs
+    the hinted one (Thread Fusion)."""
+    return [Series(config.name, config, 2)
+            for config in (MMTConfig.base(), MMTConfig.mmt_fxr(),
+                           MMTConfig.mmt_fxr_hints())]
 
 
 # --------------------------------------------------- what the rows read
@@ -262,16 +308,79 @@ def _speedup_rows(results: Results, series, apps) -> list[dict]:
     return rows
 
 
+def _variant_rows(column: str, results: Results, series, apps) -> list[dict]:
+    """Speedup of each variant over its Base run, per application and as
+    the geomean, one row per variant; *series* alternates Base and the
+    variant (:func:`_over_base`; the ablations)."""
+    rows = []
+    for base, variant in zip(series[::2], series[1::2]):
+        speedups = {app: results.run(base, app).cycles
+                    / results.run(variant, app).cycles for app in apps}
+        rows.append({column: variant.key, **speedups,
+                     "geomean": geomean(speedups.values())})
+    return rows
+
+
 def _sweep_rows(column: str, results: Results, series, apps) -> list[dict]:
-    """Geomean speedup of MMT-FXR over Base per swept value; *series*
-    alternates Base and MMT-FXR (Fig 7(b)/(d))."""
+    """Geomean speedup of MMT-FXR over Base per swept value (Fig 7(b)/(d))."""
+    return [{column: row[column], "geomean_speedup": row["geomean"]}
+            for row in _variant_rows(column, results, series, apps)]
+
+
+def _exec_identical(result) -> float:
+    """Fraction of one run's instructions executed merged, register
+    merging included."""
+    identified = result.stats.identified_breakdown()
+    return (identified["exec_identical"]
+            + identified["exec_identical_regmerge"])
+
+
+def _skew_rows(results: Results, series, apps) -> list[dict]:
+    """Per skew, each application's MMT-FXR speedup over Base and merged
+    fraction (§4.4 gang scheduling)."""
+    base, *skewed = series
+    rows = []
+    for s in skewed:
+        row = {"skew_cycles": s.key}
+        for app in apps:
+            result = results.run(s, app)
+            row[f"{app} speedup"] = results.run(base, app).cycles / result.cycles
+            row[f"{app} exec-id"] = _exec_identical(result)
+        rows.append(row)
+    return rows
+
+
+def _message_passing_rows(results: Results, series, apps) -> list[dict]:
+    """MMT-FXR speedup over Base and merged fraction of each pattern at
+    each rank count (§7's message-passing class)."""
     return [
-        {column: fxr.key,
-         "geomean_speedup": geomean(
-             results.run(base, app).cycles / results.run(fxr, app).cycles
-             for app in apps)}
+        {"pattern": f"{app.removeprefix('mp-')}-{fxr.key}rank",
+         "speedup": results.run(base, app).cycles / results.run(fxr, app).cycles,
+         "exec_identical": _exec_identical(results.run(fxr, app))}
         for base, fxr in zip(series[::2], series[1::2])
+        for app in apps
     ]
+
+
+def _hints_rows(results: Results, series, apps) -> list[dict]:
+    """Speedup over Base and MERGE share of MMT-FXR on the plain program
+    and MMT-FXR+H on the hinted one, and the ratio of their energy per
+    job (hinted over plain)."""
+    base, plain, hinted = series
+    rows = []
+    for app in apps:
+        cycles = results.run(base, app).cycles
+        row = {"app": app}
+        per_job = {}
+        for s in (plain, hinted):
+            result = results.run(s, app)
+            row[f"{s.key} speedup"] = cycles / result.cycles
+            row[f"{s.key} merge"] = result.stats.mode_breakdown()["merge"]
+            per_job[s.key] = result.energy.total / max(
+                1, result.stats.committed_thread_insts)
+        row["energy ratio"] = per_job[hinted.key] / per_job[plain.key]
+        rows.append(row)
+    return rows
 
 
 def _modes(result) -> dict:
@@ -392,7 +501,8 @@ def _energy_layout(rows, title=None) -> str:
 
 
 class Figure(NamedTuple):
-    """One ``repro`` target: a figure or table of the paper's evaluation.
+    """One ``repro`` target: a figure or table of the paper's evaluation,
+    or an ablation or extension sweep beyond it.
 
     *description* is its ``repro list`` line and *title* heads its report.
     *series* returns its simulated point set, each :class:`Series` run
@@ -401,7 +511,9 @@ class Figure(NamedTuple):
     read through a :class:`Results`, and *layout* ``(rows, title=None)``
     renders them as the paper does.  *sharing* marks Figures 1 and 2,
     whose rows read functional-trace profiles (:class:`SharingPoint`)
-    instead.
+    instead.  *apps* are a sweep's own applications, which it runs
+    whatever applications the run names; the paper's figures have none
+    and run the run's.
     """
 
     description: str
@@ -410,15 +522,16 @@ class Figure(NamedTuple):
     layout: Callable[..., str]
     series: Callable[[], list[Series]] = list
     sharing: bool = False
+    apps: tuple[str, ...] = ()
 
     def compute(self, results: Mapping | None = None, apps=None,
                 scale: float = 1.0) -> list:
-        """The figure's data rows for *apps* (default: all sixteen) at
-        *scale*, read from *results*, the payloads of its campaigns by
-        job (:func:`results_of`).  A point they lack raises ``KeyError``;
-        tables read none."""
+        """The figure's data rows for its own applications, or else *apps*
+        (default: all sixteen), at *scale*, read from *results*, the
+        payloads of its campaigns by job (:func:`results_of`).  A point
+        they lack raises ``KeyError``; tables read none."""
         return self.rows(Results(results or {}, scale), self.series(),
-                         list(apps or default_apps()))
+                         list(self.apps or apps or default_apps()))
 
     def render(self, rows) -> str:
         """*rows* in the paper's layout, under the title."""
@@ -429,7 +542,19 @@ _SPEEDUP_LAYOUT = partial(
     format_table, columns=["app", "MMT-F", "MMT-FX", "MMT-FXR", "Limit"]
 )
 
-#: Every figure and table ``repro`` regenerates, in ``repro list`` order.
+
+def _ablation(description: str, title: str, column: str, variants) -> Figure:
+    """An ablation target: MMT-FXR variants over Base on the ablation
+    apps, one row per variant with a column per app and the geomean."""
+    return Figure(
+        description, title, partial(_variant_rows, column),
+        partial(format_table, columns=[column, *ABLATION_APPS, "geomean"]),
+        lambda: _over_base(variants()), apps=ABLATION_APPS,
+    )
+
+
+#: Every figure, table and sweep ``repro`` regenerates, in ``repro list``
+#: order.
 FIGURES: dict[str, Figure] = {
     "fig1": Figure(
         "instruction-sharing breakdown",
@@ -534,6 +659,63 @@ FIGURES: dict[str, Figure] = {
         lambda results, series, apps: table5_configurations(),
         format_pairs,
     ),
+    "abl-drain": _ablation(
+        "ablation: post-remerge drain (§4.2.7)",
+        "Ablation — post-remerge drain (MMT-FXR speedup over Base, 2 "
+        "threads)",
+        "drain",
+        lambda: [Series(label, _fxr(remerge_drain=drain), 2)
+                 for label, drain in REMERGE_DRAINS],
+    ),
+    "abl-trace-cache": _ablation(
+        "ablation: trace cache on and off",
+        "Ablation — trace cache (paper: negligible effect on the results)",
+        "fetch",
+        lambda: [Series(label, MMTConfig.mmt_fxr(), 2, MachineConfig(
+                     num_threads=2, trace_cache_enabled=enabled))
+                 for label, enabled in TRACE_CACHE],
+    ),
+    "abl-catchup": _ablation(
+        "ablation: CATCHUP branch budget",
+        "Ablation — CATCHUP branch budget",
+        "budget",
+        lambda: [Series(budget, _fxr(max_catchup_branches=budget), 2)
+                 for budget in CATCHUP_BUDGETS],
+    ),
+    "abl-read-ports": _ablation(
+        "ablation: register-merge read ports (§4.2.7)",
+        "Ablation — register-merge read ports (§4.2.7)",
+        "read_ports",
+        lambda: [Series(ports, _fxr(merge_read_ports=ports), 2)
+                 for ports in MERGE_READ_PORTS],
+    ),
+    "abl-skew": Figure(
+        "ablation: scheduling skew (§4.4 gang scheduling)",
+        "Ablation — scheduling skew (§4.4 gang scheduling)",
+        _skew_rows,
+        partial(format_table, columns=["skew_cycles"] + [
+            f"{app} {key}" for app in SKEW_APPS
+            for key in ("speedup", "exec-id")]),
+        _skew_series, apps=SKEW_APPS,
+    ),
+    "ext-mp": Figure(
+        "extension: message-passing workloads (§7)",
+        "Extension — message-passing workloads (paper §7 future work)",
+        _message_passing_rows,
+        partial(format_table, columns=["pattern", "speedup", "exec_identical"]),
+        lambda: _over_base(Series(ranks, MMTConfig.mmt_fxr(), ranks)
+                           for ranks in MP_RANKS),
+        apps=MP_APPS,
+    ),
+    "ext-hints": Figure(
+        "extension: Thread Fusion software hints",
+        "Extension — Thread Fusion software hints on MMT-FXR (2 threads)",
+        _hints_rows,
+        partial(format_table, columns=[
+            "app", "MMT-FXR speedup", "MMT-FXR+H speedup", "MMT-FXR merge",
+            "MMT-FXR+H merge", "energy ratio"]),
+        _hints_series, apps=HINT_APPS,
+    ),
 }
 
 
@@ -548,13 +730,17 @@ _TABLE4_VALUES = {
 
 def paper_claims(rows) -> list[tuple[str, str, bool]]:
     """The paper's shape claims, checked on *rows*: every :data:`FIGURES`
-    target mapped to its rows over the sixteen paper apps.
+    target mapped to its rows, a paper figure's over the sixteen paper
+    apps and a sweep's over its own.
 
     Returns one ``(figure, claim, holds)`` per claim; the claim's text
     carries the values it compared.  Two claims read another figure's
     rows: Fig 5(b) bounds what MMT identifies by Fig 1's profile, and Fig
-    5(c) compares its geomean with Fig 5(a)'s.  The thresholds are set
-    for scale 1.0, the calibrated size.
+    5(c) compares its geomean with Fig 5(a)'s.  The claims of the
+    ablations and extensions are the ones their design points rest on
+    (the shipped defaults, §4.4's gang scheduling, §7's message-passing
+    class, Thread Fusion's hints).  The thresholds are set for scale 1.0,
+    the calibrated size.
     """
     claims = []
 
@@ -703,6 +889,52 @@ def paper_claims(rows) -> list[tuple[str, str, bool]]:
     names = [name for name, _ in rows["table5"]]
     claim("table5", f"configurations {', '.join(names)}",
           names == ["Base", "MMT-F", "MMT-FX", "MMT-FXR", "Limit"])
+
+    drain = {row["drain"]: row["geomean"] for row in rows["abl-drain"]}
+    claim("abl-drain", f"geomean with the drain off {drain['off']:.3f} >= "
+          f"full {drain['full']:.3f} - 0.02 (the shipped default)",
+          drain["off"] >= drain["full"] - 0.02)
+
+    fetch = {row["fetch"]: row["geomean"] for row in rows["abl-trace-cache"]}
+    cached, plain = fetch["trace-cache"], fetch["plain-L1I"]
+    claim("abl-trace-cache", f"geomean with the trace cache {cached:.3f} "
+          f"within 0.20 of plain L1I {plain:.3f} (paper: negligible)",
+          abs(cached - plain) < 0.20)
+
+    budgets = [row["geomean"] for row in rows["abl-catchup"]]
+    claim("abl-catchup", f"geomean > 0.7 at every CATCHUP budget (min "
+          f"{min(budgets):.3f})", all(b > 0.7 for b in budgets))
+
+    read = {row["read_ports"]: row["geomean"]
+            for row in rows["abl-read-ports"]}
+    few, many = MERGE_READ_PORTS[0], MERGE_READ_PORTS[-1]
+    claim("abl-read-ports", f"geomean at {many} read ports {read[many]:.3f} "
+          f">= {few} port {read[few]:.3f} - 0.03",
+          read[many] >= read[few] - 0.03)
+
+    skew = {row["skew_cycles"]: row["ammp exec-id"] for row in rows["abl-skew"]}
+    aligned, skewed = skew[0], skew[SKEW_CYCLES[-1]]
+    claim("abl-skew", f"ammp execute-identical at 0 skew cycles {aligned:.3f} "
+          f"> 2 x at {SKEW_CYCLES[-1]} ({skewed:.3f})", aligned > 2 * skewed)
+
+    patterns = {row["pattern"]: row for row in rows["ext-mp"]}
+    merged = min(row["exec_identical"] for row in rows["ext-mp"])
+    ring2 = patterns["ring-2rank"]["speedup"]
+    ring4 = patterns["ring-4rank"]["speedup"]
+    claim("ext-mp", f"execute-identical > 0.15 on every pattern (min "
+          f"{merged:.3f})", merged > 0.15)
+    claim("ext-mp", f"ring-4rank speedup {ring4:.3f} >= ring-2rank "
+          f"{ring2:.3f} - 0.05", ring4 >= ring2 - 0.05)
+
+    hinted = {row["app"]: row for row in rows["ext-hints"]}
+    for app in ("vpr", "twolf"):
+        row = hinted[app]
+        claim("ext-hints", f"{app} MERGE share with hints "
+              f"{row['MMT-FXR+H merge']:.3f} > without {row['MMT-FXR merge']:.3f}",
+              row["MMT-FXR+H merge"] > row["MMT-FXR merge"])
+    ratio = hinted["vpr"]["energy ratio"]
+    claim("ext-hints", f"vpr energy per job with hints / without {ratio:.3f} "
+          "< 1.0", ratio < 1.0)
     return claims
 
 
@@ -711,7 +943,8 @@ def figure_points(
     fig_id: str, apps=None, scale: float = 1.0, engine: str = "reference"
 ) -> list[CampaignJob]:
     """Every simulation point *fig_id* needs, as campaign jobs on
-    *engine*: its :data:`FIGURES` entry's series, each over *apps*.
+    *engine*: its :data:`FIGURES` entry's series, each over the entry's
+    own applications or else *apps*.
 
     Speedup figures include the Base runs their numerators divide by.
     Returns [] for figures that do not run the cycle-level simulator
@@ -720,7 +953,7 @@ def figure_points(
     figure = FIGURES.get(fig_id)
     if figure is None:
         return []
-    apps = list(apps or default_apps())
+    apps = list(figure.apps or apps or default_apps())
     return [
         CampaignJob(app, s.config, s.threads, machine=s.machine, scale=scale,
                     engine=engine)
@@ -751,8 +984,8 @@ def run_figures(
     **options,
 ) -> FigureRun:
     """Run the campaigns of the :data:`FIGURES` *targets* over *apps*
-    (default: all sixteen), then compute each target's rows from their
-    results.
+    (default: all sixteen; a sweep runs its own), then compute each
+    target's rows from their results.
 
     The targets' de-duplicated points run on *engine* as one
     :func:`~repro.harness.experiment.run_points` campaign (lint, result

@@ -55,7 +55,7 @@ from repro.obs.recorder import (
     load_dump,
     write_dump,
 )
-from repro.obs.sink import MemorySink, TeeSink
+from repro.obs.sink import MemorySink
 
 __all__ = [
     "DEFAULT_WATCHDOG_CYCLES",
@@ -69,7 +69,6 @@ __all__ = [
     "Observer",
     "RunLog",
     "SampledObserver",
-    "TeeSink",
     "TraceEvent",
     "WatchdogError",
     "campaign_observer",

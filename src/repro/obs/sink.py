@@ -1,11 +1,9 @@
 """Trace sinks: where emitted events go.
 
 A sink is anything with an ``emit(event)`` method.  The repository ships
-two: :class:`MemorySink` (an unbounded or capped in-memory list, the
-default for interactive tracing and tests) and :class:`TeeSink` (fan-out
-to several sinks).  The *absence* of a sink is the no-op case — the
-observer skips event construction entirely — so there is no NullSink
-object on the hot path.
+one: :class:`MemorySink`, an unbounded or capped in-memory list.  The
+*absence* of a sink is the no-op case — the observer skips event
+construction entirely — so there is no NullSink object on the hot path.
 """
 
 from __future__ import annotations
@@ -52,13 +50,3 @@ class MemorySink:
             tally[key] = tally.get(key, 0) + 1
         return tally
 
-
-class TeeSink:
-    """Forward every event to several downstream sinks."""
-
-    def __init__(self, *sinks) -> None:
-        self.sinks = list(sinks)
-
-    def emit(self, event: TraceEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)

@@ -46,6 +46,10 @@ class MachineConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     # Safety net for runaway simulations (deadlock would otherwise hang).
     max_cycles: int = 5_000_000
+    # Cycles each context waits before its first fetch, one per context
+    # (empty: every context starts at once).  Models scheduling skew:
+    # what §4.4's gang-scheduling assumption is worth.
+    start_delays: tuple[int, ...] = ()
 
     def with_threads(self, n: int) -> "MachineConfig":
         """Copy with a different hardware thread count."""

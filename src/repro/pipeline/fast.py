@@ -68,21 +68,11 @@ class FastSMTCore(SMTCore):
         machine: MachineConfig,
         mmt: MMTConfig,
         job: Job,
-        strict: bool = True,
         warm_caches: bool = True,
-        start_delays: list[int] | None = None,
         obs: Observer | None = None,
         trace: list | None = None,
     ) -> None:
-        super().__init__(
-            machine,
-            mmt,
-            job,
-            strict=strict,
-            warm_caches=warm_caches,
-            start_delays=start_delays,
-            obs=obs,
-        )
+        super().__init__(machine, mmt, job, warm_caches=warm_caches, obs=obs)
         #: Optional per-cycle trace sink: the fast loop appends
         #: ``("F", cycle, tid, pc, gid, mask, mode, count)`` and
         #: ``("C", cycle, tid, pc, seq, itid, threads)`` tuples, mirroring
@@ -120,7 +110,6 @@ class FastSMTCore(SMTCore):
         cfg = self.config
         mmt = self.mmt
         stats = self.stats
-        strict = self.strict
         nthreads = self.num_threads
         is_mt = self.job.wtype is WorkloadType.MULTI_THREADED
 
@@ -526,7 +515,7 @@ class FastSMTCore(SMTCore):
                             else:
                                 owners = tof[di.itid]
                                 r0 = di.execs[owners[0]].result
-                                if strict and len(owners) >= 2:
+                                if len(owners) >= 2:
                                     r0_float = isinstance(r0, float)
                                     for u in owners[1:]:
                                         ru = di.execs[u].result
@@ -684,7 +673,7 @@ class FastSMTCore(SMTCore):
                             alu_slots -= 1
                         psrcs = di.psrcs
                         nsrc = len(psrcs)
-                        if strict and nsrc == 1:
+                        if nsrc == 1:
                             # _verify_sources(di) for the one-source case,
                             # without the values list / zip scaffolding.
                             got = reg_value[psrcs[0]]
@@ -701,7 +690,7 @@ class FastSMTCore(SMTCore):
                                         f"t{u} {di!r}: operand {got!r} "
                                         f"!= oracle {want!r}"
                                     )
-                        elif strict and nsrc:
+                        elif nsrc:
                             # _verify_sources(di), inlined.  Values flow as
                             # the same objects from the oracle records into
                             # the register file, so the identity + equality
@@ -1313,8 +1302,7 @@ class FastSMTCore(SMTCore):
         stats.lvip_site_mispredicts = dict(self.lvip.site_mispredicts)
         if shared_fetch:
             stats.final_rst_sharing = rst.sharing_fraction(nthreads)
-        if strict:
-            self._final_checks()
+        self._final_checks()
         return stats
 
 

@@ -57,7 +57,6 @@ class IssueStageMixin:
         fpu_slots = cfg.num_fpu
         ready = self.regfile.ready
         value = self.regfile.value
-        strict = self.strict
         now = self.cycle
         agen_events = self._agen_events
         complete_events = self._complete_events
@@ -91,7 +90,7 @@ class IssueStageMixin:
                         continue
                     alu_slots -= 1
                 iq.remove(di)
-                if strict and psrcs:
+                if psrcs:
                     # Operand verification: every owning thread's oracle
                     # operands.  Values flow as the same objects from the
                     # oracle records into the register file, so the
@@ -176,7 +175,6 @@ class IssueStageMixin:
             return
         value = self.regfile.value
         ready = self.regfile.ready
-        strict = self.strict
         executed = writes = 0
         try:
             for di in done:
@@ -206,7 +204,7 @@ class IssueStageMixin:
                     else:
                         owners = THREADS_OF[di.itid]
                         result = execs[owners[0]].result
-                        if strict and len(owners) >= 2:
+                        if len(owners) >= 2:
                             for tid in owners[1:]:
                                 other = execs[tid].result
                                 if other is result and other == result:

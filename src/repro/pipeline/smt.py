@@ -10,11 +10,10 @@
 
 The machine is *value-accurate*: physical registers hold real values and a
 per-thread functional oracle provides the correct-path stream (stepped at
-fetch, or run ahead in batches for contexts that cannot interact).  With
-``strict=True`` (the default) every issue and writeback is checked against
-the oracle, so an incorrect merge anywhere in the MMT machinery raises
-:class:`SimulationInvariantError` instead of silently producing wrong
-timing.
+fetch, or run ahead in batches for contexts that cannot interact).  Every
+issue and writeback is checked against the oracle, so an incorrect merge
+anywhere in the MMT machinery raises :class:`SimulationInvariantError`
+instead of silently producing wrong timing.
 """
 
 from __future__ import annotations
@@ -82,9 +81,7 @@ class SMTCore(
         machine: MachineConfig,
         mmt: MMTConfig,
         job: Job,
-        strict: bool = True,
         warm_caches: bool = True,
-        start_delays: list[int] | None = None,
         obs: Observer | None = None,
     ) -> None:
         if job.num_contexts > machine.num_threads:
@@ -97,7 +94,6 @@ class SMTCore(
         self.config = machine
         self.mmt = mmt
         self.job = job
-        self.strict = strict
         self.num_threads = job.num_contexts
 
         # Substrates.
@@ -168,11 +164,12 @@ class SMTCore(
         self.decode_buffer: list[DynInst] = []
         self.thread_queues = [deque() for _ in range(self.num_threads)]
 
-        # Per-thread fetch state.  Optional start delays model scheduling
-        # skew (§4.4: the OS should gang-schedule MMT threads; this knob
-        # measures what imperfect gang scheduling costs).
+        # Per-thread fetch state.  The machine's start delays model
+        # scheduling skew (§4.4: the OS should gang-schedule MMT threads;
+        # this knob measures what imperfect gang scheduling costs).
         self.replay = [deque() for _ in range(self.num_threads)]
-        if start_delays is not None and len(start_delays) != self.num_threads:
+        start_delays = machine.start_delays
+        if start_delays and len(start_delays) != self.num_threads:
             raise ValueError("one start delay per context required")
         self.fetch_stall_until = list(start_delays or [0] * self.num_threads)
         self.stalled_on_branch: list[DynInst | None] = [None] * self.num_threads
@@ -340,8 +337,7 @@ class SMTCore(
             self.stats.final_rst_sharing = self.rst.sharing_fraction(
                 self.num_threads
             )
-        if self.strict:
-            self._final_checks()
+        self._final_checks()
         return self.stats
 
     def _final_checks(self) -> None:

@@ -10,7 +10,7 @@ that stream down to a guest :class:`~repro.isa.program.Program` — so the
 assembler, the static linter and the value oracle apply unchanged, and the
 whole pipeline (not a special replay mode) is what gets stressed.
 
-Three engine families live behind one registry:
+Four workload families live behind one registry:
 
 * :class:`DynamicWorkload` — phase-changing mixes (bursty divergence,
   gradual thread decoherence, lockstep→independent transitions) realised
@@ -19,6 +19,9 @@ Three engine families live behind one registry:
   message-passing SEND/TRECV channels: rank 0 dispatches typed requests
   from the other ranks and replies, the paper's "message passing"
   category under actual load;
+* :class:`MessagePassingWorkload` — the ring and pairs exchange patterns
+  of :mod:`repro.workloads.message_passing` (``mp-ring``, ``mp-pairs``),
+  the paper's deferred message-passing class (§7);
 * :class:`~repro.workloads.record.TraceReplayWorkload` — replays
   per-thread commit streams recorded from real runs (``repro record``);
   resolved lazily through ``trace:<path>`` registry names so campaign
@@ -47,6 +50,7 @@ from repro.workloads.generator import (
     WorkloadBuild,
     _emit_program,
 )
+from repro.workloads.message_passing import build_mp_workload, valid_nctx
 from repro.workloads.profiles import AppProfile
 
 
@@ -579,6 +583,31 @@ class RequestStreamWorkload(Workload):
         b.halt()
 
 
+# ---------------------------------------------------------- message passing
+class MessagePassingWorkload(Workload):
+    """One exchange pattern of :func:`build_mp_workload`, ``mp-<pattern>``.
+
+    Its exchange count follows the scale, ``max(8, int(48 * scale))``.
+    Without a seed the program is the pattern's own (seeded by its
+    name); a seed reseeds the shared data and the compute block.
+    """
+
+    wtype = WorkloadType.MESSAGE_PASSING
+
+    def __init__(self, pattern: str) -> None:
+        self.name = f"mp-{pattern}"
+        self.pattern = pattern
+
+    def valid_nctx(self, nctx: int) -> bool:
+        return valid_nctx(self.pattern, nctx)
+
+    def build(
+        self, nctx: int, scale: float = 1.0, seed: int | None = None
+    ) -> WorkloadBuild:
+        return build_mp_workload(nctx, self.pattern,
+                                 iterations=max(8, int(48 * scale)), seed=seed)
+
+
 # ------------------------------------------------------------ registrations
 def _dynamic_profile(name: str, **overrides) -> AppProfile:
     """Synthetic multi-threaded profile driving the generator body."""
@@ -609,6 +638,8 @@ BUILTIN_WORKLOADS: tuple[Workload, ...] = (
     ),
     RequestStreamWorkload("reqstream-uniform", pattern="uniform"),
     RequestStreamWorkload("reqstream-skewed", pattern="skewed", handlers=8),
+    MessagePassingWorkload("ring"),
+    MessagePassingWorkload("pairs"),
 )
 
 for _workload in BUILTIN_WORKLOADS:

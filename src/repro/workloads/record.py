@@ -169,7 +169,8 @@ def record_trace(
     """Run *app* on the reference core and record per-thread commits.
 
     *app* is a paper application or a registry workload, built as every
-    harness path builds it (``repro.harness.experiment.build_point``).
+    harness path builds it (``repro.harness.experiment.build_point``,
+    with its hints under a ``use_hints`` *config*).
     The recording engine is pinned to the reference :class:`SMTCore` —
     the proven oracle — so replay fixtures never inherit a fast-engine
     bug.  *max_tokens* bounds each context's token stream (the replay
@@ -179,13 +180,13 @@ def record_trace(
 
     if window < 1:
         raise ValueError("window must be at least 1 PC")
-    build = build_point(app, threads, scale=scale, seed=seed)
+    build = build_point(app, threads, scale=scale, seed=seed,
+                        hints=config.use_hints)
     obs = Observer(sink=MemorySink())
     core = SMTCore(
         MachineConfig(num_threads=max(2, threads)),
         config,
         build.job(),
-        strict=True,
         obs=obs,
     )
     core.run()

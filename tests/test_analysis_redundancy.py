@@ -148,7 +148,7 @@ def test_oracle_bounds_dominate_dynamic_run(app):
     report = analyze_build(build)
     job = build.job()
     core = SMTCore(
-        MachineConfig(num_threads=threads), MMTConfig.mmt_fxr(), job, strict=True
+        MachineConfig(num_threads=threads), MMTConfig.mmt_fxr(), job
     )
     stats = core.run()
     measured_merge = stats.mode_breakdown()["merge"]
@@ -163,7 +163,7 @@ def test_validate_against_flags_violations():
     report = analyze_build(build)
     job = build.job()
     core = SMTCore(
-        MachineConfig(num_threads=2), MMTConfig.mmt_fxr(), job, strict=True
+        MachineConfig(num_threads=2), MMTConfig.mmt_fxr(), job
     )
     stats = core.run()
     # Force impossible bounds: the validation hook must complain.

@@ -54,18 +54,14 @@ def test_message_passing_workload_lints_clean(pattern, nctx):
 
 @pytest.mark.parametrize("name,limit", [
     pytest.param(name, limit, id=name + ("-limit" if limit else ""))
-    for name in (*APP_ORDER, *workload_names(),
-                 *(f"mp-{pattern}" for pattern in PATTERNS))
+    for name in (*APP_ORDER, *workload_names())
     for limit in (False, True)
 ])
 def test_oracle_bounds_are_sane(name, limit):
     """Every build family, plain and under the Limit study."""
     from repro.harness.experiment import build_point
 
-    if name.startswith("mp-"):
-        build = build_mp_workload(4, pattern=name[len("mp-"):])
-    else:
-        build = build_point(name, 4)
+    build = build_point(name, 4)
     report = analyze_build(build, limit=limit)
     assert 0.0 <= report.merge_upper_bound <= 1.0
     assert 0.0 <= report.rst_upper_bound <= 1.0

@@ -611,7 +611,7 @@ def test_default_workers_fall_back_to_cpu_count(monkeypatch):
 
 
 # ------------------------------------------------- pre-dispatch pass
-def _lint_failing_build(app, threads, scale=1.0, seed=None):
+def _lint_failing_build(app, threads, scale=1.0, seed=None, hints=False):
     """A build whose program reads two registers nothing defines."""
     from types import SimpleNamespace
 
@@ -670,7 +670,7 @@ def test_unpicklable_build_error_keeps_its_type(tmp_path, monkeypatch):
     from repro.harness import experiment
     from repro.isa.assembler import AssemblyError
 
-    def bad_build(app, threads, scale=1.0, seed=None):
+    def bad_build(app, threads, scale=1.0, seed=None, hints=False):
         raise AssemblyError(7, "Lmissing", "undefined label 'Lmissing'")
 
     monkeypatch.setattr(experiment, "build_point", bad_build)
@@ -683,7 +683,7 @@ def test_unpicklable_build_error_keeps_its_type(tmp_path, monkeypatch):
 def test_dead_pre_pass_worker_fails_the_gate(tmp_path, monkeypatch):
     from repro.harness import experiment
 
-    def dying_build(app, threads, scale=1.0, seed=None):
+    def dying_build(app, threads, scale=1.0, seed=None, hints=False):
         os._exit(5)
 
     monkeypatch.setattr(experiment, "build_point", dying_build)
@@ -743,7 +743,7 @@ def test_simulation_payload_references_its_workload():
     build = experiment.build_point("canneal", 2, scale=0.1)
     assert run.workload == experiment.WorkloadRef(
         build.program.name, build.program.digest(), build.nctx,
-        "canneal", 2, 0.1, None,
+        "canneal", 2, 0.1, None, False,
     )
 
 
@@ -781,10 +781,10 @@ def test_run_points_keeps_no_build_after_return_or_raise(tmp_path,
 
     generate = experiment.build_workload
 
-    def lu_fails_lint(profile, threads, scale=1.0, seed=None):
+    def lu_fails_lint(profile, threads, scale=1.0, seed=None, hints=False):
         if profile.name == "lu":
             return _lint_failing_build(profile.name, threads)
-        return generate(profile, threads, scale=scale, seed=seed)
+        return generate(profile, threads, scale=scale, seed=seed, hints=hints)
 
     # The pass hands over ammp's build before lu's diagnostics abort it.
     monkeypatch.setattr(experiment, "build_workload", lu_fails_lint)

@@ -409,6 +409,17 @@ def test_analyze_accepts_registry_and_trace_workloads(capsys, tmp_path):
     assert "all workloads lint clean" in out
 
 
+def test_campaign_runs_the_message_passing_workloads(capsys, tmp_path):
+    """mp-ring and mp-pairs are registry workloads: a campaign runs them
+    at two and four ranks, and every result passes its oracle."""
+    assert main(["campaign", "--apps", "mp-ring", "mp-pairs", "--configs",
+                 "Base", "MMT-FXR", "--threads", "2", "4", "--scale", "0.1",
+                 "--workers", "2", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "Campaign — 8 jobs" in out
+    assert "VIOLATION" not in out and "Oracle violations" not in out
+
+
 def test_analyze_all_workloads_includes_registry(capsys):
     assert main(["analyze", "--all-workloads", "--threads", "2",
                  "--scale", "0.1"]) == 0
@@ -471,7 +482,9 @@ def test_reproduce_prints_every_figure_from_one_campaign(capsys, tmp_path,
                           for point in figures.figure_points(target, apps,
                                                              scale))
     assert [list(points) for points, in campaigns] == [list(union)]
-    assert len(union) == 56
+    # 56 paper points over the two apps, and the sweeps' 68 over their
+    # own apps, of which ammp's 2T Base and MMT-FXR are fig5a's.
+    assert len(union) == 56 + 68 - 2
     assert simulations == []
     assert all(out.count(figure.title) == 1 for figure in FIGURES.values())
     assert "paper claims not checked" in out

@@ -68,8 +68,9 @@ def run_pipeline(build, config, nctx, core_cls=SMTCore, obs=None, trace=None):
 
     The shared executor of this suite, the oracle-soundness suite
     (``test_lvip_soundness``) and the fast-engine differential suite
-    (``test_fastpath_differential``): strict mode, so any MMT merging
-    error raises instead of corrupting the comparison.  *core_cls*
+    (``test_fastpath_differential``).  The core checks every issue and
+    writeback against the oracle, so any MMT merging error raises instead
+    of corrupting the comparison.  *core_cls*
     selects the engine (default: the reference core); *obs* attaches an
     observer; *trace* is the fast engine's per-cycle trace sink.
     """
@@ -80,7 +81,7 @@ def run_pipeline(build, config, nctx, core_cls=SMTCore, obs=None, trace=None):
         kwargs["obs"] = obs
     if trace is not None:
         kwargs["trace"] = trace
-    core = core_cls(machine, config, job, strict=True, **kwargs)
+    core = core_cls(machine, config, job, **kwargs)
     core.run()
     assert all(state.halted for state in core.states)
     return core, job
@@ -121,8 +122,7 @@ def test_limit_configuration_matches_functional_clones():
     ref_mems = [space.snapshot() for space in ref_job.address_spaces]
 
     job = build.limit_job()
-    core = SMTCore(MachineConfig(num_threads=4), MMTConfig.limit(), job,
-                   strict=True)
+    core = SMTCore(MachineConfig(num_threads=4), MMTConfig.limit(), job)
     core.run()
     got_mems = [space.snapshot() for space in job.address_spaces]
     assert got_mems == ref_mems

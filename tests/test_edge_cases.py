@@ -210,8 +210,7 @@ def test_four_identical_me_instances_merge_nearly_everything():
 
     build = build_workload(get_profile("mcf"), 4, scale=0.2)
     job = build.limit_job()
-    core = SMTCore(MachineConfig(num_threads=4), MMTConfig.limit(), job,
-                   strict=True)
+    core = SMTCore(MachineConfig(num_threads=4), MMTConfig.limit(), job)
     stats = core.run()
     breakdown = stats.identified_breakdown()
     assert breakdown["exec_identical"] > 0.9

@@ -135,7 +135,7 @@ def test_fast_engine_without_specialization_cycle_exact():
     for label, config in ENGINE_CONFIGS:
         ref, _ = run_pipeline(build, config, 2)
         job = build.limit_job() if config.limit_identical else build.job()
-        core = FastSMTCore(MachineConfig(num_threads=2), config, job, strict=True)
+        core = FastSMTCore(MachineConfig(num_threads=2), config, job)
         stats = core.run()
         assert stats.__dict__ == ref.stats.__dict__, f"{label}: diverged"
         assert core.ran_fast_loop

@@ -15,7 +15,6 @@ def run_mt(src, threads=2, config=None, machine=None):
         machine or MachineConfig(num_threads=threads),
         config or MMTConfig.mmt_fxr(),
         job,
-        strict=True,
     )
     stats = core.run()
     return stats, core, job, prog

@@ -13,11 +13,9 @@ def run(delays, config=None, app="ammp", scale=0.4):
     build = build_workload(get_profile(app), 2, scale=scale)
     job = build.job()
     core = SMTCore(
-        MachineConfig(num_threads=2),
+        MachineConfig(num_threads=2, start_delays=tuple(delays or ())),
         config or MMTConfig.mmt_fxr(),
         job,
-        strict=True,
-        start_delays=delays,
     )
     stats = core.run()
     return stats, build.output_region(job), core
@@ -61,23 +59,37 @@ def test_delay_length_validation():
     build = build_workload(get_profile("ammp"), 2, scale=0.2)
     with pytest.raises(ValueError):
         SMTCore(
-            MachineConfig(num_threads=2),
+            MachineConfig(num_threads=2, start_delays=(0,)),
             MMTConfig.base(),
             build.job(),
-            start_delays=[0],
         )
 
 
 def test_delayed_thread_fetches_nothing_until_release():
     build = build_workload(get_profile("lu"), 2, scale=0.2)
     core = SMTCore(
-        MachineConfig(num_threads=2),
+        MachineConfig(num_threads=2, start_delays=(0, 40)),
         MMTConfig.mmt_fxr(),
         build.job(),
-        start_delays=[0, 40],
     )
     for _ in range(39):
         core.step()
     assert core.icount[1] == 0
     assert core.icount[0] > 0
     core.run()
+
+
+def test_a_skew_campaign_point_equals_the_core_run(tmp_path):
+    """The machine carries the start delays, so a skewed point is campaign
+    job data: run through run_points it equals the direct core run."""
+    from repro.harness import CampaignJob, run_points
+
+    machine = MachineConfig(num_threads=2, start_delays=(0, 150))
+    job = CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, machine=machine,
+                      scale=0.4)
+    result = run_points([job], workers=1, cache=tmp_path)
+    (outcome,) = result.outcomes
+    assert outcome.ok and result.validation_failures == []
+    stats, outputs, _ = run([0, 150])
+    assert vars(outcome.payload.stats) == vars(stats)
+    assert outcome.payload.outputs == outputs

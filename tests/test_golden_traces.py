@@ -68,7 +68,7 @@ def reference_trace_text(app: str, nctx: int, seed: int, config_name: str) -> st
     build = _build(app, nctx, seed)
     core = SMTCore(
         MachineConfig(num_threads=max(2, nctx)), CONFIGS[config_name](),
-        build.job(), strict=True, obs=obs,
+        build.job(), obs=obs,
     )
     core.run()
     return format_records(reference_trace(obs.sink.events))
@@ -79,7 +79,7 @@ def fast_trace_text(app: str, nctx: int, seed: int, config_name: str) -> str:
     build = _build(app, nctx, seed)
     core = FastSMTCore(
         MachineConfig(num_threads=max(2, nctx)), CONFIGS[config_name](),
-        build.job(), strict=True, trace=trace,
+        build.job(), trace=trace,
     )
     core.run()
     return format_records(trace)

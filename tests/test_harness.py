@@ -14,10 +14,15 @@ from repro.harness.experiment import (
     run_points,
 )
 from repro.harness.figures import (
+    CATCHUP_BUDGETS,
     FETCH_WIDTHS,
     FHB_SIZES,
     FIGURES,
+    HINT_APPS,
     LDST_PORT_COUNTS,
+    MERGE_READ_PORTS,
+    MP_RANKS,
+    SKEW_CYCLES,
     Results,
     figure_points,
     paper_claims,
@@ -202,6 +207,23 @@ def _paper_shaped_rows() -> dict:
                      for app in apps for size in FHB_SIZES]
     rows["fig7d"] = [{"fetch_width": width, "geomean_speedup": 1.2}
                      for width in FETCH_WIDTHS]
+    rows["abl-drain"] = [{"drain": drain, "geomean": geo} for drain, geo in
+                         (("off", 1.1), ("capped-12", 1.08), ("full", 1.05))]
+    rows["abl-trace-cache"] = [{"fetch": "trace-cache", "geomean": 1.1},
+                               {"fetch": "plain-L1I", "geomean": 1.09}]
+    rows["abl-catchup"] = [{"budget": budget, "geomean": 1.1}
+                           for budget in CATCHUP_BUDGETS]
+    rows["abl-read-ports"] = [{"read_ports": ports, "geomean": 1.1}
+                              for ports in MERGE_READ_PORTS]
+    rows["abl-skew"] = [{"skew_cycles": skew,
+                         "ammp exec-id": 0.6 if skew == 0 else 0.03}
+                        for skew in SKEW_CYCLES]
+    rows["ext-mp"] = [{"pattern": f"{pattern}-{ranks}rank", "speedup": ranks,
+                       "exec_identical": 0.9}
+                      for ranks in MP_RANKS for pattern in ("ring", "pairs")]
+    rows["ext-hints"] = [{"app": app, "MMT-FXR merge": 0.5,
+                          "MMT-FXR+H merge": 0.8, "energy ratio": 0.9}
+                         for app in HINT_APPS]
     return rows
 
 
@@ -213,7 +235,11 @@ def test_paper_claims_hold_on_paper_shaped_rows():
     assert counts == {"fig1": 3, "fig2": 2, "fig5a": 5, "fig5b": 2,
                       "fig5c": 3, "fig5d": 2, "fig6": 4, "fig7a": 2,
                       "fig7b": 3, "fig7c": 2, "fig7d": 3, "table3": 1,
-                      "table4": 1, "table5": 1}
+                      "table4": 1, "table5": 1, "abl-drain": 1,
+                      "abl-trace-cache": 1, "abl-catchup": 1,
+                      "abl-read-ports": 1, "abl-skew": 1, "ext-mp": 2,
+                      "ext-hints": 3}
+    assert len(claims) == 44
     assert [claim for claim in claims if not claim[2]] == []
 
 
@@ -227,6 +253,16 @@ def test_a_flipped_paper_ordering_fails_its_claim():
     failed = [claim for claim in paper_claims(rows) if not claim[2]]
     assert failed == [("fig5a", "MMT-FXR mean of ammp, mcf, water-sp 1.000 "
                        "> twolf, vortex, vpr 1.050", False)]
+
+
+def test_a_flipped_ablation_ordering_fails_its_claim():
+    """The full remerge drain beating the shipped default (off) fails
+    that claim alone, and its text shows the values compared."""
+    rows = _paper_shaped_rows()
+    rows["abl-drain"][-1]["geomean"] = 1.2
+    failed = [claim for claim in paper_claims(rows) if not claim[2]]
+    assert failed == [("abl-drain", "geomean with the drain off 1.100 >= "
+                       "full 1.200 - 0.02 (the shipped default)", False)]
 
 
 # -------------------------------------------------------------------- report

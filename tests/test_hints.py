@@ -36,7 +36,7 @@ def test_generator_emits_hints_only_when_asked():
 def run(app, config, hints, scale=0.4):
     build = build_workload(get_profile(app), 2, scale=scale, hints=hints)
     job = build.job()
-    core = SMTCore(MachineConfig(num_threads=2), config, job, strict=True)
+    core = SMTCore(MachineConfig(num_threads=2), config, job)
     stats = core.run()
     return stats, build.output_region(job), core
 
@@ -80,3 +80,22 @@ def test_hints_reduce_icache_traffic_on_flag_divergence_apps():
         hint_core.hierarchy.l1i.stats.accesses
         < plain_core.hierarchy.l1i.stats.accesses
     )
+
+
+def test_a_hints_campaign_point_simulates_the_hinted_build(tmp_path):
+    """A use_hints configuration runs the app's hinted program: its
+    campaign point is not the MMT-FXR point under another label, and it
+    equals a core run on the hinted build."""
+    from repro.harness import CampaignJob, run_points
+
+    jobs = [CampaignJob("vpr", config, 2, scale=0.4)
+            for config in (MMTConfig.mmt_fxr(), MMTConfig.mmt_fxr_hints())]
+    result = run_points(jobs, workers=2, cache=tmp_path)
+    assert all(o.ok for o in result.outcomes)
+    assert result.validation_failures == []
+    plain, hinted = (outcome.payload for outcome in result.outcomes)
+    stats, outputs, _ = run("vpr", MMTConfig.mmt_fxr_hints(), hints=True)
+    assert vars(hinted.stats) == vars(stats)
+    assert hinted.outputs == outputs
+    assert hinted.stats.hint_parks > 0 and plain.stats.hint_parks == 0
+    assert hinted.cycles != plain.cycles

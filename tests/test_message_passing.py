@@ -99,7 +99,7 @@ def test_pingpong_on_the_pipeline():
     prog = assemble(PINGPONG)
     for config in (MMTConfig.base(), MMTConfig.mmt_fxr()):
         job = Job.message_passing("pp", prog, [{}, {}])
-        core = SMTCore(MachineConfig(num_threads=2), config, job, strict=True)
+        core = SMTCore(MachineConfig(num_threads=2), config, job)
         core.run()
         assert job.address_spaces[1].load(prog.symbol("out")) == 42
         assert job.channels.total_queued() == 0
@@ -140,7 +140,7 @@ def test_all_configs_agree(pattern, config):
     build = build_mp_workload(2, pattern, iterations=10)
     reference = None
     job = build.job()
-    core = SMTCore(MachineConfig(num_threads=2), config, job, strict=True)
+    core = SMTCore(MachineConfig(num_threads=2), config, job)
     stats = core.run()
     outs = build.output_region(job)
     base_build = build_mp_workload(2, pattern, iterations=10)
@@ -154,7 +154,7 @@ def test_all_configs_agree(pattern, config):
 def test_mp_merges_common_compute():
     build = build_mp_workload(4, "ring", iterations=16)
     core = SMTCore(
-        MachineConfig(num_threads=4), MMTConfig.mmt_fxr(), build.job(), strict=True
+        MachineConfig(num_threads=4), MMTConfig.mmt_fxr(), build.job()
     )
     stats = core.run()
     breakdown = stats.identified_breakdown()
@@ -165,7 +165,7 @@ def test_mp_merges_common_compute():
 def test_mp_message_ops_never_merge():
     build = build_mp_workload(2, "pairs", iterations=8)
     core = SMTCore(
-        MachineConfig(num_threads=2), MMTConfig.mmt_fxr(), build.job(), strict=True
+        MachineConfig(num_threads=2), MMTConfig.mmt_fxr(), build.job()
     )
     core.run()
     # Every SEND/TRECV splits: committed entries for MSG-class ops equal

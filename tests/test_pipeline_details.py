@@ -100,16 +100,6 @@ def test_cold_caches_slower_than_warm():
     assert stats_cold.icache_stall_cycles > 0
 
 
-def test_strict_mode_can_be_disabled():
-    build = build_workload(get_profile("ammp"), 2, scale=0.2)
-    core = SMTCore(
-        MachineConfig(num_threads=2), MMTConfig.mmt_fxr(), build.job(),
-        strict=False,
-    )
-    stats = core.run()
-    assert stats.halted_threads == 2
-
-
 def test_stats_ipc_zero_before_running():
     from repro.pipeline.stats import SimStats
 

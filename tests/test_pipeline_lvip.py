@@ -33,7 +33,7 @@ def run_me(per_instance, config, nctx=None):
     nctx = nctx or len(per_instance)
     prog = assemble(SRC)
     job = Job.multi_execution("me", prog, per_instance)
-    core = SMTCore(MachineConfig(num_threads=nctx), config, job, strict=True)
+    core = SMTCore(MachineConfig(num_threads=nctx), config, job)
     stats = core.run()
     outs = [space.load(prog.symbol("out")) for space in job.address_spaces]
     return stats, outs, core

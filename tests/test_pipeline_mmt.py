@@ -2,8 +2,8 @@
 
 The decisive integration property: for any workload, every configuration
 (Base, MMT-F, MMT-FX, MMT-FXR) must produce byte-identical final outputs —
-MMT is a performance feature, never a semantic one.  All runs execute with
-``strict=True``, so the per-issue/per-writeback oracle checks are armed.
+MMT is a performance feature, never a semantic one.  Every run checks
+each issue and writeback against the functional oracle.
 """
 
 import pytest
@@ -28,7 +28,7 @@ def run_all_configs(app, nctx, scale=0.4):
     stats = {}
     for config in CONFIGS:
         job = build.job()
-        core = SMTCore(MachineConfig(num_threads=nctx), config, job, strict=True)
+        core = SMTCore(MachineConfig(num_threads=nctx), config, job)
         stats[config.name] = core.run()
         outputs[config.name] = build.output_region(job)
     return outputs, stats
@@ -48,7 +48,7 @@ def test_all_configs_equivalent(app, nctx):
 def test_limit_configuration_runs_identical_clones():
     build = build_workload(get_profile("water-sp"), 2, scale=0.4)
     job = build.limit_job()
-    core = SMTCore(MachineConfig(num_threads=2), MMTConfig.limit(), job, strict=True)
+    core = SMTCore(MachineConfig(num_threads=2), MMTConfig.limit(), job)
     stats = core.run()
     outs = build.output_region(job)
     assert outs[0] == outs[1]  # clones compute identical results
@@ -59,7 +59,7 @@ def test_limit_configuration_runs_identical_clones():
 def test_mmt_f_never_executes_merged():
     build = build_workload(get_profile("ammp"), 2, scale=0.4)
     core = SMTCore(
-        MachineConfig(num_threads=2), MMTConfig.mmt_f(), build.job(), strict=True
+        MachineConfig(num_threads=2), MMTConfig.mmt_f(), build.job()
     )
     stats = core.run()
     assert stats.committed_exec_identical == 0
@@ -69,7 +69,7 @@ def test_mmt_f_never_executes_merged():
 def test_mmt_fx_merges_execution():
     build = build_workload(get_profile("ammp"), 2, scale=0.4)
     core = SMTCore(
-        MachineConfig(num_threads=2), MMTConfig.mmt_fx(), build.job(), strict=True
+        MachineConfig(num_threads=2), MMTConfig.mmt_fx(), build.job()
     )
     stats = core.run()
     assert stats.committed_exec_identical > 0
@@ -79,11 +79,11 @@ def test_mmt_fx_merges_execution():
 def test_regmerge_only_in_fxr():
     build = build_workload(get_profile("equake"), 2, scale=0.4)
     fx = SMTCore(
-        MachineConfig(num_threads=2), MMTConfig.mmt_fx(), build.job(), strict=True
+        MachineConfig(num_threads=2), MMTConfig.mmt_fx(), build.job()
     )
     fx_stats = fx.run()
     fxr = SMTCore(
-        MachineConfig(num_threads=2), MMTConfig.mmt_fxr(), build.job(), strict=True
+        MachineConfig(num_threads=2), MMTConfig.mmt_fxr(), build.job()
     )
     fxr_stats = fxr.run()
     assert fx_stats.register_merge_successes == 0
@@ -93,7 +93,7 @@ def test_regmerge_only_in_fxr():
 def test_base_never_merges_fetch():
     build = build_workload(get_profile("lu"), 2, scale=0.4)
     core = SMTCore(
-        MachineConfig(num_threads=2), MMTConfig.base(), build.job(), strict=True
+        MachineConfig(num_threads=2), MMTConfig.base(), build.job()
     )
     stats = core.run()
     assert stats.fetched_entries == stats.fetched_thread_insts
@@ -102,11 +102,11 @@ def test_base_never_merges_fetch():
 def test_merged_fetch_reduces_entries():
     build = build_workload(get_profile("ammp"), 2, scale=0.4)
     base = SMTCore(
-        MachineConfig(num_threads=2), MMTConfig.base(), build.job(), strict=True
+        MachineConfig(num_threads=2), MMTConfig.base(), build.job()
     )
     base_stats = base.run()
     mmt = SMTCore(
-        MachineConfig(num_threads=2), MMTConfig.mmt_fxr(), build.job(), strict=True
+        MachineConfig(num_threads=2), MMTConfig.mmt_fxr(), build.job()
     )
     mmt_stats = mmt.run()
     assert mmt_stats.fetched_entries < base_stats.fetched_entries

@@ -38,7 +38,8 @@ def _isolated():
 
 def _task(root, *, limits=(False,), spool=None, app="ammp", scale=0.1):
     return experiment.WorkloadCheck(
-        app=app, threads=2, scale=scale, seed=None, cache_root=str(root),
+        app=app, threads=2, scale=scale, seed=None, hints=False,
+        cache_root=str(root),
         limits=limits, spool=None if spool is None else str(spool),
     )
 
@@ -103,7 +104,8 @@ def test_the_handoff_holds_paths_only_and_the_spool_goes(tmp_path,
     assert all(o.ok for o in result.outcomes)
     assert result.validation_failures == []
     (spool, handoff, present), = seen
-    assert set(handoff) == {("ammp", 2, 0.1, None), ("lu", 2, 0.1, None)}
+    assert set(handoff) == {("ammp", 2, 0.1, None, False),
+                            ("lu", 2, 0.1, None, False)}
     assert all(isinstance(path, str) and Path(path).parent == Path(spool)
                for path in handoff.values())
     assert all(present)
@@ -119,9 +121,10 @@ def test_the_spool_goes_when_the_lint_gate_raises(tmp_path, monkeypatch):
 
     generate = experiment.build_workload
 
-    def lu_fails_lint(profile, threads, scale=1.0, seed=None):
+    def lu_fails_lint(profile, threads, scale=1.0, seed=None, hints=False):
         if profile.name != "lu":
-            return generate(profile, threads, scale=scale, seed=seed)
+            return generate(profile, threads, scale=scale, seed=seed,
+                            hints=hints)
         code = assemble("add r1, r2, r3\nhalt")
         return SimpleNamespace(
             program=Program(code.instructions, name="broken-lu"),

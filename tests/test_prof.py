@@ -18,7 +18,7 @@ def build_core(app="mcf", nctx=2, seed=7, config=None, core_cls=FastSMTCore):
     build = build_workload(get_profile(app), nctx, scale=SCALE, seed=seed)
     job = build.limit_job() if config.limit_identical else build.job()
     machine = MachineConfig(num_threads=max(2, nctx))
-    return core_cls(machine, config, job, strict=True), build
+    return core_cls(machine, config, job), build
 
 
 @pytest.fixture(scope="module")

