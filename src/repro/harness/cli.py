@@ -53,8 +53,9 @@ _SRC_ROOT = Path(__file__).resolve().parent.parent.parent
 def _point(args):
     """The one point ``trace``, ``profile`` and ``record`` run: the first
     of ``--apps`` (default: the first paper app) at the first of
-    ``--threads``, under ``--config``.  Returns ``(app, config, threads)``,
-    or None after printing why it does not resolve."""
+    ``--threads``, under ``--config``, at ``--scale`` on ``--engine``.
+    Returns its :class:`~repro.harness.experiment.CampaignJob`, or None
+    after printing why it does not resolve."""
     from repro.workloads.engine import WorkloadRegistryError
 
     app = (args.apps or experiment.default_apps())[0]
@@ -69,20 +70,17 @@ def _point(args):
     except (KeyError, WorkloadRegistryError) as exc:
         print(f"error: {exc.args[0]}")
         return None
-    return app, factory(), threads
+    return experiment.CampaignJob(app, factory(), threads, scale=args.scale,
+                                  engine=args.engine)
 
 
 # ------------------------------------------------------------------- trace
 def _trace(args) -> int:
     """One observed run: interval table, reconciliation, optional exports."""
-    point = _point(args)
-    if point is None:
+    job = _point(args)
+    if job is None:
         return 2
-    app, config, threads = point
-    run, obs = experiment.trace_run(
-        app, config, threads, scale=args.scale, interval=args.interval,
-        engine=args.engine,
-    )
+    run, obs = experiment.trace_run(job, interval=args.interval)
     stats = run.stats
     rows = [
         {
@@ -102,8 +100,7 @@ def _trace(args) -> int:
         rows,
         columns=["cycles", "ipc", "merge", "rob", "iq", "lsq", "mshr",
                  "fhb_hit", "rst"],
-        title=(f"Trace — {app}/{config.name}/{threads}t, "
-               f"interval {args.interval} cycles"),
+        title=f"Trace — {job.label()}, interval {args.interval} cycles",
     ))
     counts = obs.sink.counts()
     print(report.format_pairs(
@@ -126,8 +123,8 @@ def _trace(args) -> int:
 
         write_chrome_trace(
             args.chrome, obs.sink.events, obs.interval.samples,
-            metadata={"app": app, "config": config.name,
-                      "threads": threads},
+            metadata={"app": job.app, "config": job.config.name,
+                      "threads": job.threads},
         )
         print(f"[Chrome trace for Perfetto written to {args.chrome}]")
     return 0 if not mismatches else 1
@@ -504,14 +501,13 @@ def _figures(args) -> int:
 # ----------------------------------------------------------------- profile
 def _profile(args) -> int:
     """Host self-profile of one point: where does the wall-clock go?"""
-    point = _point(args)
-    if point is None:
+    from repro.obs.prof import HostProfiler
+
+    job = _point(args)
+    if job is None:
         return 2
-    app, config, threads = point
-    stats, prof = experiment.profile_run(
-        app, config, threads, scale=args.scale, engine=args.engine,
-        record_slices=bool(args.chrome),
-    )
+    prof = HostProfiler(record_slices=bool(args.chrome))
+    stats = experiment.simulate(job, run=prof.run).stats
     rows = [
         {
             "region": row["region"],
@@ -524,8 +520,7 @@ def _profile(args) -> int:
     print(report.format_table(
         rows,
         columns=["region", "calls", "self_ms", "share"],
-        title=(f"Host profile — {app}/{config.name}/{threads}t, "
-               f"engine {args.engine}"),
+        title=f"Host profile — {job.label()}, engine {job.engine}",
     ))
     committed = stats.committed_thread_insts
     pairs = [
@@ -541,8 +536,8 @@ def _profile(args) -> int:
     if args.json:
         document = prof.as_dict()
         document.update(
-            {"app": app, "config": config.name, "threads": threads,
-             "scale": args.scale, "engine": args.engine,
+            {"app": job.app, "config": job.config.name,
+             "threads": job.threads, "scale": job.scale, "engine": job.engine,
              "cycles": stats.cycles, "committed_insts": committed}
         )
         Path(args.json).write_text(
@@ -566,10 +561,9 @@ def _replay(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"replay failed: {exc}")
         return 2
-    spec = replay.spec
-    print(f"replaying {spec['app']}/{spec['config']}/{spec['threads']}t "
-          f"(scale {spec.get('scale', 1.0)}, engine "
-          f"{spec.get('engine', 'reference')}) from {args.dump}")
+    job = replay.run.job
+    print(f"replaying {job.label()} (scale {job.scale}, engine "
+          f"{job.engine}) from {args.dump}")
     original = replay.dump.get("error")
     if original:
         print(f"original failure: {original}")
@@ -590,21 +584,19 @@ def _record(args) -> int:
     save them as a replayable trace workload (``trace:PATH``)."""
     from repro.workloads.record import record_trace
 
-    point = _point(args)
-    if point is None:
+    job = _point(args)
+    if job is None:
         return 2
-    app, config, threads = point
-    if config.limit_identical:
+    if job.config.limit_identical:
         print("cannot record under the Limit study (identical clones "
               "carry no per-thread structure); pick a real config")
         return 2
-    out = args.out or f"{app}-{config.name}-{threads}t.trace.json"
-    trace = record_trace(
-        app, config, threads, scale=args.scale, window=args.window
-    )
+    out = args.out or (f"{job.app}-{job.config.name}-{job.threads}t"
+                       ".trace.json")
+    trace = record_trace(job, window=args.window)
     path = trace.save(out)
     lengths = ", ".join(str(len(s)) for s in trace.tokens)
-    print(f"recorded {app}/{config.name}/{threads}t (scale {args.scale}): "
+    print(f"recorded {job.label()} (scale {job.scale}): "
           f"{trace.window_count} distinct {trace.window}-PC windows, "
           f"tokens per context: {lengths}")
     print(f"trace written to {path}")
@@ -612,7 +604,7 @@ def _record(args) -> int:
     print(f"replay it with workload name 'trace:{path}' — e.g.\n"
           f"  [[scenario]]\n"
           f"  workload = \"trace:{path}\"\n"
-          f"  threads = [{threads}]\n"
+          f"  threads = [{job.threads}]\n"
           f"in a scenario suite, or via repro analyze --apps trace:{path}")
     return 0
 

@@ -23,7 +23,7 @@ import shutil
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from repro.core.config import MMTConfig
 from repro.harness.campaign import (
@@ -44,6 +44,7 @@ from repro.obs import (
     WatchdogError,
     campaign_observer,
     get_failure_dump_path,
+    load_dump,
     write_dump,
 )
 from repro.pipeline.config import MachineConfig
@@ -58,11 +59,11 @@ from repro.workloads.engine import (
     is_engine_workload,
 )
 from repro.workloads.generator import WorkloadBuild, build_workload
-from repro.workloads.profiles import APP_ORDER, get_profile
+from repro.workloads.profiles import APP_ORDER, PROFILES, get_profile
+from repro.workloads.suites import check_scale, check_threads
 
-#: Config names accepted by the CLI and recorded in failure dumps; keys
-#: equal ``MMTConfig.<factory>().name`` so a dump's ``config`` field maps
-#: straight back to its factory at replay time.
+#: Config names accepted by the CLI (``--config``, ``--configs``); keys
+#: equal ``MMTConfig.<factory>().name``.
 CONFIG_FACTORIES = {
     "Base": MMTConfig.base,
     "MMT-F": MMTConfig.mmt_f,
@@ -78,24 +79,18 @@ class WorkloadRef:
     """The workload one run simulated, named rather than carried.
 
     *digest* (:meth:`~repro.isa.program.Program.digest`) and *nctx* key
-    the run's oracle report; ``(app, threads, scale, seed, hints)``
-    rebuilds the workload through :func:`build_point` when no report is
-    memoised or stored.
+    the run's oracle report; the run's job rebuilds the workload through
+    :func:`build_point` when no report is memoised or stored.
     """
 
     name: str
     digest: str
     nctx: int
-    app: str
-    threads: int
-    scale: float
-    seed: int | None
-    hints: bool
 
 
 @dataclass
 class RunResult:
-    """One completed simulation.
+    """One completed simulation of :attr:`job`.
 
     Campaign workers ship results to the driver, which holds them and
     caches them on disk, so a result references its workload
@@ -103,9 +98,7 @@ class RunResult:
     build (about 100 KiB pickled at scale 1.0).
     """
 
-    app: str
-    config: MMTConfig
-    threads: int
+    job: CampaignJob
     stats: SimStats
     energy: EnergyBreakdown
     sync_stats: object
@@ -124,8 +117,9 @@ class CampaignJob:
     A job carries everything that picks its result, so two equal jobs
     are one point with one result.  ``machine=None`` means the default
     machine for the thread count.  A job stores the machine it simulates
-    (widened to the thread count), and ``None`` when that is the default,
-    so one point has one cache key however it was spelled.  ``tag``
+    (widened to the thread count, with no start delays when every
+    context starts at once), and ``None`` when that is the default, so
+    one point has one cache key however it was spelled.  ``tag``
     distinguishes otherwise-identical jobs (and is part of the cache
     key); :func:`simulate_job` keys its two fault injections off it.
     ``engine`` picks the simulation core (``"reference"`` or ``"fast"``,
@@ -161,6 +155,15 @@ class CampaignJob:
             object.__setattr__(self, "machine", machine)
         object.__setattr__(self, "token", workload_token(self.app))
 
+    @property
+    def hints(self) -> bool:
+        """Whether the job simulates its app's hinted build: its config's
+        ``use_hints`` for a paper app, and ``False`` for a registry
+        workload, which builds as it is.  The pre-dispatch pass, the
+        build hand-off, :func:`simulate` and the oracle rebuild all key
+        the workload by it."""
+        return self.config.use_hints and not is_engine_workload(self.app)
+
     def label(self) -> str:
         return f"{self.app}/{self.config.name}/{self.threads}t" + (
             f"[{self.tag}]" if self.tag else ""
@@ -180,12 +183,15 @@ def workload_token(app: str) -> str:
         return ""
 
 
-def _normalize_machine(
-    machine: MachineConfig | None, threads: int
-) -> MachineConfig:
-    machine = machine or MachineConfig(num_threads=threads)
+def _normalize_machine(machine: MachineConfig, threads: int) -> MachineConfig:
+    """*machine* widened to *threads* contexts, its all-zero start delays
+    (one per context) spelled as none: the machine a job stores.  Delays
+    of another length stay as given, for the core to refuse."""
     if machine.num_threads < threads:
         machine = machine.with_threads(threads)
+    delays = machine.start_delays
+    if len(delays) == threads and not any(delays):
+        machine = replace(machine, start_delays=())
     return machine
 
 
@@ -258,39 +264,37 @@ def build_point(
                           hints=hints)
 
 
-def _simulate(
-    app: str,
-    config: MMTConfig,
-    threads: int,
-    machine: MachineConfig,
-    scale: float,
+def simulate(
+    job: CampaignJob,
     obs: Observer | None = None,
+    *,
+    run=None,
     failure_dump: str | None = None,
-    prepare=None,
-    engine: str = "reference",
-    seed: int | None = None,
 ) -> RunResult:
-    """Run one simulation point (no caching at this level).
+    """Run one simulation point (no caching at this level): the one path
+    from a :class:`CampaignJob` to a core run.
 
-    With *failure_dump* set (and an observer carrying a flight recorder),
-    any exception escaping the run — watchdog, invariant violation, even
-    the SIGTERM-turned-exception of a campaign timeout kill — leaves a
-    flight-recorder dump at that path before propagating.  *prepare*, when
-    given, is called with the constructed core before it runs (fault
-    injection for tests and demos).
+    Builds the job's workload (:func:`build_point`), the Limit study's
+    identical clones under a ``limit_identical`` config, and the job's
+    engine on its machine, with *obs* attached, then runs ``run(core)``
+    (default ``core.run()``): the hook through which a profiler, a
+    benchmark's timer or an injected fault runs the core.  With
+    *failure_dump* set (and an observer carrying a flight recorder), any
+    exception escaping the run — watchdog, invariant violation, even the
+    SIGTERM-turned-exception of a campaign timeout kill — leaves a
+    flight-recorder dump at that path before propagating.  The dump
+    records the job, so ``repro replay`` (:func:`replay_dump`) re-runs
+    this very point.
     """
-    build = build_point(app, threads, scale=scale, seed=seed,
-                        hints=config.use_hints)
+    build = build_point(job.app, job.threads, scale=job.scale, seed=job.seed,
+                        hints=job.hints)
     workload = WorkloadRef(build.program.name, build.program.digest(),
-                           build.nctx, app, threads, scale, seed,
-                           config.use_hints)
-    job = build.limit_job() if config.limit_identical else build.job()
-    core_cls = resolve_engine(engine)
-    core = core_cls(machine, config, job, obs=obs)
-    if prepare is not None:
-        prepare(core)
+                           build.nctx)
+    sim_job = build.limit_job() if job.config.limit_identical else build.job()
+    machine = job.machine or MachineConfig(num_threads=job.threads)
+    core = resolve_engine(job.engine)(machine, job.config, sim_job, obs=obs)
     try:
-        stats = core.run()
+        stats = core.run() if run is None else run(core)
     except BaseException as exc:
         if failure_dump and obs is not None and obs.recorder is not None:
             if isinstance(exc, WatchdogError) and exc.dump is not None:
@@ -299,33 +303,19 @@ def _simulate(
                 document = obs.recorder.dump(
                     core, error=f"{type(exc).__name__}: {exc}"
                 )
-            # Embed the job specification so the dump is replayable
-            # post-mortem (``repro replay`` / :func:`replay_dump`) without
-            # guessing which point produced it.  Fault injections
-            # (*prepare*) are deliberately not part of the spec: a replay
-            # re-runs the *point*, not the injected fault.
-            document["job"] = {
-                "app": app,
-                "config": config.name,
-                "threads": threads,
-                "scale": scale,
-                "engine": engine,
-                "seed": seed,
-            }
+            document["job"] = _job_document(job)
             try:
                 write_dump(document, failure_dump)
             except Exception:  # pragma: no cover - dump must not mask exc
                 pass
         raise
     return RunResult(
-        app=app,
-        config=config,
-        threads=threads,
+        job=job,
         stats=stats,
         energy=energy_of_run(core, EnergyParams()),
         sync_stats=core.sync.stats,
         workload=workload,
-        outputs=build.output_region(job),
+        outputs=build.output_region(sim_job),
     )
 
 
@@ -350,81 +340,103 @@ def simulate_job(job: CampaignJob, seed: int) -> RunResult:
         while True:  # pragma: no cover - killed by the campaign timeout
             time.sleep(3600)
     livelock = job.tag == "livelock"
-    machine = _normalize_machine(job.machine, job.threads)
     dump_path = get_failure_dump_path()
     obs = None
     if dump_path:
         obs = campaign_observer(
             watchdog_cycles=5_000 if livelock else DEFAULT_WATCHDOG_CYCLES
         )
-    return _simulate(
-        job.app, job.config, job.threads, machine, job.scale, obs=obs,
-        failure_dump=dump_path, prepare=_wedge_fetch if livelock else None,
-        engine=job.engine, seed=job.seed,
-    )
+    return simulate(job, obs, run=_run_wedged if livelock else None,
+                    failure_dump=dump_path)
 
 
-def _wedge_fetch(core) -> None:
-    """Stall every context's fetch forever: an injected livelock."""
+def _run_wedged(core):
+    """Stall every context's fetch forever, then run: an injected
+    livelock."""
     core.fetch_stall_until = [core.config.max_cycles + 1] * core.num_threads
+    return core.run()
 
 
 def trace_run(
-    app: str,
-    config: MMTConfig,
-    threads: int,
-    machine: MachineConfig | None = None,
-    scale: float = 1.0,
-    interval: int = 1000,
-    sink_capacity: int | None = None,
-    engine: str = "reference",
-    seed: int | None = None,
+    job: CampaignJob, interval: int = 1000
 ) -> tuple[RunResult, Observer]:
-    """Run one point with full observability attached (``repro trace``).
+    """Run *job* with full observability attached (``repro trace``).
 
     Returns the run result plus the observer holding the collected events
     (``obs.sink``), the interval time series (``obs.interval``), and the
     flight recorder.
     """
-    machine = _normalize_machine(machine, threads)
     obs = Observer(
-        sink=MemorySink(sink_capacity),
+        sink=MemorySink(),
         interval=IntervalMetrics(interval),
         recorder=FlightRecorder(),
         watchdog_cycles=DEFAULT_WATCHDOG_CYCLES,
     )
-    result = _simulate(app, config, threads, machine, scale, obs=obs,
-                       engine=engine, seed=seed)
-    return result, obs
+    return simulate(job, obs), obs
 
 
-def profile_run(
-    app: str,
-    config: MMTConfig,
-    threads: int,
-    machine: MachineConfig | None = None,
-    scale: float = 1.0,
-    engine: str = "reference",
-    record_slices: bool = False,
-    seed: int | None = None,
-):
-    """Run one point under the host self-profiler (``repro profile``).
+#: The :class:`CampaignJob` fields a flight dump records: every field a
+#: caller sets but the tag, so the replay of an injected fault runs the
+#: healthy point.
+_DUMPED_FIELDS = ("app", "config", "threads", "machine", "scale", "engine",
+                  "seed")
 
-    Returns ``(stats, profiler)``: the final :class:`SimStats` plus the
-    :class:`~repro.obs.prof.HostProfiler` holding wall-clock attribution
-    across the rare-path regions (and the fast-loop residual).  Pass
-    ``record_slices=True`` to keep per-call slices for Perfetto export.
-    """
-    from repro.obs.prof import HostProfiler
 
-    machine = _normalize_machine(machine, threads)
-    build = build_point(app, threads, scale=scale, seed=seed,
-                        hints=config.use_hints)
-    job = build.limit_job() if config.limit_identical else build.job()
-    core = resolve_engine(engine)(machine, config, job)
-    prof = HostProfiler(record_slices=record_slices)
-    stats = prof.run(core)
-    return stats, prof
+def _job_document(job: CampaignJob) -> dict:
+    """*job* as a flight dump records it, its config and machine as their
+    dataclass fields (``machine`` null for the default)."""
+    document = {name: getattr(job, name) for name in _DUMPED_FIELDS}
+    document["config"] = asdict(job.config)
+    document["machine"] = job.machine and asdict(job.machine)
+    return document
+
+
+def _check_fields(kind: str, data, names) -> None:
+    """``ValueError`` unless *data* is an object holding exactly the
+    fields *names*."""
+    if not isinstance(data, dict):
+        raise ValueError(f"its {kind} is not an object: {data!r}")
+    if missing := sorted(set(names) - set(data)):
+        raise ValueError(f"its {kind} lacks {missing}")
+    if unknown := sorted(set(data) - set(names)):
+        raise ValueError(f"its {kind} has unknown fields {unknown}")
+
+
+def _dataclass_of(cls, data):
+    """The *cls* instance whose :func:`dataclasses.asdict` form is *data*;
+    ``ValueError`` unless *data* holds exactly the fields of *cls*."""
+    _check_fields(cls.__name__, data, [f.name for f in fields(cls)])
+    template = cls()
+    values = {}
+    for name, value in data.items():
+        default = getattr(template, name)
+        if is_dataclass(default):
+            value = _dataclass_of(type(default), value)
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        values[name] = value
+    return cls(**values)
+
+
+def _dumped_job(document) -> CampaignJob:
+    """The job :func:`_job_document` wrote as *document*; ``ValueError``
+    (or ``TypeError``) for anything less than a complete job."""
+    _check_fields("job", document, _DUMPED_FIELDS)
+    values = dict(document)
+    values["config"] = _dataclass_of(MMTConfig, values["config"])
+    if values["machine"] is not None:
+        values["machine"] = _dataclass_of(MachineConfig, values["machine"])
+    app, seed = values["app"], values["seed"]
+    if not isinstance(app, str) or not (app in PROFILES
+                                        or is_engine_workload(app)):
+        raise ValueError(f"its job names unknown app {app!r}")
+    if seed is not None and (isinstance(seed, bool)
+                             or not isinstance(seed, int)):
+        raise ValueError(f"its job's seed {seed!r} is not an int")
+    values["threads"] = check_threads(values["threads"])
+    values["scale"] = check_scale(values["scale"])
+    resolve_engine(values["engine"])
+    return CampaignJob(**values)
 
 
 @dataclass
@@ -432,10 +444,9 @@ class ReplayResult:
     """A post-mortem flight-dump replay, cross-checked against the oracle."""
 
     dump_path: str
-    #: The job specification embedded in the dump.
-    spec: dict
     #: The loaded dump document (ring events, core snapshot, error).
     dump: dict
+    #: The replayed run; ``run.job`` is the job the dump recorded.
     run: RunResult
     obs: Observer
     #: Static-oracle disagreements plus interval-reconciliation
@@ -450,44 +461,38 @@ class ReplayResult:
 def replay_dump(path, *, interval: int = 1000) -> ReplayResult:
     """Re-run the simulation point recorded in a flight dump.
 
-    Loads the dump, rebuilds the point from its embedded ``job`` spec,
-    and re-runs it under full observability (:func:`trace_run`).  The
-    replay is held to the same gates as a campaign result: the static
-    redundancy/value oracle
+    Loads the dump, rebuilds the :class:`CampaignJob` it recorded (config
+    and machine included), and re-runs it under full observability
+    (:func:`trace_run`).  The replay is held to the same gates as a
+    campaign result: the static redundancy/value oracle
     (:func:`oracle_for_run` → ``validate_against``, which includes the
     per-site LVIP bounds) plus exact interval reconciliation — so a
     post-mortem replay that contradicts a proven bound is reported, not
     silently trusted.
 
     Injected faults (the ``--inject-livelock`` demo) are not part of the
-    spec, so their replays run the *healthy* point; a dump from a genuine
-    simulator bug reproduces it, exception and all.  Dumps written before
-    specs were embedded raise ``ValueError``.
+    recorded job, so their replays run the *healthy* point; a dump from a
+    genuine simulator bug reproduces it, exception and all.  A dump that
+    is not JSON, or holds no complete job (a dump of an older format
+    included), raises ``ValueError``: it is never replayed as a guess.
     """
-    from repro.obs import load_dump
-
-    document = load_dump(path)
-    spec = document.get("job")
-    if not isinstance(spec, dict) or "app" not in spec:
+    try:
+        document = load_dump(path)
+    except ValueError as exc:
+        raise ValueError(f"flight dump {path} is not JSON: {exc}") from None
+    spec = document.get("job") if isinstance(document, dict) else None
+    if not isinstance(spec, dict):
         raise ValueError(
             f"flight dump {path} carries no job spec (written by an older "
             "version?); cannot replay"
         )
-    factory = CONFIG_FACTORIES.get(spec.get("config"))
-    if factory is None:
+    try:
+        job = _dumped_job(spec)
+    except (TypeError, ValueError) as exc:
         raise ValueError(
-            f"flight dump {path} names unknown config {spec.get('config')!r}"
-        )
-    seed = spec.get("seed")
-    run, obs = trace_run(
-        spec["app"],
-        factory(),
-        int(spec["threads"]),
-        scale=float(spec.get("scale", 1.0)),
-        engine=spec.get("engine") or "reference",
-        interval=interval,
-        seed=None if seed is None else int(seed),
-    )
+            f"flight dump {path} holds no complete job: {exc}"
+        ) from None
+    run, obs = trace_run(job, interval=interval)
     problems: list[str] = []
     try:
         problems.extend(oracle_for_run(run).validate_against(run.stats))
@@ -497,7 +502,7 @@ def replay_dump(path, *, interval: int = 1000) -> ReplayResult:
         f"interval {line}" for line in obs.interval.reconcile(run.stats)
     )
     return ReplayResult(
-        dump_path=str(path), spec=spec, dump=document, run=run, obs=obs,
+        dump_path=str(path), dump=document, run=run, obs=obs,
         problems=problems,
     )
 
@@ -543,7 +548,7 @@ def oracle_for_run(run: RunResult, cache: ResultCache | None = None):
     (:func:`lint_campaign_jobs`) seeds the memo from its workers.  On a
     memo miss the report stored in *cache* (a result cache, see
     :func:`_oracle_key`) is used.  Failing both, the workload is rebuilt
-    from the run's :class:`WorkloadRef`, analysed, and the report stored
+    from the run's job, analysed, and the report stored
     in *cache*; a rebuild whose digest differs from the one the run
     simulated (the registry changed, say) raises ``ValueError`` rather
     than validate the run against another program.  Limit-study runs
@@ -552,8 +557,8 @@ def oracle_for_run(run: RunResult, cache: ResultCache | None = None):
     """
     from repro.analysis.redundancy import OracleReport, analyze_build
 
-    ref = run.workload
-    limit = run.config.limit_identical
+    ref, job = run.workload, run.job
+    limit = job.config.limit_identical
     key = (ref.digest, ref.nctx, limit)
     report = _ORACLE_MEMO.get(key)
     if report is None and cache is not None:
@@ -561,8 +566,8 @@ def oracle_for_run(run: RunResult, cache: ResultCache | None = None):
         if not isinstance(report, OracleReport):
             report = None
     if report is None:
-        build = build_point(ref.app, ref.threads, scale=ref.scale,
-                            seed=ref.seed, hints=ref.hints)
+        build = build_point(job.app, job.threads, scale=job.scale,
+                            seed=job.seed, hints=job.hints)
         digest = build.program.digest()
         if digest != ref.digest:
             raise ValueError(
@@ -609,7 +614,7 @@ def validate_campaign_result(
             violation = OracleViolation(
                 job=job,
                 workload=payload.workload.name,
-                config=payload.config.name,
+                config=payload.job.config.name,
                 problems=tuple(problems),
             )
             violations.append(violation)
@@ -754,7 +759,7 @@ def lint_campaign_jobs(
     compute its oracle reports.
 
     Each distinct ``(app, threads, scale, seed, hints)`` tuple, *hints*
-    being the job's ``config.use_hints``, becomes one
+    being :attr:`CampaignJob.hints`, becomes one
     :class:`WorkloadCheck` task on the worker pool (*workers* processes,
     *timeout* seconds per task, no result cache and no run-log).  A task
     builds the workload (registry workloads included, via
@@ -789,7 +794,7 @@ def lint_campaign_jobs(
         if not isinstance(job, CampaignJob):
             continue
         flags = limits.setdefault(
-            (job.app, job.threads, job.scale, job.seed, job.config.use_hints),
+            (job.app, job.threads, job.scale, job.seed, job.hints),
             [],
         )
         if job.config.limit_identical not in flags:
@@ -855,9 +860,9 @@ def run_points(
     """Run the :class:`CampaignJob` *points* as one validated campaign.
 
     This is the one code path that sequences a simulation campaign:
-    ``repro campaign``, ``repro reproduce``, every figure target and the
-    ablation benchmarks come through here, with :func:`simulate_job` as
-    the runner, so a point has one cache key whichever command ran it.
+    ``repro campaign``, ``repro reproduce`` and every figure, table and
+    sweep target come through here, with :func:`simulate_job` as the
+    runner, so a point has one cache key whichever command ran it.
     The returned result holds every point's outcome; a figure's rows
     read them (:func:`repro.harness.figures.run_figures`).
 

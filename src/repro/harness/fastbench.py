@@ -1,9 +1,11 @@
 """Fast-engine benchmark: reference vs fast wall-clock on the fig5a sweep.
 
 The benchmark measures ``core.run()`` wall-clock for the *same* simulation
-point on both engines — workload construction, oracle decoding, and
-result bookkeeping are excluded from both sides, so the ratio isolates
-the engine.  Each measured point also asserts bit-identical final
+point on both engines.  Each point runs as the harness runs it
+(:func:`repro.harness.experiment.simulate`), whose ``run`` hook times the
+core alone: workload construction, oracle decoding, and result
+bookkeeping are excluded from both sides, so the ratio isolates the
+engine.  Each measured point also asserts bit-identical final
 statistics, because a fast number from a wrong simulation is worthless.
 
 Results append to a ``BENCH_fastpath.json`` trajectory (one record per
@@ -21,10 +23,7 @@ import time
 from pathlib import Path
 
 from repro.core.config import MMTConfig
-from repro.pipeline.config import MachineConfig
-from repro.pipeline.fast import resolve_engine
-from repro.workloads.generator import build_workload
-from repro.workloads.profiles import get_profile
+from repro.harness.experiment import CampaignJob, simulate
 
 #: The fig5a sweep: two hardware threads, Base plus every paper config.
 FIG5A_THREADS = 2
@@ -50,18 +49,30 @@ PINNED_MIN_SPEEDUP = 1.2
 DEFAULT_TRAJECTORY = Path(__file__).resolve().parents[3] / "BENCH_fastpath.json"
 
 
-def _measure_point(app: str, config: MMTConfig, threads: int, scale: float):
-    """One (app, config) point on both engines; returns the row dict."""
-    build = build_workload(get_profile(app), threads, scale=scale)
-    machine = MachineConfig(num_threads=threads)
-    results = {}
-    for engine in ("reference", "fast"):
-        job = build.limit_job() if config.limit_identical else build.job()
-        core = resolve_engine(engine)(machine, config, job)
+def _timed_run(job: CampaignJob, obs=None):
+    """Simulate *job*, timing ``core.run()`` alone; returns the wall, the
+    :class:`~repro.harness.experiment.RunResult` and the core."""
+    timed = {}
+
+    def run(core):
+        timed["core"] = core
         start = time.perf_counter()
         stats = core.run()
-        wall = time.perf_counter() - start
-        results[engine] = (wall, stats)
+        timed["wall"] = time.perf_counter() - start
+        return stats
+
+    result = simulate(job, obs, run=run)
+    return timed["wall"], result, timed["core"]
+
+
+def _measure_point(app: str, config: MMTConfig, threads: int, scale: float):
+    """One (app, config) point on both engines; returns the row dict."""
+    results = {}
+    for engine in ("reference", "fast"):
+        wall, run, _ = _timed_run(
+            CampaignJob(app, config, threads, scale=scale, engine=engine)
+        )
+        results[engine] = (wall, run.stats)
     ref_wall, ref_stats = results["reference"]
     fast_wall, fast_stats = results["fast"]
     if fast_stats.__dict__ != ref_stats.__dict__:
@@ -147,7 +158,7 @@ def run_sampling_overhead_bench(
     """Fast engine with vs without a :class:`SampledObserver` on one
     fig5a point; returns the record (newest-last trajectory material).
 
-    Each repeat runs both variants on fresh cores from the same build and
+    Each repeat runs both variants on fresh cores of the same point and
     asserts bit-identical final statistics plus exact interval
     reconciliation — an overhead number from a perturbed simulation is
     worthless.  Walls are best-of-*repeats* to shed scheduler noise;
@@ -157,37 +168,26 @@ def run_sampling_overhead_bench(
 
     emit = progress if callable(progress) else (lambda line: None)
     config = config or MMTConfig.mmt_fxr()
-    build = build_workload(get_profile(app), threads, scale=scale)
-    machine = MachineConfig(num_threads=threads)
-    fast_cls = resolve_engine("fast")
+    job = CampaignJob(app, config, threads, scale=scale, engine="fast")
     plain_walls, sampled_walls = [], []
     for _ in range(repeats):
-        job = build.limit_job() if config.limit_identical else build.job()
-        plain = fast_cls(machine, config, job)
-        start = time.perf_counter()
-        plain_stats = plain.run()
-        plain_walls.append(time.perf_counter() - start)
-
-        job = build.limit_job() if config.limit_identical else build.job()
+        plain_wall, plain, _ = _timed_run(job)
         metrics = IntervalMetrics(interval=interval)
-        sampled = fast_cls(
-            machine, config, job,
-            obs=SampledObserver(interval=metrics),
+        sampled_wall, sampled, core = _timed_run(
+            job, SampledObserver(interval=metrics)
         )
-        start = time.perf_counter()
-        sampled_stats = sampled.run()
-        sampled_walls.append(time.perf_counter() - start)
-
-        if not sampled.ran_fast_loop:
+        plain_walls.append(plain_wall)
+        sampled_walls.append(sampled_wall)
+        if not core.ran_fast_loop:
             raise AssertionError(
                 "sampled run fell back to the reference loop — the "
                 "overhead bench measures nothing"
             )
-        if sampled_stats.__dict__ != plain_stats.__dict__:
+        if sampled.stats.__dict__ != plain.stats.__dict__:
             raise AssertionError(
                 f"{app}/{config.name}: sampling perturbed the simulation"
             )
-        mismatches = metrics.reconcile(sampled_stats)
+        mismatches = metrics.reconcile(sampled.stats)
         if mismatches:
             raise AssertionError(
                 f"{app}/{config.name}: interval sums failed to reconcile: "
@@ -209,7 +209,7 @@ def run_sampling_overhead_bench(
         "interval": interval,
         "repeats": repeats,
         "python": platform.python_version(),
-        "samples": (plain_stats.cycles + interval - 1) // interval,
+        "samples": (plain.stats.cycles + interval - 1) // interval,
         "plain_wall_s": round(plain_best, 4),
         "sampled_wall_s": round(sampled_best, 4),
         "overhead_ratio": ratio,

@@ -195,8 +195,8 @@ def _skew_series() -> list[Series]:
     """Base, then MMT-FXR with the second context's start delayed by each
     skew; no skew is the default machine (§4.4)."""
     return [Series("Base", MMTConfig.base(), 2)] + [
-        Series(delay, MMTConfig.mmt_fxr(), 2, MachineConfig(
-            num_threads=2, start_delays=(0, delay) if delay else ()))
+        Series(delay, MMTConfig.mmt_fxr(), 2,
+               MachineConfig(num_threads=2, start_delays=(0, delay)))
         for delay in SKEW_CYCLES
     ]
 

@@ -179,9 +179,9 @@ def dump_trace(
     path = Path(path)
     stats = run.stats
     document = {
-        "app": run.app,
-        "config": run.config.name,
-        "threads": run.threads,
+        "app": run.job.app,
+        "config": run.job.config.name,
+        "threads": run.job.threads,
         "cycles": stats.cycles,
         "ipc": stats.ipc(),
         "mode_breakdown": stats.mode_breakdown(),

@@ -21,23 +21,22 @@ generated workload.
 
 Recordings are content-addressed: :meth:`RecordedTrace.digest` hashes
 the canonical JSON form, and the replay workload folds that digest into
-campaign job tags so suites referencing a trace file are cache-correct
-even if the file is moved or regenerated.
+its campaign jobs' cache token, so suites referencing a trace file are
+cache-correct even if the file is moved or regenerated.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
-from repro.core.config import MMTConfig, WorkloadType
+from repro.core.config import WorkloadType
 from repro.isa.opcodes import Opcode
 from repro.isa.program import WORD_SIZE
 from repro.obs import MemorySink, Observer
 from repro.obs.events import EventKind
-from repro.pipeline.config import MachineConfig
-from repro.pipeline.smt import SMTCore
 from repro.workloads.dsl import ProgramBuilder
 from repro.workloads.engine import Workload
 from repro.workloads.generator import WorkloadBuild
@@ -47,6 +46,9 @@ FORMAT_VERSION = 1
 
 #: Default committed-PC window length (one token per window).
 DEFAULT_WINDOW = 32
+
+#: Longest token stream a recording keeps per context.
+MAX_TOKENS = 4096
 
 #: Token-dispatch handlers in the replay program (must be a power of 2).
 REPLAY_HANDLERS = 8
@@ -157,47 +159,31 @@ class RecordedTrace:
         return cls.from_json(Path(path).read_text())
 
 
-def record_trace(
-    app: str,
-    config: MMTConfig,
-    threads: int,
-    scale: float = 1.0,
-    seed: int | None = None,
-    window: int = DEFAULT_WINDOW,
-    max_tokens: int | None = 4096,
-) -> RecordedTrace:
-    """Run *app* on the reference core and record per-thread commits.
+def record_trace(job, window: int = DEFAULT_WINDOW) -> RecordedTrace:
+    """Run the :class:`~repro.harness.experiment.CampaignJob` *job* on
+    the reference core and record per-thread commits.
 
-    *app* is a paper application or a registry workload, built as every
-    harness path builds it (``repro.harness.experiment.build_point``,
-    with its hints under a ``use_hints`` *config*).
-    The recording engine is pinned to the reference :class:`SMTCore` —
-    the proven oracle — so replay fixtures never inherit a fast-engine
-    bug.  *max_tokens* bounds each context's token stream (the replay
-    program's data segment grows linearly with it).
+    The job simulates as every harness path simulates it
+    (:func:`repro.harness.experiment.simulate`), but the recording engine
+    is pinned to the reference :class:`~repro.pipeline.smt.SMTCore` — the
+    proven oracle — so replay fixtures never inherit a fast-engine bug.
+    Each context's token stream keeps its first :data:`MAX_TOKENS` tokens
+    (the replay program's data segment grows linearly with it).
     """
-    from repro.harness.experiment import build_point
+    from repro.harness.experiment import simulate
 
     if window < 1:
         raise ValueError("window must be at least 1 PC")
-    build = build_point(app, threads, scale=scale, seed=seed,
-                        hints=config.use_hints)
     obs = Observer(sink=MemorySink())
-    core = SMTCore(
-        MachineConfig(num_threads=max(2, threads)),
-        config,
-        build.job(),
-        obs=obs,
-    )
-    core.run()
+    run = simulate(replace(job, engine="reference"), obs)
 
-    streams: list[list[int]] = [[] for _ in range(threads)]
+    streams: list[list[int]] = [[] for _ in range(job.threads)]
     for event in obs.sink.events:
         if event.kind is not EventKind.COMMIT:
             continue
         # ``itid`` is the owner bitmask; ``threads`` is only the count.
         mask = event.data["itid"]
-        for ctx in range(threads):
+        for ctx in range(job.threads):
             if (mask >> ctx) & 1:
                 streams[ctx].append(event.pc)
 
@@ -208,16 +194,14 @@ def record_trace(
         for start in range(0, len(stream), window):
             piece = tuple(stream[start:start + window])
             out.append(token_of.setdefault(piece, len(token_of)))
-        if max_tokens is not None:
-            out = out[:max_tokens]
-        tokens.append(out)
+        tokens.append(out[:MAX_TOKENS])
     return RecordedTrace(
-        app=app,
-        config=config.name,
-        threads=threads,
-        scale=scale,
+        app=job.app,
+        config=job.config.name,
+        threads=job.threads,
+        scale=job.scale,
         window=window,
-        source_digest=build.program.digest(),
+        source_digest=run.workload.digest,
         tokens=tokens,
         window_count=len(token_of),
     )

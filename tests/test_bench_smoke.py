@@ -34,6 +34,37 @@ def test_bench_modules_discovered():
     assert BENCH_MODULES == ["bench_fastpath"]
 
 
+def test_fastbench_points_run_through_the_harness():
+    """The fast-engine benchmark's records, at a tiny scale: every fig5a
+    point ran bit-identical on both engines (the bench raises otherwise)
+    and reads the cycles and committed instructions of the harness's own
+    run of it.  No wall-clock bound: that is the bench gate's job."""
+    from repro.core.config import MMTConfig
+    from repro.harness.experiment import CampaignJob, simulate_job
+    from repro.harness.fastbench import (
+        FIG5A_CONFIGS,
+        run_fastpath_bench,
+        run_sampling_overhead_bench,
+    )
+
+    record = run_fastpath_bench(apps=["ammp"], scale=0.05)
+    assert [(row["app"], row["config"], row["threads"])
+            for row in record["points"]] == [
+        ("ammp", factory().name, 2) for factory in FIG5A_CONFIGS]
+    for row, factory in zip(record["points"], FIG5A_CONFIGS):
+        job = CampaignJob("ammp", factory(), 2, scale=0.05)
+        stats = simulate_job(job, 0).stats
+        assert (row["cycles"], row["committed_insts"]) == (
+            stats.cycles, stats.committed_thread_insts)
+
+    overhead = run_sampling_overhead_bench(scale=0.05, repeats=1)
+    job = CampaignJob("mcf", MMTConfig.mmt_fxr(), 2, scale=0.05,
+                      engine="fast")
+    stats = simulate_job(job, 0).stats
+    assert overhead["samples"] == -(-stats.cycles // overhead["interval"])
+    assert overhead["overhead_ratio"] > 0
+
+
 @pytest.mark.parametrize("name", BENCH_MODULES)
 def test_bench_module_imports_and_defines_tests(name):
     module = importlib.import_module(name)
@@ -118,14 +149,14 @@ def test_prefetch_covers_the_rows(fig, tmp_path, monkeypatch):
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     result = _campaign(fig, ["ammp"], 0.05)
-    simulate = experiment._simulate
+    simulate = experiment.simulate
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(args[:3])
-        return simulate(*args, **kwargs)
+    def spy(job, *args, **kwargs):
+        calls.append(job)
+        return simulate(job, *args, **kwargs)
 
-    monkeypatch.setattr(experiment, "_simulate", spy)
+    monkeypatch.setattr(experiment, "simulate", spy)
     _tiny(figures.FIGURES[fig].compute(figures.results_of(result), ["ammp"],
                                        0.05))
     assert calls == []

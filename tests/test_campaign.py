@@ -123,6 +123,26 @@ def test_each_figure_point_has_one_job_key():
     assert other.machine == wide and other != spelled
 
 
+def test_no_skew_has_one_spelling():
+    """All-zero start delays, one per context, are the default machine's
+    simultaneous start: one job, one key.  Delays of another length stay
+    as given, for the core to refuse."""
+    from repro.harness import experiment
+    from repro.pipeline.config import MachineConfig
+
+    zero = CampaignJob("ammp", MMTConfig.mmt_fxr(), 2,
+                       machine=MachineConfig(num_threads=2,
+                                             start_delays=(0, 0)))
+    plain = CampaignJob("ammp", MMTConfig.mmt_fxr(), 2)
+    assert zero == plain
+    assert (job_key(zero, experiment.simulate_job)
+            == job_key(plain, experiment.simulate_job))
+    odd = CampaignJob("ammp", MMTConfig.mmt_fxr(), 2,
+                      machine=MachineConfig(num_threads=2,
+                                            start_delays=(0, 0, 0)))
+    assert odd.machine.start_delays == (0, 0, 0)
+
+
 def test_derive_seed_pure_function():
     key = job_key(AddJob(1, 2))
     assert derive_seed(0, key) == derive_seed(0, key)
@@ -391,8 +411,40 @@ def test_livelocked_fast_engine_job_leaves_flight_dump(cache, tmp_path):
     assert document["job"]["engine"] == "fast"
     replay = replay_dump(outcome.dump_path)
     assert replay.ok, replay.problems
-    assert replay.spec["app"] == "ammp"
+    assert replay.run.job == dataclasses.replace(job, tag="")
     assert replay.run.stats.committed_thread_insts > 0
+
+
+def test_a_dump_replays_the_point_it_came_from(tmp_path):
+    """A dump records the whole job, machine and config fields included,
+    so its replay runs the very point that failed (healthy: the tag and
+    its injected fault are not recorded), not the default-machine point
+    of the same config name."""
+    from repro.harness.experiment import replay_dump, simulate
+    from repro.pipeline.config import MachineConfig
+
+    jobs = [
+        CampaignJob("vpr", dataclasses.replace(MMTConfig.mmt_fxr(),
+                                               remerge_drain=10000),
+                    2, scale=0.1, tag="livelock"),
+        CampaignJob("ammp", MMTConfig.mmt_fxr(), 2,
+                    machine=MachineConfig(num_threads=2,
+                                          start_delays=(0, 400)),
+                    scale=0.05, tag="livelock"),
+        CampaignJob("ammp", MMTConfig.mmt_fxr(), 4,
+                    machine=MachineConfig(num_threads=4).with_ldst_ports(12),
+                    scale=0.05, tag="livelock"),
+    ]
+    result = run_points(jobs, workers=2, retries=0, cache=tmp_path / "cache",
+                        failure_dump_dir=tmp_path / "flight")
+    for job, outcome, cycles in zip(jobs, result.outcomes, (258, 538, 248)):
+        assert outcome.status == "failed" and outcome.dump_path
+        replay = replay_dump(outcome.dump_path)
+        assert replay.ok, replay.problems
+        healthy = dataclasses.replace(job, tag="")
+        assert replay.run.job == healthy
+        assert replay.run.cycles == cycles
+        assert vars(replay.run.stats) == vars(simulate(healthy).stats)
 
 
 def test_replay_rejects_spec_less_dump(tmp_path):
@@ -408,9 +460,9 @@ def test_replay_rejects_spec_less_dump(tmp_path):
         replay_dump(path)
 
 
-def test_replay_accepts_dump_with_legacy_specialize_key(tmp_path):
-    """Dumps written while jobs carried ``specialize`` and ``strict``
-    flags still replay: the spec keys are ignored."""
+def test_replay_refuses_a_dump_of_the_old_format(tmp_path):
+    """A dump that names its config and records no machine does not hold
+    the point it came from: refused, never replayed as a guess."""
     import json
 
     from repro.harness.experiment import replay_dump
@@ -420,11 +472,8 @@ def test_replay_accepts_dump_with_legacy_specialize_key(tmp_path):
             "strict": True, "engine": "fast", "seed": None,
             "specialize": True}
     path.write_text(json.dumps({"events": [], "error": "boom", "job": spec}))
-    replay = replay_dump(path)
-    assert replay.ok, replay.problems
-    assert replay.spec["specialize"] is True
-    assert replay.spec["strict"] is True
-    assert replay.run.stats.committed_thread_insts > 0
+    with pytest.raises(ValueError, match="holds no complete job"):
+        replay_dump(path)
 
 
 def test_successful_job_has_no_dump(cache, tmp_path):
@@ -743,8 +792,8 @@ def test_simulation_payload_references_its_workload():
     build = experiment.build_point("canneal", 2, scale=0.1)
     assert run.workload == experiment.WorkloadRef(
         build.program.name, build.program.digest(), build.nctx,
-        "canneal", 2, 0.1, None, False,
     )
+    assert run.job == job
 
 
 def test_simulation_workers_reuse_the_pass_builds(tmp_path, monkeypatch):

@@ -270,6 +270,44 @@ def test_replay_rejects_spec_less_dump(capsys, tmp_path):
     assert "no job spec" in capsys.readouterr().out
 
 
+def _dump_text(case: str) -> str:
+    """A flight dump that holds no complete job, in the way *case* names."""
+    from repro.core.config import MMTConfig
+    from repro.harness.experiment import CampaignJob, _job_document
+
+    job = _job_document(CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1))
+    if case == "truncated":
+        return json.dumps({"events": [], "job": job})[:40]
+    if case == "no-job":
+        return json.dumps({"events": [], "error": "boom"})
+    if case == "no-threads":
+        del job["threads"]
+    elif case == "unknown-app":
+        job["app"] = "nosuchapp"
+    elif case == "unknown-config-field":
+        job["config"]["warp_drive"] = True
+    elif case == "old-format":
+        job = {"app": "ammp", "config": "Base", "threads": 2, "scale": 0.1,
+               "engine": "reference", "seed": None}
+    return json.dumps({"events": [], "error": "boom", "job": job})
+
+
+@pytest.mark.parametrize("case", [
+    "truncated", "no-job", "no-threads", "unknown-app",
+    "unknown-config-field", "old-format",
+])
+def test_replay_refuses_a_dump_without_a_complete_job(capsys, tmp_path,
+                                                      case):
+    """A dump is replayed only when it holds the whole job; anything less
+    is a structured refusal (exit 2), never a traceback or a guess."""
+    path = tmp_path / f"{case}.flight.json"
+    path.write_text(_dump_text(case))
+    assert main(["replay", "--dump", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("replay failed: ")
+    assert "replaying" not in out
+
+
 # ------------------------------------------------------- record + suites
 def test_record_target_roundtrip(capsys, tmp_path):
     """repro record writes a trace that resolves as a trace: workload."""
@@ -472,7 +510,7 @@ def test_reproduce_prints_every_figure_from_one_campaign(capsys, tmp_path,
     apps, scale = ["ammp", "lu"], 0.05
     campaigns, simulations = [], []
     _spy(monkeypatch, experiment, "run_points", campaigns)
-    _spy(monkeypatch, experiment, "_simulate", simulations)
+    _spy(monkeypatch, experiment, "simulate", simulations)
     document = tmp_path / "reproduce.json"
     assert main(["reproduce", "--apps", *apps, "--scale", str(scale),
                  "--workers", "2", "--cache-dir", str(tmp_path / "cache"),

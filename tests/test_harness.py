@@ -50,14 +50,14 @@ def figure_run(tmp_path_factory):
 
 def _count_simulations(monkeypatch) -> list:
     """Spy on the in-process simulation entry point; returns its calls."""
-    simulate = experiment._simulate
+    simulate = experiment.simulate
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(args[:3])
-        return simulate(*args, **kwargs)
+    def spy(job, *args, **kwargs):
+        calls.append(job)
+        return simulate(job, *args, **kwargs)
 
-    monkeypatch.setattr(experiment, "_simulate", spy)
+    monkeypatch.setattr(experiment, "simulate", spy)
     return calls
 
 

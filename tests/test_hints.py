@@ -99,3 +99,30 @@ def test_a_hints_campaign_point_simulates_the_hinted_build(tmp_path):
     assert hinted.outputs == outputs
     assert hinted.stats.hint_parks > 0 and plain.stats.hint_parks == 0
     assert hinted.cycles != plain.cycles
+
+
+def test_a_registry_workload_is_one_pass_task_under_hints(tmp_path, capsys,
+                                                          monkeypatch):
+    """A registry workload builds as it is under a use_hints config, so
+    its MMT-FXR and MMT-FXR+H points share one workload: the pass builds,
+    lints and spools it once."""
+    from repro.harness import experiment
+    from repro.harness.cli import main
+
+    tasks = []
+    real = experiment.run_campaign
+
+    def spy(jobs, runner, **kwargs):
+        if runner is experiment.check_workload:
+            tasks.extend(jobs)
+        return real(jobs, runner, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_campaign", spy)
+    assert main(["campaign", "--apps", "dyn-bursty", "--configs", "MMT-FXR",
+                 "MMT-FXR+H", "--threads", "2", "--scale", "0.1",
+                 "--no-cache", "--cache-dir", str(tmp_path),
+                 "--dump-dir", ""]) == 0
+    out = capsys.readouterr().out
+    assert [task.label() for task in tasks] == ["dyn-bursty/2t"]
+    assert "lint dyn-bursty: ok" in out
+    assert "cached ok" not in out

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import MMTConfig
 from repro.harness import experiment
-from repro.harness.experiment import trace_run
+from repro.harness.experiment import CampaignJob, simulate, trace_run
 from repro.harness.results import dump_trace
 from repro.obs import (
     EventKind,
@@ -24,7 +24,7 @@ from repro.pipeline.stats import StatsConsistencyError
 @pytest.fixture(scope="module")
 def traced():
     """One fully observed MMT-FXR run shared by the read-only tests."""
-    return trace_run("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1)
+    return trace_run(CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1))
 
 
 # ----------------------------------------------------------- event tracing
@@ -60,8 +60,8 @@ def test_issue_precedes_commit_per_entry(traced):
 
 
 def test_bounded_sink_drops_oldest_but_counts():
-    run, obs = trace_run("ammp", MMTConfig.base(), 2, scale=0.1,
-                         sink_capacity=50)
+    obs = Observer(sink=MemorySink(50))
+    run = simulate(CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1), obs)
     assert len(obs.sink.events) == 50
     assert obs.sink.dropped > 0
     # The retained suffix still ends with the run's final events.
@@ -69,10 +69,9 @@ def test_bounded_sink_drops_oldest_but_counts():
 
 
 def test_observer_attachment_is_timing_invisible():
-    plain = experiment.simulate_job(
-        experiment.CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1), 0
-    )
-    traced_run, _ = trace_run("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1)
+    job = CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1)
+    plain = experiment.simulate_job(job, 0)
+    traced_run, _ = trace_run(job)
     assert plain.stats.cycles == traced_run.stats.cycles
     assert plain.stats.committed_entries == traced_run.stats.committed_entries
 
@@ -121,12 +120,10 @@ def test_reconcile_flags_a_corrupted_counter(traced):
 def test_watchdog_fires_on_injected_livelock(tmp_path):
     obs = Observer(recorder=FlightRecorder(capacity=64), watchdog_cycles=200)
     dump_path = tmp_path / "wedged.flight.json"
-    machine = experiment._normalize_machine(None, 2)
     with pytest.raises(WatchdogError) as excinfo:
-        experiment._simulate(
-            "ammp", MMTConfig.base(), 2, machine, 0.1,
-            obs=obs, failure_dump=str(dump_path),
-            prepare=experiment._wedge_fetch,
+        simulate(
+            CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1), obs,
+            run=experiment._run_wedged, failure_dump=str(dump_path),
         )
     err = excinfo.value
     assert "no instruction committed in 200 cycles" in str(err)
@@ -153,12 +150,11 @@ def test_watchdog_fires_inside_fast_loop(tmp_path):
         recorder=FlightRecorder(capacity=64), watchdog_cycles=200
     )
     dump_path = tmp_path / "wedged-fast.flight.json"
-    machine = experiment._normalize_machine(None, 2)
     with pytest.raises(WatchdogError) as excinfo:
-        experiment._simulate(
-            "ammp", MMTConfig.base(), 2, machine, 0.1,
-            obs=obs, failure_dump=str(dump_path),
-            prepare=experiment._wedge_fetch, engine="fast",
+        simulate(
+            CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1,
+                        engine="fast"), obs,
+            run=experiment._run_wedged, failure_dump=str(dump_path),
         )
     err = excinfo.value
     assert "no instruction committed in 200 cycles" in str(err)
@@ -179,7 +175,6 @@ def test_fast_and_reference_watchdog_dumps_agree(tmp_path):
     from repro.obs import SampledObserver
 
     documents = {}
-    machine = experiment._normalize_machine(None, 2)
     for engine, obs in (
         ("reference", Observer(recorder=FlightRecorder(capacity=64),
                                watchdog_cycles=300)),
@@ -188,10 +183,10 @@ def test_fast_and_reference_watchdog_dumps_agree(tmp_path):
     ):
         dump_path = tmp_path / f"wedged-{engine}.flight.json"
         with pytest.raises(WatchdogError):
-            experiment._simulate(
-                "mcf", MMTConfig.mmt_fxr(), 2, machine, 0.1,
-                obs=obs, failure_dump=str(dump_path),
-                prepare=experiment._wedge_fetch, engine=engine,
+            simulate(
+                CampaignJob("mcf", MMTConfig.mmt_fxr(), 2, scale=0.1,
+                            engine=engine), obs,
+                run=experiment._run_wedged, failure_dump=str(dump_path),
             )
         documents[engine] = load_dump(dump_path)
     ref, fast = documents["reference"], documents["fast"]

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import MMTConfig
+from repro.harness.experiment import CampaignJob
 from repro.workloads.record import (
     RecordedTrace,
     TraceReplayWorkload,
@@ -50,7 +51,8 @@ _REGEN_HINT = (
 
 def _record() -> RecordedTrace:
     return record_trace(
-        APP, CONFIGS[CONFIG_NAME](), NCTX, scale=SCALE, window=WINDOW
+        CampaignJob(APP, CONFIGS[CONFIG_NAME](), NCTX, scale=SCALE),
+        window=WINDOW,
     )
 
 
@@ -158,9 +160,8 @@ def test_a_trace_re_recorded_at_its_path_is_simulated_afresh(tmp_path,
             "--cache-dir", str(tmp_path / "cache")]
     sources = []
     for app in ("canneal", "water-sp"):
-        record_trace(app, MMTConfig.base(), 2, scale=0.2, window=16).save(
-            trace
-        )
+        record_trace(CampaignJob(app, MMTConfig.base(), 2, scale=0.2),
+                     window=16).save(trace)
         proc = subprocess.run(argv, env=env, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -168,11 +168,12 @@ def test_app_profiles_are_valid_suite_workloads(tmp_path):
 def test_trace_workload_job_is_content_addressed(tmp_path):
     """A trace scenario's job carries the trace digest as its token, not
     in its tag, which holds what the scenario declared."""
-    from repro.harness.experiment import CONFIG_FACTORIES
+    from repro.harness.experiment import CONFIG_FACTORIES, CampaignJob
     from repro.workloads.record import record_trace
 
     trace = record_trace(
-        "mcf", CONFIG_FACTORIES["Base"](), 2, scale=0.05, window=16
+        CampaignJob("mcf", CONFIG_FACTORIES["Base"](), 2, scale=0.05),
+        window=16,
     )
     path = trace.save(tmp_path / "mcf.trace.json")
     suite = load_suite(_write(
